@@ -213,8 +213,7 @@ class Grid:
             for i in range(self.domain.dim)
         )
         object.__setattr__(self, "axes", axes)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        centers = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        centers = _mesh(axes)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "inside_mask", self.domain.contains(centers))
 
@@ -239,40 +238,27 @@ class Grid:
         linear fields are reproduced exactly on the whole box.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dim = self.dim
-        i0 = np.empty((pts.shape[0], dim), dtype=np.int64)
-        frac = np.empty_like(pts)
-        for d in range(dim):
-            g = (pts[:, d] - self.axes[d][0]) / self.h
-            if self.shape[d] > 1:
-                base = np.clip(np.floor(g).astype(np.int64), 0, self.shape[d] - 2)
-            else:
-                base = np.zeros(pts.shape[0], dtype=np.int64)
-                g = np.zeros_like(g)
-            i0[:, d] = base
-            frac[:, d] = g - base
-        strides = np.empty(dim, dtype=np.int64)
-        acc = 1
-        for d in range(dim - 1, -1, -1):
-            strides[d] = acc
-            acc *= self.shape[d]
-        n_corner = 1 << dim
-        idx = np.empty((pts.shape[0], n_corner), dtype=np.int64)
-        wts = np.empty((pts.shape[0], n_corner), dtype=float)
-        for corner in range(n_corner):
-            flat = np.zeros(pts.shape[0], dtype=np.int64)
-            w = np.ones(pts.shape[0], dtype=float)
-            for d in range(dim):
-                bit = (corner >> d) & 1
-                if self.shape[d] == 1:
-                    off = 0
-                else:
-                    off = bit
-                flat += (i0[:, d] + off) * strides[d]
-                w *= frac[:, d] if bit else (1.0 - frac[:, d])
-            idx[:, corner] = flat
-            wts[:, corner] = w
+        idx = np.zeros((pts.shape[0], 1), dtype=np.int64)
+        wts = np.ones((pts.shape[0], 1))
+        # corner bit d selects the upper cell along axis d
+        for d, n in enumerate(self.shape):
+            base, top, frac = _interp_row(self.axes[d], self.h, pts[:, d])
+            idx = np.concatenate([idx * n + base[:, None], idx * n + top[:, None]], axis=1)
+            wts = np.concatenate([wts * (1.0 - frac)[:, None], wts * frac[:, None]], axis=1)
         return idx, wts
+
+
+def _mesh(coords) -> np.ndarray:
+    """Points of the product of per-axis coordinates, in C order."""
+    return np.stack([m.reshape(-1) for m in np.meshgrid(*coords, indexing="ij")], axis=1)
+
+
+def _interp_row(axis: np.ndarray, h: float, x: np.ndarray):
+    """Lower cell, upper cell and fraction of coordinates ``x`` on one grid
+    axis, clipped to the edge pair (so the edge cells extrapolate linearly)."""
+    g = (x - axis[0]) / h if axis.size > 1 else np.zeros_like(x)
+    base = np.clip(np.floor(g).astype(np.int64), 0, max(axis.size - 2, 0))
+    return base, np.minimum(base + 1, axis.size - 1), g - base
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +457,8 @@ def eval_nudged(field_: AnalyticField, points: np.ndarray, nudge: float) -> np.n
 
     Query points that land exactly on a jump hyperplane are moved by
     ``nudge`` along the offending normal (repeatedly if several planes
-    are hit), so the result never depends on a side convention.
+    are hit), so the result never depends on a side convention.  Only
+    exact hits move, so each point's value is independent of the batch.
     """
     try:
         return field_.eval_many(points)
@@ -481,7 +468,7 @@ def eval_nudged(field_: AnalyticField, points: np.ndarray, nudge: float) -> np.n
             try:
                 return field_.eval_many(pts)
             except HyperplaneEvalError as err:
-                hit = np.isclose(pts @ err.normal, err.offset)
+                hit = pts @ err.normal - err.offset == 0.0
                 pts[hit] += nudge * err.normal
         raise
 

@@ -10,6 +10,9 @@ Three equivalent views of the same object live here:
 * ``pairwise_energy`` -- the equivalent double integral over point pairs,
   used as a self-consistency check of the direction-averaged form.
 
+All of them, the ball families and the descent kernel of
+``nlgriffith.minimize`` sum over one shift stencil, ``_Shift``.
+
 On top of these, ``ball_supremum_energy`` maximizes the sum of per-ball
 L^p-in-direction energies over finite families of pairwise disjoint open
 balls.  The true supremum over all finite families is not computable;
@@ -35,6 +38,8 @@ from .domain import (
     BoxDomain,
     Grid,
     SampledField,
+    _interp_row,
+    _mesh,
     difference_body,
     eval_nudged,
 )
@@ -64,6 +69,8 @@ class GridCapabilityError(ValueError):
 
 def check_resolution(h: float, eps: float) -> None:
     """Enforce the resolution contract h <= eps / 4."""
+    if not (np.isfinite(h) and np.isfinite(eps)):
+        raise ValueError(f"h={h} and eps={eps} must be finite")
     if eps <= 0:
         raise ValueError("eps must be positive")
     if h > eps / 4.0 * (1.0 + 1e-9):
@@ -210,12 +217,99 @@ class EnergyReport:
 
 
 # ---------------------------------------------------------------------------
-# Core kernels
+# Shift stencil
 # ---------------------------------------------------------------------------
 
 
-def _region_contains(region: Region, pts: np.ndarray) -> np.ndarray:
-    return region.contains(pts)
+def _axis_inside(region: Region, d: int, x: np.ndarray) -> np.ndarray:
+    """Axis-d bounding-box factor of ``region.contains``, same float ops."""
+    if isinstance(region, Ball):
+        return (x - region.center[d]) ** 2 < region.radius**2
+    return (x > region.lower[d]) & (x < region.upper[d])
+
+
+class _Shift:
+    """The pairs ``(x, x + eps xi)`` of one region on a regular grid.
+
+    A pair interacts when both points lie in the region.  Grid centers
+    and their shifts are products of per-axis coordinates, so the cells
+    whose pair stays inside the region's bounding box form one index
+    range per axis, the range box; ``keep`` selects the interacting pairs
+    in it (a residual mask for balls and precrack slits).  The shifted
+    endpoint is multilinear in the nodal values, with one row of cells
+    and weights per axis.  An integer ``offset`` in cells instead of
+    ``eps`` pairs each cell with a partner cell.
+    """
+
+    def __init__(self, grid: Grid, region: Region, xi: np.ndarray, eps=None, offset=None):
+        self.grid, self.xi = grid, xi
+        box, self.centers, self.moved, self.rows = [], [], [], []
+        for d, axis in enumerate(grid.axes):
+            n = axis.size
+            if offset is None:
+                partner = axis + eps * xi[d]
+            else:
+                j = np.arange(n) + offset[d]  # partners off the grid get nan, which no test passes
+                partner = np.where((j >= 0) & (j < n), axis[j.clip(0, n - 1)], np.nan)
+            hits = np.flatnonzero(_axis_inside(region, d, axis) & _axis_inside(region, d, partner))
+            sl = slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
+            box.append(sl)
+            self.centers.append(axis[sl])
+            self.moved.append(partner[sl])
+            if offset is None:
+                base, top, frac = _interp_row(axis, grid.h, partner[sl])
+                col = (-1,) + (1,) * (grid.dim - d)  # broadcasts along axis d
+                self.rows.append((base, top, (1.0 - frac).reshape(col), frac.reshape(col)))
+            else:
+                self.rows.append((j[sl], None, None, None))
+        self.box = tuple(box)
+        self.shape = tuple(c.size for c in self.centers)
+        self.keep = slice(None)
+        if isinstance(region, Ball) or region.precrack:
+            self.keep = region.contains(_mesh(self.centers)) & region.contains(_mesh(self.moved))
+
+    def slopes(self, u) -> np.ndarray:
+        """``(u(x + eps xi) - u(x)).xi`` over the range box, flat in C order.
+
+        Closed-form fields are evaluated exactly at both endpoints, nudged
+        off jump hyperplanes like the cell centers; nodal values are
+        interpolated at the shifted one, one pass per axis.
+        """
+        if isinstance(u, AnalyticField):
+            nudge = self.grid.h / 7.0
+            diff = eval_nudged(u, _mesh(self.moved), nudge) - eval_nudged(u, _mesh(self.centers), nudge)
+            return diff @ self.xi
+        nodal = (u.values if isinstance(u, SampledField) else u).reshape(self.grid.shape + (-1,))
+        end = nodal
+        for d, (base, top, lo_w, hi_w) in enumerate(self.rows):
+            lo = np.take(end, base, axis=d)
+            end = lo if top is None else lo_w * lo + hi_w * np.take(end, top, axis=d)
+        return (end - nodal[self.box]).reshape(-1, nodal.shape[-1]) @ self.xi
+
+    def cell_sum(self, u, eps: float) -> float:
+        """Midpoint cell sum ``(h^n/eps) sum arctan(s^2/eps)`` over the pairs."""
+        s = self.slopes(u)[self.keep]
+        return float(self.grid.cell_volume / eps * np.sum(np.arctan(s * s / eps)))
+
+    def add_transpose(self, ds: np.ndarray, grad: np.ndarray) -> None:
+        """``grad += J^T ds`` for the Jacobian J of ``slopes`` in the nodal values."""
+        nodal = grad.reshape(self.grid.shape + (-1,))
+        r = np.zeros_like(ds)
+        r[self.keep] = ds[self.keep]
+        r = r.reshape(self.shape)[..., None] * self.xi
+        nodal[self.box] -= r
+        # the rows transposed, last axis first; the axis-0 pass lands on grad
+        for d in reversed(range(self.grid.dim)):
+            base, top, lo_w, hi_w = self.rows[d]
+            out = np.zeros(r.shape[:d] + nodal.shape[d : d + 1] + r.shape[d + 1 :]) if d else nodal
+            np.add.at(out, (slice(None),) * d + (base,), lo_w * r)
+            np.add.at(out, (slice(None),) * d + (top,), hi_w * r)
+            r = out
+
+
+# ---------------------------------------------------------------------------
+# Energies
+# ---------------------------------------------------------------------------
 
 
 def _support_box(region: Region, eps: float) -> BoxDomain:
@@ -233,41 +327,6 @@ def _resolve_grid(u: FieldLike, grid: Grid | None) -> Grid:
     return grid
 
 
-def _center_values(u: FieldLike, grid: Grid) -> np.ndarray:
-    if isinstance(u, SampledField):
-        return u.values
-    return eval_nudged(u, grid.centers, grid.h / 7.0)
-
-
-def _shifted_values(u: FieldLike, grid: Grid, pts: np.ndarray) -> np.ndarray:
-    # sampled fields interpolate; closed-form fields evaluate exactly,
-    # nudged off any jump hyperplane like the cell centers
-    if isinstance(u, SampledField):
-        return u.eval_many(pts)
-    return eval_nudged(u, pts, grid.h / 7.0)
-
-
-def _directional_sum(
-    u: FieldLike,
-    grid: Grid,
-    center_vals: np.ndarray,
-    region: Region,
-    eps: float,
-    xi: np.ndarray,
-    cell_idx: np.ndarray | None = None,
-) -> float:
-    """Midpoint cell sum of the direction-xi integrand over the region."""
-    centers = grid.centers if cell_idx is None else grid.centers[cell_idx]
-    vals = center_vals if cell_idx is None else center_vals[cell_idx]
-    shifted = centers + eps * xi
-    mask = _region_contains(region, centers) & _region_contains(region, shifted)
-    if not mask.any():
-        return 0.0
-    u_q = _shifted_values(u, grid, shifted[mask])
-    s = (u_q - vals[mask]) @ xi
-    return float(grid.cell_volume / eps * np.sum(np.arctan(s * s / eps)))
-
-
 def directional_energy(
     u: FieldLike,
     region: Region,
@@ -282,12 +341,10 @@ def directional_energy(
     discrete energy differentiable in the nodal values; closed-form
     fields are evaluated exactly at both endpoints.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     xi = np.asarray(xi, dtype=float)
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)
-    return _directional_sum(u, g, _center_values(u, g), region, eps, xi)
+    return _Shift(g, region, xi, eps).cell_sum(u, eps)
 
 
 def averaged_energy(
@@ -304,22 +361,19 @@ def averaged_energy(
     discarded.  The per-direction breakdown is recorded; the total is the
     weighted sum over retained nodes, accumulated in ascending node order.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)
     if rule.dimension != g.dim:
         raise ValueError("rule dimension must match the field dimension")
     if support is None:
         support = _support_box(region, eps)
-    center_vals = _center_values(u, g)
     keep = support.contains(rule.nodes)
     per_direction: dict[int, float] = {}
     total = 0.0
     for i in range(rule.n_nodes):
         if not keep[i]:
             continue
-        value = _directional_sum(u, g, center_vals, region, eps, rule.nodes[i])
+        value = _Shift(g, region, rule.nodes[i], eps).cell_sum(u, eps)
         per_direction[i] = value
         total += rule.weights[i] * value
     return EnergyReport(
@@ -348,42 +402,21 @@ def pairwise_energy(
     Agrees with the direction-averaged form up to quadrature error (the
     change of variables xi = (x'-x)/eps maps one onto the other).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)
     dim = g.dim
-    shape = g.shape
-    vals = _center_values(u, g).reshape(shape + (dim,))
-    inside = domain.contains(g.centers).reshape(shape)
+    vals = u.values if isinstance(u, SampledField) else eval_nudged(u, g.centers, g.h / 7.0)
 
     max_cells = int(np.floor(r_max * eps / g.h))
-    offsets = []
+    total = 0.0
     for k in np.ndindex(*(2 * max_cells + 1,) * dim):
         kk = np.asarray(k, dtype=int) - max_cells
-        if not np.any(kk):
-            continue
         delta = kk * g.h
-        if np.dot(delta, delta) > (r_max * eps) ** 2:
+        if not np.any(kk) or np.dot(delta, delta) > (r_max * eps) ** 2:
             continue
-        offsets.append(kk)
-
-    total = 0.0
-    for kk in offsets:
-        src = tuple(
-            slice(max(-k, 0), shape[d] - max(k, 0)) for d, k in enumerate(kk)
-        )
-        dst = tuple(
-            slice(max(k, 0), shape[d] + min(k, 0)) for d, k in enumerate(kk)
-        )
-        pair_ok = inside[src] & inside[dst]
-        if not pair_ok.any():
-            continue
-        delta = kk * g.h
-        diff = vals[dst] - vals[src]
-        s = diff @ delta
-        contrib = np.sum(np.arctan(s[pair_ok] ** 2 / eps**3))
-        total += float(np.exp(-np.dot(delta, delta) / eps**2) * contrib)
+        pairs = _Shift(g, domain, delta, offset=kk)
+        s = pairs.slopes(vals)[pairs.keep]
+        total += float(np.exp(-np.dot(delta, delta) / eps**2) * np.sum(np.arctan(s**2 / eps**3)))
     return g.cell_volume**2 / eps ** (dim + 1) * total
 
 
@@ -411,23 +444,17 @@ def family_energy(
         raise ValueError("p must be at least 1")
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)
-    center_vals = _center_values(u, g)
     domain_support = _support_box(domain, eps)
     per_ball: dict[int, float] = {}
     total = 0.0
     for bi, ball in enumerate(family.balls):
         support = _support_box(ball, eps) if per_ball_support else domain_support
         keep = support.contains(rule.nodes)
-        # restrict the cell sum to the ball's bounding box
-        in_bbox = np.all(np.abs(g.centers - ball.center) < ball.radius, axis=1)
-        cell_idx = np.nonzero(in_bbox)[0]
         acc = 0.0
         for i in range(rule.n_nodes):
             if not keep[i]:
                 continue
-            v = _directional_sum(
-                u, g, center_vals, ball, eps, rule.nodes[i], cell_idx=cell_idx
-            )
+            v = _Shift(g, ball, rule.nodes[i], eps).cell_sum(u, eps)
             acc += rule.weights[i] * v**p
         value = acc ** (1.0 / p)
         per_ball[bi] = value

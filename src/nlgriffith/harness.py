@@ -401,7 +401,6 @@ def audit_inequalities(
         return grids[key]
 
     def _ratio(u: AnalyticField, dim: int, delta: float, xi: np.ndarray) -> tuple[float, float, float]:
-        box = BoxDomain(np.zeros(dim), np.ones(dim))
         E = BoxDomain(np.full(dim, 0.15), np.full(dim, 0.85))
         grid = _grid_for(dim, delta)
         lhs = _translation_discrepancy(u, E, delta, xi, grid)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import Affine, AnalyticField, BoxDomain, Grid, SampledField, sample
-from .energy import check_resolution
+from .energy import _Shift, check_resolution
 from .quad import DirectionRule, build_direction_rule
 
 __all__ = [
@@ -151,13 +151,12 @@ class DescentTrace:
 
 
 class DescentKernel:
-    """Precomputed interaction stencils for one (grid, region, eps, rule).
+    """Shift stencils for one (grid, region, eps, rule), built once per run.
 
-    The membership masks and interpolation stencils depend only on the
-    geometry, so they are built once and reused across all energy and
-    gradient evaluations of a descent run.  Gradient accumulation uses
-    indexed scatter-adds in a fixed node order, which makes runs with
-    identical inputs bit-reproducible.
+    These are the per-direction stencils every energy form of
+    ``nlgriffith.energy`` sums over, one per rule node with pairs.  The
+    gradient applies their transposes in a fixed node order, which makes
+    runs with identical inputs bit-reproducible.
     """
 
     def __init__(self, grid: Grid, region: BoxDomain, eps: float, rule: DirectionRule):
@@ -169,45 +168,27 @@ class DescentKernel:
         self.rule = rule
         self.scale = grid.cell_volume / eps
         self._terms = []
-        inside = region.contains(grid.centers)
         for i in range(rule.n_nodes):
-            xi = rule.nodes[i]
-            shifted = grid.centers + eps * xi
-            mask = inside & region.contains(shifted)
-            if not mask.any():
-                continue
-            src = np.nonzero(mask)[0]
-            idx, wts = grid.interp_weights(shifted[src])
-            self._terms.append((rule.weights[i], xi, src, idx, wts))
-
-    def _pair_differences(self, values: np.ndarray, term):
-        _, xi, src, idx, wts = term
-        u_q = np.einsum("mc,mcd->md", wts, values[idx])
-        return (u_q - values[src]) @ xi
+            stencil = _Shift(grid, region, rule.nodes[i], eps)
+            if 0 not in stencil.shape:
+                self._terms.append((rule.weights[i], stencil))
 
     def energy(self, values: np.ndarray) -> float:
-        total = 0.0
-        for term in self._terms:
-            s = self._pair_differences(values, term)
-            total += term[0] * float(np.sum(np.arctan(s * s / self.eps)))
-        return self.scale * total
+        return sum((w * stencil.cell_sum(values, self.eps) for w, stencil in self._terms), 0.0)
 
     def energy_and_grad(
         self, values: np.ndarray, frozen: np.ndarray
     ) -> tuple[float, np.ndarray]:
         total = 0.0
-        grad = np.zeros_like(values)
-        for w, xi, src, idx, wts in self._terms:
-            u_q = np.einsum("mc,mcd->md", wts, values[idx])
-            s = (u_q - values[src]) @ xi
-            total += w * float(np.sum(np.arctan(s * s / self.eps)))
+        grad = np.zeros(values.shape)
+        for w, stencil in self._terms:
+            s = stencil.slopes(values)
+            t = s[stencil.keep]
+            total += w * float(self.scale * np.sum(np.arctan(t * t / self.eps)))
             ds = (w * self.scale) * (2.0 * s / self.eps) / (1.0 + s**4 / self.eps**2)
-            contrib = ds[:, None] * xi[None, :]
-            np.subtract.at(grad, src, contrib)
-            for corner in range(idx.shape[1]):
-                np.add.at(grad, idx[:, corner], wts[:, corner][:, None] * contrib)
+            stencil.add_transpose(ds, grad)
         grad[frozen] = 0.0
-        return self.scale * total, grad
+        return total, grad
 
 
 def energy_gradient(

@@ -13,6 +13,7 @@ from nlgriffith.domain import (
     SumField,
     difference_body,
     domain_from_config,
+    eval_nudged,
     field_from_config,
     sample,
 )
@@ -172,6 +173,17 @@ def test_sample_perturbs_centers_on_hyperplane():
     assert np.all(np.isfinite(sf.values))
     # nudged center lands on the plus side
     assert sf.values[1, 0] == 1.0
+
+
+def test_eval_nudged_is_batch_independent():
+    # only exact hits move: a point just below the plane keeps its side
+    # even when the same batch holds a point on the plane
+    f = PlaneJump(np.array([1.0]), 0.5, np.array([0.0]), np.array([1.0]))
+    near = np.array([[0.5 - 1e-9]])
+    alone = eval_nudged(f, near, 0.01)
+    batch = eval_nudged(f, np.vstack([near, [[0.5]]]), 0.01)
+    assert alone[0, 0] == batch[0, 0] == 0.0
+    assert batch[1, 0] == 1.0
 
 
 def test_sample_then_eval_reproduces_centers():

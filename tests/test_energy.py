@@ -10,6 +10,7 @@ from nlgriffith.domain import (
     PlaneSegment,
     SampledField,
     SumField,
+    eval_nudged,
     sample,
 )
 from nlgriffith.energy import (
@@ -19,6 +20,7 @@ from nlgriffith.energy import (
     averaged_energy,
     ball_candidates,
     ball_supremum_energy,
+    check_resolution,
     directional_energy,
     family_energy,
     pairwise_energy,
@@ -94,8 +96,9 @@ def test_directional_energy_jump_band():
 def test_directional_energy_rejects_bad_eps():
     dom = interval()
     g = Grid(dom, 0.01)
-    with pytest.raises(ValueError):
-        directional_energy(jump_1d(), dom, -1.0, np.array([1.0]), grid=g)
+    for eps in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            directional_energy(jump_1d(), dom, eps, np.array([1.0]), grid=g)
 
 
 def test_resolution_contract_enforced():
@@ -103,6 +106,51 @@ def test_resolution_contract_enforced():
     g = Grid(dom, 0.05)
     with pytest.raises(GridCapabilityError):
         directional_energy(jump_1d(), dom, 0.1, np.array([1.0]), grid=g)
+    for h, eps in ((0.01, np.nan), (np.nan, 0.1), (np.inf, 0.1)):
+        with pytest.raises(ValueError):
+            check_resolution(h, eps)
+
+
+def _oracle_directional(u, region, eps, xi, grid):
+    # the pair sum spelled out: membership by region.contains at both
+    # endpoints, values by exact evaluation or by interpolation
+    shifted = grid.centers + eps * xi
+    mask = region.contains(grid.centers) & region.contains(shifted)
+    if isinstance(u, SampledField):
+        vals, u_q = u.values[mask], u.eval_many(shifted[mask])
+    else:
+        vals = eval_nudged(u, grid.centers[mask], grid.h / 7.0)
+        u_q = eval_nudged(u, shifted[mask], grid.h / 7.0)
+    s = (u_q - vals) @ xi
+    return float(grid.cell_volume / eps * np.sum(np.arctan(s * s / eps)))
+
+
+def test_directional_energy_matches_pair_oracle():
+    # c03's field plus an oblique plane, so that endpoints land on planes
+    f = SumField(
+        (
+            Affine(np.array([[1.0, 0.25], [0.25, 0.5]]), np.zeros(2)),
+            PlaneJump(np.array([1.0, 0.0]), 0.5, np.zeros(2), np.array([10.0, 0.0])),
+            PlaneJump(np.array([0.6, 0.8]), 0.55, np.zeros(2), np.array([0.3, 0.7])),
+        )
+    )
+    slit = PlaneSegment(np.array([0.5, 0.2]), np.array([0.5, 0.7]))
+    cases = [
+        (square(), 0.08, Grid(square(), 0.08 / 6)),  # c03
+        (BoxDomain(np.full(2, 0.15), np.full(2, 0.85)), 0.1, Grid(square(), 0.1 / 8)),  # audit E
+        (Ball(np.array([0.4, 0.55]), 0.3), 0.04, Grid(square(), 0.01)),
+        (BoxDomain(np.zeros(2), np.ones(2), (slit,)), 0.04, Grid(square(), 0.01)),
+    ]
+    rule = build_direction_rule(2, radial_order=4, angular_order=8)
+    for region, eps, g in cases:
+        for u in (f, sample(f, g)):
+            new = [directional_energy(u, region, eps, xi, grid=g) for xi in rule.nodes]
+            old = [_oracle_directional(u, region, eps, xi, g) for xi in rule.nodes]
+            assert any(old)
+            if isinstance(region, BoxDomain) and not isinstance(u, SampledField):
+                assert new == old
+            else:
+                np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
 
 
 def test_set_monotonicity(rule1):

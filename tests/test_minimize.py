@@ -55,23 +55,34 @@ def test_gradient_zero_on_skew(rule2_fast):
     assert np.max(np.abs(g)) <= 1e-12
 
 
-def test_gradient_matches_central_differences(rule_fast):
+def test_gradient_matches_central_differences(rule_fast, rule2_fast):
     rng = np.random.default_rng(17)
-    prob = bar(1.0, eps=0.05, h=0.0125)
-    kernel = DescentKernel(prob.grid, prob.outer, prob.eps, rule_fast)
-    u = prob.sampled_datum()
-    free = ~u.dirichlet_mask
-    u.values[free] += 0.1 * rng.normal(size=(free.sum(), 1))
-    _, grad = kernel.energy_and_grad(u.values, u.dirichlet_mask)
-    delta = 1e-5
-    for _ in range(20):
-        v = rng.normal(size=u.values.shape)
-        v[u.dirichlet_mask] = 0.0
-        e_plus = kernel.energy(u.values + delta * v)
-        e_minus = kernel.energy(u.values - delta * v)
-        fd = (e_plus - e_minus) / (2 * delta)
-        an = float(np.sum(grad * v))
-        assert abs(an - fd) <= 1e-5 * (1 + abs(an))
+    # a 2D plate with a frozen layer two cells wide; shifted endpoints
+    # between the outermost centers and the boundary extrapolate
+    outer = BoxDomain(np.array([-0.1, -0.1]), np.array([1.1, 1.1]))
+    plate = DirichletProblem(
+        outer=outer,
+        inner=BoxDomain(np.zeros(2), np.ones(2)),
+        datum=Affine(np.array([[1.0, 0.3], [-0.2, 0.6]]), np.zeros(2)),
+        eps=0.2,
+        p=1.0,
+        grid=Grid(outer, 0.05),
+    )
+    for prob, rule in ((bar(1.0, eps=0.05, h=0.0125), rule_fast), (plate, rule2_fast)):
+        kernel = DescentKernel(prob.grid, prob.outer, prob.eps, rule)
+        u = prob.sampled_datum()
+        free = ~u.dirichlet_mask
+        u.values[free] += 0.1 * rng.normal(size=(free.sum(), prob.grid.dim))
+        _, grad = kernel.energy_and_grad(u.values, u.dirichlet_mask)
+        delta = 1e-5
+        for _ in range(20):
+            v = rng.normal(size=u.values.shape)
+            v[u.dirichlet_mask] = 0.0
+            e_plus = kernel.energy(u.values + delta * v)
+            e_minus = kernel.energy(u.values - delta * v)
+            fd = (e_plus - e_minus) / (2 * delta)
+            an = float(np.sum(grad * v))
+            assert abs(an - fd) <= 1e-5 * (1 + abs(an))
 
 
 def test_gradient_zero_on_frozen_cells(rule_fast):
