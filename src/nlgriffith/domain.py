@@ -201,8 +201,8 @@ class Grid:
 
     def __post_init__(self):
         object.__setattr__(self, "h", float(self.h))
-        if self.h <= 0:
-            raise ValueError("grid spacing must be positive")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"grid spacing must be positive and finite, got {self.h}")
         sides = self.domain.sides
         counts = np.round(sides / self.h).astype(int)
         if np.any(counts < 1) or np.any(np.abs(counts * self.h - sides) > 1e-9 * np.max(sides)):

@@ -6,6 +6,12 @@ across the inner boundary price any mismatch.  Minimization targets the
 p = 1 direction-averaged energy, which is smooth in the nodal values;
 the ball-supremum functional can be evaluated on the result afterwards.
 
+Each descent is limited-memory BFGS (Liu & Nocedal 1989) on the free
+cells: the two-loop recursion over the last few accepted ``(s, y)``
+pairs gives the direction, and Armijo backtracking along it accepts only
+energy decreases.  Frozen cells never move, and the arithmetic has a
+fixed order, so reruns are bit-identical.
+
 The energy landscape has an elastic and a fractured branch.  Descent
 from the sampled datum stays on the elastic branch, so the minimizer
 optionally restarts from the best of a finite candidate set (the elastic
@@ -17,6 +23,7 @@ to that set, not to the unknown global infimum.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -61,8 +68,8 @@ class DirichletProblem:
             )
         ):
             raise ValueError("inner domain must sit strictly inside the outer one")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not all(np.all(np.isfinite(part)) for part in self.datum.affine_part()):
+            raise ValueError("the datum's affine part must be finite")
         check_resolution(self.grid.h, self.eps)
 
     @property
@@ -108,8 +115,12 @@ def _ramp(load: float) -> AnalyticField:
 class MinimizeOptions:
     """Descent controls.
 
-    ``eps_schedule`` runs coarse-to-fine continuation with warm starts and
-    must end at the problem's eps.  ``nucleation_amplitude`` adds a seeded
+    Each descent stops once the gradient norm is at most ``gtol``
+    (``converged``), after ``max_iter`` accepted steps, or when
+    ``max_backtracks`` halvings of the trial step all fail the Armijo
+    test with constant ``armijo_c``.  ``eps_schedule`` runs
+    coarse-to-fine continuation with warm starts and must end at the
+    problem's eps.  ``nucleation_amplitude`` adds a seeded
     uniform perturbation to the free cells of the initial iterate.
     ``candidate_restart`` re-descends from the best single-crack candidate
     whenever it undercuts the converged iterate.
@@ -126,6 +137,14 @@ class MinimizeOptions:
     armijo_c: float = 1e-4
     max_backtracks: int = 40
 
+    def __post_init__(self):
+        if not (np.isfinite(self.gtol) and self.gtol >= 0):
+            raise ValueError(f"gtol must be finite and non-negative, got {self.gtol}")
+        if not 0.0 < self.armijo_c < 1.0:
+            raise ValueError(f"armijo_c must lie in (0, 1), got {self.armijo_c}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
+
 
 @dataclass
 class DescentTrace:
@@ -133,7 +152,10 @@ class DescentTrace:
 
     The energy sequence is non-increasing: backtracking only accepts
     decreasing steps, and a candidate restart only happens from a state
-    with lower energy than the current one.
+    with lower energy than the current one.  ``step_sizes`` holds 0.0 at
+    the start of each descent and otherwise the accepted multiple of the
+    search direction: 1.0 is the full L-BFGS step, and a step taken
+    without curvature pairs starts from ``min(1, 1/|g|)`` instead.
     """
 
     iterates: list[float] = field(default_factory=list)
@@ -269,6 +291,29 @@ def optimality_gap(u: SampledField, prob: DirichletProblem, rule: DirectionRule)
 # descent
 # ---------------------------------------------------------------------------
 
+_HISTORY = 10  # (s, y) pairs kept by the L-BFGS two-loop recursion
+
+
+def _lbfgs_direction(
+    grad: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray, float]]
+) -> np.ndarray:
+    """Two-loop recursion: ``-H grad`` for the inverse-Hessian estimate
+    built from the stored ``(s, y, 1/s.y)`` pairs, oldest first, with the
+    initial scaling ``s.y / y.y`` of the newest pair."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(np.sum(s * q))
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(np.sum(y * y)))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        b = rho * float(np.sum(y * q))
+        q += (a - b) * s
+    return -q
+
 
 def _descend(
     kernel: DescentKernel,
@@ -278,33 +323,46 @@ def _descend(
     trace: DescentTrace,
 ) -> tuple[np.ndarray, float, str]:
     energy, grad = kernel.energy_and_grad(values, frozen)
+    gnorm = float(np.linalg.norm(grad))
     trace.iterates.append(energy)
-    trace.grad_norms.append(float(np.linalg.norm(grad)))
+    trace.grad_norms.append(gnorm)
     trace.step_sizes.append(0.0)
-    alpha = 1.0
+    pairs: deque = deque(maxlen=_HISTORY)
     reason = "max_iter"
     for _ in range(opts.max_iter):
-        gn2 = float(np.sum(grad * grad))
-        if np.sqrt(gn2) <= opts.gtol:
+        if gnorm <= opts.gtol:
             reason = "gtol"
             break
-        step = 2.0 * alpha
+        direction = _lbfgs_direction(grad, pairs)
+        direction[frozen] = 0.0
+        slope = float(np.sum(grad * direction))
+        if not slope < 0.0:
+            # not a descent direction: forget the curvature, go downhill
+            pairs.clear()
+            direction, slope = -grad, -gnorm * gnorm
+        # without curvature pairs the first trial moves at most a unit distance
+        step = 1.0 if pairs else min(1.0, 1.0 / gnorm)
         accepted = False
         for _ in range(opts.max_backtracks):
-            trial = values - step * grad
+            trial = values + step * direction
             e_trial, g_trial = kernel.energy_and_grad(trial, frozen)
-            if e_trial <= energy - opts.armijo_c * step * gn2:
-                values, energy, grad = trial, e_trial, g_trial
-                alpha = step
+            if e_trial <= energy + opts.armijo_c * step * slope:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             reason = "line_search_failed"
             break
+        s = step * direction
+        y = g_trial - grad
+        sy = float(np.sum(s * y))
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+        values, energy, grad = trial, e_trial, g_trial
+        gnorm = float(np.linalg.norm(grad))
         trace.iterates.append(energy)
-        trace.grad_norms.append(float(np.linalg.norm(grad)))
-        trace.step_sizes.append(alpha)
+        trace.grad_norms.append(gnorm)
+        trace.step_sizes.append(step)
     return values, energy, reason
 
 
@@ -313,7 +371,7 @@ def minimize_dirichlet(
     opts: MinimizeOptions | None = None,
     rule: DirectionRule | None = None,
 ) -> DescentTrace:
-    """Backtracking gradient descent on the free cells.
+    """L-BFGS descent with Armijo backtracking on the free cells.
 
     Starts from the sampled datum (optionally perturbed), optionally runs
     an eps-continuation with warm starts, then compares against the

@@ -318,6 +318,8 @@ def test_c10_bar_fracture_transition():
             failures.append(f"t={load}: energy {tr.iterates[-1]:.4f} vs {target:.4f} ({rel:.2%})")
         if opening > 0.5:
             failures.append(f"t={load}: unexpected crack (opening {opening:.2f})")
+        if tr.stop_reason != "gtol":
+            failures.append(f"t={load}: stop {tr.stop_reason} at |g| {tr.grad_norms[-1]:.2e}")
     for load in (1.3, 2.0):
         prob = DirichletProblem.bar(load, eps, h)
         tr = minimize_dirichlet(prob, opts, rule=rule)
@@ -331,6 +333,8 @@ def test_c10_bar_fracture_transition():
         hot = np.nonzero(profile > 0.5 * opening)[0]
         if hot.size and hot[-1] - hot[0] > 3 * int(round(eps / h)):
             failures.append(f"t={load}: crack not localized ({hot[-1] - hot[0]} cells)")
+        if tr.stop_reason != "gtol":
+            failures.append(f"t={load}: stop {tr.stop_reason} at |g| {tr.grad_norms[-1]:.2e}")
     elapsed = time.perf_counter() - t0
     if elapsed > 120.0:
         failures.append(f"runtime {elapsed:.1f} s exceeds 2 min")

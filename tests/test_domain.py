@@ -129,6 +129,12 @@ def test_grid_rejects_non_tiling_spacing():
         Grid(unit_interval(), 0.3)
 
 
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+def test_grid_rejects_non_finite_spacing(h):
+    with pytest.raises(ValueError, match="finite"):
+        Grid(unit_interval(), h)
+
+
 def test_grid_cell_count_matches_product():
     g = Grid(unit_square(), 0.1)
     assert g.n_cells == 100

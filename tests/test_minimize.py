@@ -12,6 +12,7 @@ from nlgriffith.minimize import (
     energy_gradient,
     minimize_dirichlet,
     optimality_gap,
+    _lbfgs_direction,
 )
 from nlgriffith.quad import build_direction_rule
 
@@ -198,6 +199,52 @@ def test_bar_supercritical_cracks(rule_fast):
     assert hot[-1] - hot[0] <= 3 * int(round(prob.eps / prob.grid.h))
 
 
+def test_supercritical_bar_stops_on_gtol(rule_fast):
+    prob = bar(2.0)
+    opts = MinimizeOptions(max_iter=400)
+    trace = minimize_dirichlet(prob, opts, rule=rule_fast)
+    assert trace.stop_reason == "gtol"
+    assert trace.converged
+    assert trace.grad_norms[-1] <= opts.gtol
+
+
+def test_capped_descent_reports_max_iter(rule_fast):
+    trace = minimize_dirichlet(bar(2.0), MinimizeOptions(max_iter=5), rule=rule_fast)
+    assert trace.stop_reason == "max_iter"
+    assert trace.converged is False
+
+
+def test_descent_is_bit_reproducible(rule_fast):
+    prob = bar(2.0)
+    opts = MinimizeOptions(max_iter=400)
+    tr_a = minimize_dirichlet(prob, opts, rule=rule_fast)
+    tr_b = minimize_dirichlet(prob, opts, rule=rule_fast)
+    assert np.array_equal(tr_a.iterates, tr_b.iterates)
+    assert np.array_equal(tr_a.grad_norms, tr_b.grad_norms)
+    assert np.array_equal(tr_a.step_sizes, tr_b.step_sizes)
+    assert np.array_equal(tr_a.final.values, tr_b.final.values)
+
+
+def test_lbfgs_direction_satisfies_newest_secant_equation():
+    # the inverse-Hessian estimate maps the newest y to the newest s
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(8, 8))
+    A = A @ A.T + 8.0 * np.eye(8)
+    pairs = []
+    for _ in range(4):
+        s = rng.normal(size=8)
+        y = A @ s
+        pairs.append((s, y, 1.0 / float(s @ y)))
+    s, y, _ = pairs[-1]
+    assert np.allclose(-_lbfgs_direction(y, pairs), s, rtol=1e-12, atol=1e-12)
+    # off the span of the pairs the estimate is the scaling s.y / y.y
+    basis, _ = np.linalg.qr(np.column_stack([s, y, rng.normal(size=8)]))
+    v = basis[:, 2]
+    gamma = float(s @ y) / float(y @ y)
+    assert np.allclose(-_lbfgs_direction(v, pairs[-1:]), gamma * v, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(_lbfgs_direction(np.ones(8), []), -np.ones(8))
+
+
 def test_restart_can_be_disabled(rule_fast):
     prob = bar(2.0)
     trace = minimize_dirichlet(
@@ -243,6 +290,28 @@ def test_eps_schedule_validation(rule_fast):
         minimize_dirichlet(
             prob, MinimizeOptions(eps_schedule=[0.02, 0.04]), rule=rule_fast
         )
+
+
+@pytest.mark.parametrize("load", [np.nan, np.inf])
+def test_problem_rejects_non_finite_datum(load):
+    with pytest.raises(ValueError, match="finite"):
+        bar(load)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"gtol": np.nan},
+        {"gtol": np.inf},
+        {"gtol": -1e-6},
+        {"armijo_c": 0.0},
+        {"armijo_c": -1e-4},
+        {"max_iter": -1},
+    ],
+)
+def test_options_reject_bad_values(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        MinimizeOptions(**kwargs)
 
 
 def test_problem_rejects_unresolvable_grid():
