@@ -30,22 +30,13 @@ from .energy import (
     ball_candidates,
     ball_supremum_energy,
 )
-from .harness import SweepSpec, audit_inequalities, run_sweep, write_csv
+from .harness import SweepSpec, _build_rule, audit_inequalities, run_sweep, write_csv
 from .limits import CONVENTIONS, bulk_density, surface_constant
 from .minimize import DirichletProblem, MinimizeOptions, minimize_dirichlet
-from .quad import build_direction_rule, build_sphere_rule
+from .quad import build_sphere_rule
 from .slicing import ball_sup_slice_measure, averaged_jump_measure, directional_slice_measure
 
 __all__ = ["main"]
-
-
-def _build_rule(dim: int, quad_cfg: dict):
-    return build_direction_rule(
-        dim,
-        radial_order=quad_cfg.get("radial_order", 12),
-        angular_order=quad_cfg.get("angular_order", 24),
-        r_max=quad_cfg.get("r_max", 6.0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +85,8 @@ def _cmd_p1_explore(args) -> int:
     nodes, weights = sphere
     rows = []
     for bi, ball in enumerate(family.balls):
-        i_u1 = averaged_jump_measure(field_, ball, sphere, resolution=args.resolution)
-        mus = [
-            directional_slice_measure(
-                field_, np.asarray(xi, float), ball, resolution=args.resolution
-            )
-            for xi in nodes
-        ]
+        i_u1 = averaged_jump_measure(field_, ball, sphere)
+        mus = [directional_slice_measure(field_, np.asarray(xi, float), ball) for xi in nodes]
         # per-ball direction aggregate; a lower bound for the ball-family
         # supremum restricted to this single ball
         mu_hat_ball = float(
@@ -116,9 +102,7 @@ def _cmd_p1_explore(args) -> int:
                     "i_u1": i_u1,
                 }
             )
-    mu_hat, _ = ball_sup_slice_measure(
-        field_, domain, args.p, sphere, strategy, resolution=args.resolution
-    )
+    mu_hat, _ = ball_sup_slice_measure(field_, domain, args.p, sphere, strategy)
     write_csv(args.out, rows)
     print(f"{len(rows)} rows ({args.out}); family supremum lower bound {float(mu_hat)!r}")
     return 0
@@ -250,7 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--strategy", default="dyadic:1")
     p.add_argument("--angular", type=int, default=16)
-    p.add_argument("--resolution", type=float, default=0.01)
+    p.add_argument(
+        "--resolution", type=float, default=0.01,
+        help="ignored: slice measures are exact (Cauchy-Crofton)",
+    )
     p.add_argument("--out", default="p1_explore.csv")
     p.set_defaults(func=_cmd_p1_explore)
 

@@ -90,8 +90,14 @@ class SweepSpec:
 
     def __post_init__(self):
         eps = list(self.eps_list)
+        if not eps:
+            raise ValueError("eps_list must not be empty")
+        if not all(np.isfinite(e) and e > 0 for e in eps):
+            raise ValueError(f"every eps must be finite and positive, got {eps}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps_list must be strictly decreasing")
+        if not np.isfinite(self.p):
+            raise ValueError(f"p must be finite, got {self.p}")
         if self.h_over < 4:
             raise ValueError("the grid must resolve eps: need h_over >= 4")
 
@@ -151,6 +157,16 @@ def griffith_target(
     return griffith_energy(u, domain, p, rule).total
 
 
+def _build_rule(dim: int, quad_cfg: dict) -> DirectionRule:
+    """Direction rule from a problem's ``quad`` config, with the defaults."""
+    return build_direction_rule(
+        dim,
+        radial_order=quad_cfg.get("radial_order", 12),
+        angular_order=quad_cfg.get("angular_order", 24),
+        r_max=quad_cfg.get("r_max", 6.0),
+    )
+
+
 def run_sweep(spec: SweepSpec) -> ExtrapolationResult:
     """Evaluate the energy along the eps ladder and extrapolate.
 
@@ -158,15 +174,8 @@ def run_sweep(spec: SweepSpec) -> ExtrapolationResult:
     cannot be tiled at the requested spacing.
     """
     domain, field_, quad_cfg = load_problem(spec.field_config)
-    quad_cfg = {**quad_cfg, **spec.quad}
-    rule = build_direction_rule(
-        domain.dim,
-        radial_order=quad_cfg.get("radial_order", 12),
-        angular_order=quad_cfg.get("angular_order", 24),
-        r_max=quad_cfg.get("r_max", 6.0),
-    )
+    rule = _build_rule(domain.dim, {**quad_cfg, **spec.quad})
     values = []
-    rows = []
     for eps in spec.eps_list:
         h = eps / spec.h_over
         try:
@@ -192,18 +201,18 @@ def run_sweep(spec: SweepSpec) -> ExtrapolationResult:
         target=target,
     )
     if spec.out_path:
-        for eps, value in zip(result.eps_list, result.values):
-            rows.append(
-                {
-                    "eps": eps,
-                    "h": eps / spec.h_over,
-                    "p": spec.p,
-                    "value": value,
-                    "extrapolated": result.extrapolated,
-                    "target": result.target,
-                    "relative_error": result.relative_error,
-                }
-            )
+        rows = [
+            {
+                "eps": eps,
+                "h": eps / spec.h_over,
+                "p": spec.p,
+                "value": value,
+                "extrapolated": result.extrapolated,
+                "target": result.target,
+                "relative_error": result.relative_error,
+            }
+            for eps, value in zip(result.eps_list, result.values)
+        ]
         write_csv(spec.out_path, rows)
     return result
 

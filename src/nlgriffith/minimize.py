@@ -144,6 +144,12 @@ class MinimizeOptions:
             raise ValueError(f"armijo_c must lie in (0, 1), got {self.armijo_c}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
+        if self.max_backtracks < 1:
+            raise ValueError(f"max_backtracks must be at least 1, got {self.max_backtracks}")
+        if not (np.isfinite(self.nucleation_amplitude) and self.nucleation_amplitude >= 0):
+            raise ValueError(
+                f"nucleation_amplitude must be finite and non-negative, got {self.nucleation_amplitude}"
+            )
 
 
 @dataclass

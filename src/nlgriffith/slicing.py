@@ -4,8 +4,12 @@ A section of a vector field u along direction xi through a base point y
 is the scalar function t -> u(y + t xi) . xi on the set of t with
 y + t xi inside the region.  For the closed-form fields of this package
 every section is exactly piecewise affine with finitely many jumps, so
-the 1D energies along the slice direction are computed in closed form
-and only the transverse direction needs quadrature.
+the 1D energies along the slice direction are computed in closed form.
+The slice measures integrated over all lines parallel to a direction are
+closed-form too: by the Cauchy-Crofton formula the lines crossing a
+plane fill a transverse set of measure ``|normal . xi|`` times the
+plane's area inside the region, and the gradient part fills the region's
+volume.
 
 Jump bookkeeping follows the size-one threshold: slice jumps with
 amplitude at most 1 contribute their amplitude to the absolutely
@@ -19,9 +23,11 @@ from typing import Union
 
 import numpy as np
 from scipy.integrate import quad as _quad
+from scipy.special import gamma
 
-from .domain import AnalyticField, Ball, BoxDomain
+from .domain import AnalyticField, Ball, BoxDomain, PlaneJump
 from .energy import BallStrategy, ball_candidates
+from .limits import plane_area_in_box
 
 __all__ = [
     "Section1D",
@@ -390,81 +396,76 @@ def slice_measure(sec: Section1D, span: tuple[float, float] | None = None) -> Sl
     return SliceMeasureValue(ac, count)
 
 
-def _transverse_basis(xi: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to xi (rows)."""
-    n = xi.size
-    basis = []
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        w = e - (e @ xi) * xi
-        for prev in basis:
-            w = w - (w @ prev) * prev
-        norm = np.linalg.norm(w)
-        if norm > 1e-10:
-            basis.append(w / norm)
-        if len(basis) == n - 1:
-            break
-    return np.asarray(basis).reshape(n - 1, n)
+def _unit_ball_volume(k: int) -> float:
+    """Lebesgue measure of the unit ball of R^k (1 for k = 0)."""
+    return float(np.pi ** (k / 2.0) / gamma(k / 2.0 + 1.0))
 
 
-def _transverse_grid(
-    region: Region, basis: np.ndarray, resolution: float
-) -> tuple[np.ndarray, float]:
-    """Midpoint lattice on the projection of the region onto the hyperplane."""
+def _volume(region: Region) -> float:
     if isinstance(region, BoxDomain):
-        corners = np.stack(
-            [
-                np.where(np.array(bits), region.upper, region.lower)
-                for bits in np.ndindex(*(2,) * region.dim)
-            ]
-        )
-        proj = corners @ basis.T
-        lo, hi = proj.min(axis=0), proj.max(axis=0)
-    else:
-        c = region.center @ basis.T
-        lo, hi = c - region.radius, c + region.radius
-    axes = []
-    for d in range(basis.shape[0]):
-        m = max(1, int(np.ceil((hi[d] - lo[d]) / resolution)))
-        axes.append(lo[d] + (np.arange(m) + 0.5) * (hi[d] - lo[d]) / m)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    # cell measure of this lattice replaces resolution^(n-1) exactly
-    cell = np.prod([(hi[d] - lo[d]) / len(axes[d]) for d in range(basis.shape[0])])
-    return coords @ basis, float(cell)
+        return region.volume
+    return _unit_ball_volume(region.dim) * region.radius**region.dim
 
 
-def directional_slice_measure(
-    u: AnalyticField, xi: np.ndarray, region: Region, resolution: float = 0.005
-) -> float:
+def _plane_area(plane: PlaneJump, region: Region) -> float:
+    """``H^(n-1)`` measure of the jump plane inside the region.
+
+    For a ball at distance d from the plane this is the (n-1)-ball of
+    radius ``sqrt(r^2 - d^2)``: one point in 1D, a chord in 2D, a disk
+    in 3D.
+    """
+    if isinstance(region, BoxDomain):
+        return plane_area_in_box(plane.normal, plane.offset, region)
+    gap = region.radius**2 - (float(region.center @ plane.normal) - plane.offset) ** 2
+    if gap <= 0.0:
+        return 0.0
+    k = region.dim - 1
+    return _unit_ball_volume(k) * gap ** (k / 2.0)
+
+
+def _jump_term(u: AnalyticField, xis: np.ndarray, region: Region) -> np.ndarray:
+    """Transverse integral of the truncated slice-jump mass, per direction.
+
+    The lines parallel to a unit ``xi`` that cross a plane with normal
+    ``nu`` inside the region fill a transverse set of measure
+    ``|nu . xi| * H^(n-1)(plane ∩ R)``, and each carries one jump of
+    amplitude ``|J . xi|`` weighted ``min(|J . xi|, 1)``.  Rows of ``xis``
+    are directions.  Coincident planes crossing the region are refused:
+    their slice jumps merge, so the per-plane sum would be wrong.
+    """
+    xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    total = np.zeros(xis.shape[0])
+    crossing: list[PlaneJump] = []
+    for plane in u.jump_planes():
+        area = _plane_area(plane, region)
+        if area == 0.0:
+            continue
+        here = np.append(plane.normal, plane.offset)
+        for other in crossing:
+            there = np.sign(plane.normal @ other.normal) * np.append(other.normal, other.offset)
+            if np.allclose(here, there, rtol=0.0, atol=1e-12):
+                raise ValueError("coincident jump planes cross the region")
+        crossing.append(plane)
+        total += np.abs(xis @ plane.normal) * area * np.minimum(np.abs(xis @ plane.jump), 1.0)
+    return total
+
+
+def directional_slice_measure(u: AnalyticField, xi: np.ndarray, region: Region) -> float:
     """Transverse integral of the per-slice measure for one unit direction.
 
-    Sums ``|D section|(slice minus big jumps) + #(big jumps)`` over a
-    midpoint lattice of base points on the hyperplane orthogonal to xi.
+    Integrates ``|D section|(slice minus big jumps) + #(big jumps)`` over
+    the hyperplane orthogonal to xi in closed form (Cauchy-Crofton):
+    ``|(A xi) . xi| |R| + sum_planes |nu . xi| H^(n-1)(plane ∩ R) min(|J . xi|, 1)``.
     """
     xi = np.asarray(xi, dtype=float)
     if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
-    basis = _transverse_basis(xi)
-    if basis.shape[0] == 0:
-        sec = section(u, xi, np.zeros(xi.size), region)
-        return 0.0 if sec is None else slice_measure(sec).total
-    ys, cell = _transverse_grid(region, basis, resolution)
-    total = 0.0
-    for y in ys:
-        sec = section(u, xi, y, region)
-        if sec is None:
-            continue
-        total += slice_measure(sec).total
-    return total * cell
+    A, _ = u.affine_part()
+    return abs(float((A @ xi) @ xi)) * _volume(region) + float(_jump_term(u, xi, region)[0])
 
 
 def averaged_jump_measure(
-    u: AnalyticField,
-    region: Region,
-    sphere_rule: tuple[np.ndarray, np.ndarray],
-    resolution: float = 0.005,
+    u: AnalyticField, region: Region, sphere_rule: tuple[np.ndarray, np.ndarray]
 ) -> float:
     """Sphere average of the truncated slice-jump mass.
 
@@ -475,24 +476,7 @@ def averaged_jump_measure(
     object are out of scope.
     """
     nodes, weights = sphere_rule
-    total = 0.0
-    for xi, w in zip(nodes, weights):
-        xi = np.asarray(xi, dtype=float)
-        basis = _transverse_basis(xi)
-        if basis.shape[0] == 0:
-            sec = section(u, xi, np.zeros(xi.size), region)
-            inner = 0.0 if sec is None else sum(min(abs(a), 1.0) for _, a in sec.jumps())
-        else:
-            ys, cell = _transverse_grid(region, basis, resolution)
-            inner = 0.0
-            for y in ys:
-                sec = section(u, xi, y, region)
-                if sec is None or sec.degenerate:
-                    continue
-                inner += sum(min(abs(a), 1.0) for _, a in sec.jumps())
-            inner *= cell
-        total += w * inner
-    return total
+    return float(np.asarray(weights, dtype=float) @ _jump_term(u, nodes, region))
 
 
 def ball_sup_slice_measure(
@@ -501,7 +485,6 @@ def ball_sup_slice_measure(
     p: float,
     sphere_rule: tuple[np.ndarray, np.ndarray],
     strategy: BallStrategy,
-    resolution: float = 0.01,
 ) -> tuple[float, list]:
     """Strategy-searched lower bound for the ball-supremum slice measure.
 
@@ -520,7 +503,7 @@ def ball_sup_slice_measure(
         for ball in family.balls:
             acc = 0.0
             for xi, w in zip(nodes, weights):
-                mu = directional_slice_measure(u, np.asarray(xi, float), ball, resolution)
+                mu = directional_slice_measure(u, np.asarray(xi, float), ball)
                 acc += w * mu**p
             total += acc ** (1.0 / p)
         if total > best:

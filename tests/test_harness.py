@@ -112,6 +112,23 @@ def test_sweep_spec_validation():
         SweepSpec(field_config=affine_config(), eps_list=[0.04, 0.02], h_over=2)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"eps_list": []}, "empty"),
+        ({"eps_list": [0.1, np.nan]}, "eps"),
+        ({"eps_list": [np.inf, 0.1]}, "eps"),
+        ({"eps_list": [0.1, -0.05]}, "eps"),
+        ({"eps_list": [0.1, 0.0]}, "eps"),
+        ({"eps_list": [0.04, 0.02], "p": np.nan}, "p must be finite"),
+        ({"eps_list": [0.04, 0.02], "p": np.inf}, "p must be finite"),
+    ],
+)
+def test_sweep_spec_rejects_bad_values(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        SweepSpec(field_config=affine_config(), **kwargs)
+
+
 def test_relative_error_normalization():
     res = ExtrapolationResult([0.1], [1.0], extrapolated=1.5, target=1.0)
     assert res.relative_error == pytest.approx(0.5 / 2.0)

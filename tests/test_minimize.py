@@ -307,6 +307,11 @@ def test_problem_rejects_non_finite_datum(load):
         {"armijo_c": 0.0},
         {"armijo_c": -1e-4},
         {"max_iter": -1},
+        {"nucleation_amplitude": np.nan},
+        {"nucleation_amplitude": np.inf},
+        {"nucleation_amplitude": -0.1},
+        {"max_backtracks": 0},
+        {"max_backtracks": -3},
     ],
 )
 def test_options_reject_bad_values(kwargs):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,30 @@ def test_small_eps_energy_dominates_lower_bound():
 # ---------------------------------------------------------------------------
 
 
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def lattice_slice_measure(u, xi, region, m):
+    """Midpoint-lattice oracle for the transverse integral: sums
+    ``slice_measure(section(...))`` over m^(n-1) base points on xi^perp,
+    covering the region's circumscribed ball, times the cell measure."""
+    n = xi.size
+    basis = np.linalg.qr(np.column_stack([xi, np.eye(n)]))[0][:, 1:].T
+    if isinstance(region, Ball):
+        center, half = region.center, region.radius
+    else:
+        center, half = 0.5 * (region.lower + region.upper), 0.5 * np.linalg.norm(region.sides)
+    t = -half + (np.arange(m) + 0.5) * (2 * half / m)
+    total = 0.0
+    for coords in itertools.product(t, repeat=n - 1):
+        sec = section(u, xi, center + np.asarray(coords) @ basis, region)
+        if sec is not None:
+            total += slice_measure(sec).total
+    return total * (2 * half / m) ** (n - 1)
+
+
 def test_mu_constant_field_is_zero():
     u = Affine(np.zeros((2, 2)), np.ones(2))
     ball = Ball(np.array([0.5, 0.5]), 0.4)
@@ -309,19 +335,20 @@ def test_mu_affine_identity_on_unit_ball():
     # slope 1 along e1, so the measure is the ball area pi
     u = Affine(np.eye(2), np.zeros(2))
     ball = Ball(np.zeros(2), 1.0)
-    val = directional_slice_measure(u, np.array([1.0, 0.0]), ball, resolution=0.002)
-    assert val == pytest.approx(np.pi, rel=2e-3)
+    val = directional_slice_measure(u, np.array([1.0, 0.0]), ball)
+    assert val == pytest.approx(np.pi, rel=1e-12)
 
 
 def test_mu_linear_in_slope_and_volume():
     ball = Ball(np.zeros(2), 1.0)
     xi = np.array([1.0, 0.0])
-    v1 = directional_slice_measure(Affine(np.eye(2), np.zeros(2)), xi, ball, resolution=0.004)
-    v3 = directional_slice_measure(Affine(3 * np.eye(2), np.zeros(2)), xi, ball, resolution=0.004)
+    v1 = directional_slice_measure(Affine(np.eye(2), np.zeros(2)), xi, ball)
+    v3 = directional_slice_measure(Affine(3 * np.eye(2), np.zeros(2)), xi, ball)
+    assert v1 == pytest.approx(np.pi, rel=1e-12)
     assert v3 == pytest.approx(3 * v1, rel=1e-12)
     half = Ball(np.zeros(2), 0.5)
-    vh = directional_slice_measure(Affine(np.eye(2), np.zeros(2)), xi, half, resolution=0.004)
-    assert vh == pytest.approx(v1 / 4, rel=5e-3)  # area scales with r^2
+    vh = directional_slice_measure(Affine(np.eye(2), np.zeros(2)), xi, half)
+    assert vh == pytest.approx(v1 / 4, rel=1e-12)  # area scales with r^2
 
 
 def test_mu_counts_big_jump_crossings():
@@ -329,16 +356,16 @@ def test_mu_counts_big_jump_crossings():
     # is the diameter 2
     u = PlaneJump(np.array([1.0, 0.0]), 0.0, np.zeros(2), np.array([10.0, 0.0]))
     ball = Ball(np.zeros(2), 1.0)
-    val = directional_slice_measure(u, np.array([1.0, 0.0]), ball, resolution=0.002)
-    assert val == pytest.approx(2.0, rel=2e-3)
+    val = directional_slice_measure(u, np.array([1.0, 0.0]), ball)
+    assert val == pytest.approx(2.0, rel=1e-12)
 
 
 def test_mu_small_jump_contributes_amplitude():
     amp = 0.5
     u = PlaneJump(np.array([1.0, 0.0]), 0.0, np.zeros(2), np.array([amp, 0.0]))
     ball = Ball(np.zeros(2), 1.0)
-    val = directional_slice_measure(u, np.array([1.0, 0.0]), ball, resolution=0.002)
-    assert val == pytest.approx(amp * 2.0, rel=2e-3)
+    val = directional_slice_measure(u, np.array([1.0, 0.0]), ball)
+    assert val == pytest.approx(amp * 2.0, rel=1e-12)
 
 
 def test_mu_unit_threshold_is_inclusive():
@@ -355,6 +382,73 @@ def test_mu_requires_unit_direction():
     u = Affine(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         directional_slice_measure(u, np.array([2.0, 0.0]), Ball(np.zeros(2), 1.0))
+
+
+def test_mu_3d_ball_tilted_plane():
+    # the plane cuts the ball in a disk of radius^2 r^2 - d^2
+    A = np.array([[1.0, 0.2, 0.0], [0.2, -0.5, 0.3], [0.0, 0.3, 2.0]])
+    nu = unit([1.0, 2.0, -2.0])
+    jump = np.array([0.3, -0.4, 0.1])
+    ball = Ball(np.array([0.1, -0.2, 0.3]), 0.7)
+    d = 0.25
+    u = SumField((Affine(A, np.ones(3)), PlaneJump(nu, ball.center @ nu + d, np.zeros(3), jump)))
+    for xi in (unit([1.0, 1.0, 1.0]), unit([0.2, -0.9, 0.4]), np.array([0.0, 0.0, 1.0])):
+        bulk = abs(xi @ A @ xi) * 4.0 / 3.0 * np.pi * ball.radius**3
+        surface = abs(nu @ xi) * np.pi * (ball.radius**2 - d**2) * min(abs(jump @ xi), 1.0)
+        val = directional_slice_measure(u, xi, ball)
+        assert val == pytest.approx(bulk + surface, rel=1e-12)
+
+
+def test_mu_3d_box_tilted_plane():
+    # x + y + z = 3/2 cuts the unit cube in a regular hexagon of side
+    # sqrt(2)/2, area 3 sqrt(3)/4; the big jump counts once per crossing
+    nu = unit([1.0, 1.0, 1.0])
+    u = PlaneJump(nu, 1.5 / np.sqrt(3.0), np.zeros(3), np.array([5.0, -3.0, 4.0]))
+    cube = BoxDomain(np.zeros(3), np.ones(3))
+    hexagon = 3.0 * np.sqrt(3.0) / 4.0
+    for xi in (unit([1.0, 0.0, 0.0]), unit([0.3, -0.5, 0.8]), unit([1.0, 1.0, 1.0])):
+        val = directional_slice_measure(u, xi, cube)
+        assert val == pytest.approx(abs(nu @ xi) * hexagon, rel=1e-12)
+
+
+def test_coincident_planes_are_refused():
+    nu = unit([1.0, 1.0])
+    first = PlaneJump(nu, 0.5, np.zeros(2), np.array([2.0, 0.0]))
+    same = PlaneJump(-nu, -0.5, np.zeros(2), np.array([0.0, 0.3]))
+    u = SumField((first, same))
+    rule = build_sphere_rule(2, 8)
+    for region in (square(), Ball(np.array([0.5, 0.5]), 0.3)):
+        with pytest.raises(ValueError, match="coincident"):
+            directional_slice_measure(u, unit([1.0, 0.2]), region)
+        with pytest.raises(ValueError, match="coincident"):
+            averaged_jump_measure(u, region, rule)
+    # planes that miss the region do not interact there
+    far = Ball(np.array([3.0, 3.0]), 0.5)
+    assert directional_slice_measure(u, unit([1.0, 0.2]), far) == 0.0
+
+
+@pytest.mark.parametrize(
+    "dim, kind, m, rel",
+    [(2, "box", 2000, 2e-3), (2, "ball", 2000, 2e-3), (3, "box", 60, 1e-2), (3, "ball", 60, 1e-2)],
+)
+def test_mu_matches_section_lattice(dim, kind, m, rel):
+    # independent check of the volume and plane-area factors: integrate the
+    # per-line slice measure on a midpoint lattice of parallel lines
+    nu1 = unit([1.0, 0.3, 0.2][:dim])
+    nu2 = unit([-0.2, 1.0, 0.5][:dim])
+    jumps = (
+        PlaneJump(nu1, 0.5 * nu1.sum(), np.zeros(dim), 4.0 * nu1),
+        PlaneJump(nu2, 0.45 * nu2.sum(), np.zeros(dim), 0.6 * unit(np.arange(1.0, dim + 1))),
+    )
+    affine = Affine(0.5 * np.diag(np.arange(1.0, dim + 1)), np.zeros(dim))
+    if kind == "box":
+        region = BoxDomain(np.zeros(dim), np.ones(dim))
+    else:
+        region = Ball(0.5 * np.ones(dim), 0.4)
+    xi = unit([0.8, -0.6, 0.3][:dim])
+    for u in (SumField(jumps), SumField((affine,) + jumps)):
+        exact = directional_slice_measure(u, xi, region)
+        assert lattice_slice_measure(u, xi, region, m) == pytest.approx(exact, rel=rel)
 
 
 # ---------------------------------------------------------------------------
@@ -375,21 +469,21 @@ def test_averaged_jump_measure_matches_area_formula():
     u = PlaneJump(np.array([1.0, 0.0]), 0.0, np.zeros(2), np.array([amp, 0.0]))
     ball = Ball(np.zeros(2), 0.8)
     rule = build_sphere_rule(2, 32)
-    val = averaged_jump_measure(u, ball, rule, resolution=0.002)
+    val = averaged_jump_measure(u, ball, rule)
     nodes, weights = rule
     chord = 2 * ball.radius
     oracle = sum(
         w * min(amp * abs(xi[0]), 1.0) * abs(xi[0]) * chord for xi, w in zip(nodes, weights)
     )
-    assert val == pytest.approx(oracle, rel=5e-3)
+    assert val == pytest.approx(oracle, rel=1e-12)
 
 
 def test_averaged_jump_measure_radius_scaling():
     u = PlaneJump(np.array([1.0, 0.0]), 0.0, np.zeros(2), np.array([5.0, 0.0]))
     rule = build_sphere_rule(2, 16)
-    v1 = averaged_jump_measure(u, Ball(np.zeros(2), 0.4), rule, resolution=0.002)
-    v2 = averaged_jump_measure(u, Ball(np.zeros(2), 0.8), rule, resolution=0.002)
-    assert v2 == pytest.approx(2.0 * v1, rel=5e-3)  # 2^(n-1) with n = 2
+    v1 = averaged_jump_measure(u, Ball(np.zeros(2), 0.4), rule)
+    v2 = averaged_jump_measure(u, Ball(np.zeros(2), 0.8), rule)
+    assert v2 == pytest.approx(2.0 * v1, rel=1e-12)  # 2^(n-1) with n = 2
 
 
 def test_averaged_jump_measure_1d():
@@ -398,6 +492,16 @@ def test_averaged_jump_measure_1d():
     rule = build_sphere_rule(1, 2)
     dom = BoxDomain(np.array([0.0]), np.array([1.0]))
     assert averaged_jump_measure(u, dom, rule) == pytest.approx(2 * amp, rel=1e-12)
+
+
+def test_averaged_jump_measure_is_weighted_jump_part():
+    # the jump part of each directional measure, summed with sphere weights
+    nu = unit([1.0, -2.0, 0.5])
+    u = PlaneJump(nu, 0.1, np.zeros(3), np.array([0.4, 1.5, -0.2]))
+    ball = Ball(np.array([0.2, 0.1, 0.0]), 0.6)
+    nodes, weights = build_sphere_rule(3, 8)
+    direct = sum(w * directional_slice_measure(u, xi, ball) for xi, w in zip(nodes, weights))
+    assert averaged_jump_measure(u, ball, (nodes, weights)) == pytest.approx(direct, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +513,10 @@ def test_ball_sup_slice_measure_lower_bounds_direct_integral():
     u = SumField((Affine(np.eye(2), np.zeros(2)), plane_jump_2d(5.0)))
     dom = square()
     rule = build_sphere_rule(2, 8)
-    val, family = ball_sup_slice_measure(
-        u, dom, 1.0, rule, BallStrategy("dyadic", 1), resolution=0.02
-    )
+    val, family = ball_sup_slice_measure(u, dom, 1.0, rule, BallStrategy("dyadic", 1))
     nodes, weights = rule
     direct = sum(
-        w * directional_slice_measure(u, np.asarray(xi, float), dom, 0.02)
+        w * directional_slice_measure(u, np.asarray(xi, float), dom)
         for xi, w in zip(nodes, weights)
     )
     assert val <= direct * (1 + 1e-9)
