@@ -47,9 +47,11 @@ class HyperplaneEvalError(ValueError):
     def __init__(self, normal: np.ndarray, offset: float):
         self.normal = np.asarray(normal, dtype=float)
         self.offset = float(offset)
-        super().__init__(
-            f"evaluation point lies on the jump hyperplane x·{self.normal} = {self.offset}"
-        )
+        super().__init__(self.normal, self.offset)
+
+    def __str__(self) -> str:
+        # formatted on demand: eval_nudged catches most raises unread
+        return f"evaluation point lies on the jump hyperplane x·{self.normal} = {self.offset}"
 
 
 # ---------------------------------------------------------------------------

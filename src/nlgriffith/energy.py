@@ -11,7 +11,10 @@ Three equivalent views of the same object live here:
   used as a self-consistency check of the direction-averaged form.
 
 All of them, the ball families and the descent kernel of
-``nlgriffith.minimize`` sum over one shift stencil, ``_Shift``.
+``nlgriffith.minimize`` sum over one shift stencil, ``_Shift``.  A
+closed-form field enters it through its exact difference quotient, the
+affine part's plus the jump of each plane a pair crosses, so the field
+itself is only evaluated at pairs that touch a plane.
 
 On top of these, ``ball_supremum_energy`` maximizes the sum of per-ball
 L^p-in-direction energies over finite families of pairwise disjoint open
@@ -268,17 +271,47 @@ class _Shift:
         if isinstance(region, Ball) or region.precrack:
             self.keep = region.contains(_mesh(self.centers)) & region.contains(_mesh(self.moved))
 
+    def _axes_dot(self, coords, v) -> np.ndarray:
+        """``sum_d coords_d * v_d`` over the range box, from per-axis coordinates."""
+        dim = self.grid.dim
+        return sum((c * v[d]).reshape((-1,) + (1,) * (dim - 1 - d)) for d, c in enumerate(coords))
+
     def slopes(self, u) -> np.ndarray:
         """``(u(x + eps xi) - u(x)).xi`` over the range box, flat in C order.
 
-        Closed-form fields are evaluated exactly at both endpoints, nudged
-        off jump hyperplanes like the cell centers; nodal values are
-        interpolated at the shifted one, one pass per axis.
+        A closed-form field is an affine part ``A`` plus flat jump planes, so
+        a pair's slope is ``(x + eps xi - x).(A^T xi)`` plus ``J.xi`` for each
+        plane it crosses to the plus side, minus that for each it crosses
+        back.  A cell within roundoff of a plane at either endpoint is
+        evaluated at both endpoints with ``eval_nudged`` instead, so the side
+        of each plane and the h/7 nudge off it are those of ``eval_many``.
+        Nodal values are interpolated at the shifted endpoint, one pass per
+        axis.
         """
         if isinstance(u, AnalyticField):
-            nudge = self.grid.h / 7.0
-            diff = eval_nudged(u, _mesh(self.moved), nudge) - eval_nudged(u, _mesh(self.centers), nudge)
-            return diff @ self.xi
+            steps = [m - c for m, c in zip(self.moved, self.centers)]
+            s = self._axes_dot(steps, u.affine_part()[0].T @ self.xi)
+            near = np.zeros(self.shape, dtype=bool)
+            for plane in u.jump_planes():
+                up = []
+                for coords in (self.centers, self.moved):
+                    side = self._axes_dot(coords, plane.normal)
+                    side -= plane.offset
+                    up.append(side > 0)
+                    # eval_many sums x.nu in another order; beyond this bound
+                    # both sums have the sign of the exact side
+                    size = abs(plane.offset) + sum(
+                        np.max(np.abs(c), initial=0.0) * abs(n) for c, n in zip(coords, plane.normal)
+                    )
+                    near |= np.abs(side, out=side) <= 4 * (self.grid.dim + 1) * np.finfo(float).eps * size
+                s += (plane.jump @ self.xi) * np.subtract(up[1], up[0], dtype=np.int8)
+            s, cells = s.reshape(-1), np.flatnonzero(near)
+            if cells.size:
+                at = np.unravel_index(cells, self.shape)
+                ends = (np.stack([c[i] for c, i in zip(cs, at)], axis=1) for cs in (self.moved, self.centers))
+                moved, centers = (eval_nudged(u, x, self.grid.h / 7.0) for x in ends)
+                s[cells] = (moved - centers) @ self.xi
+            return s
         nodal = (u.values if isinstance(u, SampledField) else u).reshape(self.grid.shape + (-1,))
         end = nodal
         for d, (base, top, lo_w, hi_w) in enumerate(self.rows):
@@ -338,8 +371,10 @@ def directional_energy(
 
     The direction ``xi`` need not be a unit vector.  Sampled fields use
     multilinear interpolation for the shifted endpoint, which keeps the
-    discrete energy differentiable in the nodal values; closed-form
-    fields are evaluated exactly at both endpoints.
+    discrete energy differentiable in the nodal values.  Closed-form
+    fields take the exact difference of their affine part and the jump
+    of each plane a pair crosses; only pairs with an endpoint on or
+    within roundoff of a plane evaluate the field, nudged off it by h/7.
     """
     xi = np.asarray(xi, dtype=float)
     g = _resolve_grid(u, grid)
@@ -440,8 +475,8 @@ def family_energy(
     for p = 1 and a single ball this reproduces the direction-averaged
     energy of the ball exactly.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and at least 1, got {p}")
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)
     domain_support = _support_box(domain, eps)
@@ -480,12 +515,9 @@ def ball_supremum_energy(
     family is returned so results are reproducible and refinable (adding
     candidate families can only increase the reported value).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     g = _resolve_grid(u, grid)
+    check_resolution(g.h, eps)
     families = ball_candidates(domain, strategy)
-    if not families:
-        raise ValueError("strategy produced no candidate family")
 
     best_total = -np.inf
     best_family = None

@@ -75,8 +75,8 @@ def bulk_density(
     the symmetric part of ``A`` enters, so skew gradients cost nothing.
     """
     _check_convention(convention)
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and at least 1, got {p}")
     A = np.asarray(A, dtype=float)
     S = 0.5 * (A + A.T)
     weighted = convention == "xi-weighted"
@@ -104,8 +104,8 @@ def surface_constant(
     of the unit normal by rotation invariance of the Gaussian weight.
     """
     _check_convention(convention)
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and at least 1, got {p}")
     if rule.dimension != dimension:
         raise ValueError("rule dimension mismatch")
     if normal is None:

@@ -493,8 +493,8 @@ def ball_sup_slice_measure(
     As with the energy supremum, the reported value is a lower bound for
     the supremum over all finite disjoint families.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and at least 1, got {p}")
     nodes, weights = sphere_rule
     best = -np.inf
     best_family = None

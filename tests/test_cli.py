@@ -157,3 +157,10 @@ def test_p1_explore_subcommand(tmp_path, field2d_json):
         weight = 2 * np.pi / len(ball_rows)
         agg = weight * sum(float(r["mu_xi"]) for r in ball_rows)
         assert agg == pytest.approx(float(ball_rows[0]["mu_hat_p_ball"]), rel=1e-9)
+
+
+def test_p1_explore_refuses_nan_p(tmp_path, field2d_json):
+    out = tmp_path / "p1.csv"
+    with pytest.raises(ValueError, match="p must be finite"):
+        main(["p1-explore", "--field", field2d_json, "--strategy", "dyadic:1", "--p", "nan", "--out", str(out)])
+    assert not out.exists()

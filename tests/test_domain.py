@@ -95,6 +95,16 @@ def test_on_hyperplane_eval_raises():
         f.eval(np.array([0.5]))
 
 
+def test_hyperplane_error_text_and_attributes():
+    f = PlaneJump(np.array([0.6, 0.8]), 0.55, np.zeros(2), np.ones(2))
+    with pytest.raises(HyperplaneEvalError) as info:
+        f.eval(np.array([0.25, 0.5]))
+    err = info.value
+    assert str(err) == "evaluation point lies on the jump hyperplane x·[0.6 0.8] = 0.55"
+    np.testing.assert_array_equal(err.normal, [0.6, 0.8])
+    assert err.offset == 0.55
+
+
 def test_affine_part_of_sum():
     A = np.array([[1.0, 2.0], [0.0, 3.0]])
     f = SumField(

@@ -113,6 +113,14 @@ def test_surface_constant_weighted_value(rule1):
     assert val == pytest.approx(np.pi**1.5 / 4, rel=1e-8)
 
 
+@pytest.mark.parametrize("p", [np.nan, np.inf, 0.5])
+def test_limit_densities_reject_bad_p(rule2, p):
+    with pytest.raises(ValueError, match="p must be finite and at least 1"):
+        bulk_density(np.eye(2), p, rule2)
+    with pytest.raises(ValueError, match="p must be finite and at least 1"):
+        surface_constant(p, 2, rule2)
+
+
 def test_surface_constant_rotation_invariant(rule2):
     # the default angle count is a multiple of 8, so the eighth-turn
     # rotation permutes the angular nodes and the sums agree exactly

@@ -521,3 +521,10 @@ def test_ball_sup_slice_measure_lower_bounds_direct_integral():
     )
     assert val <= direct * (1 + 1e-9)
     assert family is not None
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf, 0.5])
+def test_ball_sup_slice_measure_rejects_bad_p(p):
+    u = Affine(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match="p must be finite and at least 1"):
+        ball_sup_slice_measure(u, square(), p, build_sphere_rule(2, 8), BallStrategy("dyadic", 1))
