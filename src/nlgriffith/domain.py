@@ -450,9 +450,6 @@ class SampledField:
         idx, wts = self.grid.interp_weights(points)
         return np.einsum("mc,mcd->md", wts, self.values[idx])
 
-    def copy(self) -> "SampledField":
-        return SampledField(self.grid, self.values.copy(), self.dirichlet_mask.copy())
-
 
 def eval_nudged(field_: AnalyticField, points: np.ndarray, nudge: float) -> np.ndarray:
     """Evaluate a closed-form field, nudging points off jump hyperplanes.

@@ -109,11 +109,6 @@ class BallFamily:
     def __len__(self) -> int:
         return len(self.balls)
 
-    def validate_inside(self, domain: BoxDomain) -> None:
-        for i, b in enumerate(self.balls):
-            if not domain.contains_ball(b):
-                raise ValueError(f"ball {i} is not contained in the domain")
-
 
 @dataclass(frozen=True)
 class BallStrategy:
@@ -121,15 +116,14 @@ class BallStrategy:
 
     ``dyadic`` produces one family per refinement level: the balls
     inscribed in the 2^(level*n) subcells of the bounding box, filtered
-    to the domain minus any precrack.  ``greedy`` packs one family,
-    largest radius first over a shrinking schedule.
+    to the domain minus any precrack.  ``greedy`` packs one family of at
+    most ``count`` balls, largest radius first: six radii, each 0.7 of
+    the one before, starting from the half-width of the box's short side.
     """
 
     kind: str
     levels: int = 2
     count: int = 8
-    shrink: float = 0.7
-    n_radii: int = 6
 
     def __post_init__(self):
         if self.kind not in ("dyadic", "greedy"):
@@ -169,7 +163,7 @@ def ball_candidates(domain: BoxDomain, strategy: BallStrategy) -> list[BallFamil
 
     # greedy: deterministic lattice scan, largest radius first
     r0 = float(np.min(domain.sides)) / 2.0
-    radii = [r0 * strategy.shrink**k for k in range(strategy.n_radii)]
+    radii = [r0 * 0.7**k for k in range(6)]
     lattice_n = 16
     offsets = [
         domain.lower + (np.asarray(idx, dtype=float) + 0.5) * (domain.sides / lattice_n)
@@ -426,14 +420,14 @@ def pairwise_energy(
     domain: BoxDomain,
     eps: float,
     grid: Grid | None = None,
-    r_max: float = 6.0,
 ) -> float:
     """Double-integral form of the nonlocal energy over cell pairs.
 
     Discretizes
     ``eps^-(n+1) * int int arctan((((u(x')-u(x)).(x'-x))^2 / eps^3)
     * exp(-|x'-x|^2/eps^2) dx dx'``
-    by summing over lattice offsets with cutoff ``|x'-x| <= r_max * eps``.
+    by summing over lattice offsets with cutoff ``|x'-x| <= 6 eps``, the
+    truncation radius of the default direction rule.
     Agrees with the direction-averaged form up to quadrature error (the
     change of variables xi = (x'-x)/eps maps one onto the other).
     """
@@ -442,12 +436,13 @@ def pairwise_energy(
     dim = g.dim
     vals = u.values if isinstance(u, SampledField) else eval_nudged(u, g.centers, g.h / 7.0)
 
-    max_cells = int(np.floor(r_max * eps / g.h))
+    cutoff = 6.0 * eps
+    max_cells = int(np.floor(cutoff / g.h))
     total = 0.0
     for k in np.ndindex(*(2 * max_cells + 1,) * dim):
         kk = np.asarray(k, dtype=int) - max_cells
         delta = kk * g.h
-        if not np.any(kk) or np.dot(delta, delta) > (r_max * eps) ** 2:
+        if not np.any(kk) or np.dot(delta, delta) > cutoff**2:
             continue
         pairs = _Shift(g, domain, delta, offset=kk)
         s = pairs.slopes(vals)[pairs.keep]
@@ -505,7 +500,6 @@ def ball_supremum_energy(
     strategy: BallStrategy,
     rule: DirectionRule,
     grid: Grid | None = None,
-    per_ball_support: bool = False,
 ) -> EnergyReport:
     """Best value of the ball-family functional over strategy candidates.
 
@@ -523,9 +517,7 @@ def ball_supremum_energy(
     best_family = None
     best_per_ball: dict[int, float] = {}
     for family in families:
-        total, per_ball = family_energy(
-            u, domain, family, eps, p, rule, grid=g, per_ball_support=per_ball_support
-        )
+        total, per_ball = family_energy(u, domain, family, eps, p, rule, grid=g)
         if total > best_total:
             best_total = total
             best_family = family

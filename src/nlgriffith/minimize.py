@@ -14,9 +14,9 @@ fixed order, so reruns are bit-identical.
 
 The energy landscape has an elastic and a fractured branch.  Descent
 from the sampled datum stays on the elastic branch, so the minimizer
-optionally restarts from the best of a finite candidate set (the elastic
-interpolant and single-crack fields at interior grid planes) whenever a
-candidate undercuts the current iterate.  The same candidate set defines
+restarts from the best of a finite candidate set (the elastic interpolant
+and single-crack fields at interior grid planes) whenever a candidate
+undercuts the current iterate.  The same candidate set defines
 the reported optimality gap; it is an upper bound for the gap relative
 to that set, not to the unknown global infimum.
 """
@@ -44,6 +44,11 @@ __all__ = [
     "optimality_gap",
     "band_opening",
 ]
+
+_HISTORY = 10  # (s, y) pairs kept by the L-BFGS two-loop recursion
+_ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
+_MAX_BACKTRACKS = 40  # step halvings before the line search gives up
+_CANDIDATE_MARGIN = 0.25  # crack planes keep this share of the inner span from its faces
 
 
 @dataclass(frozen=True)
@@ -82,26 +87,18 @@ class DirichletProblem:
         return out
 
     @classmethod
-    def bar(
-        cls,
-        load: float,
-        eps: float,
-        h: float,
-        length: float = 1.0,
-        pad_cells: int | None = None,
-    ) -> "DirichletProblem":
-        """Uniaxial bar: inner domain (0, length), datum ``load * x``.
+    def bar(cls, load: float, eps: float, h: float) -> "DirichletProblem":
+        """Uniaxial bar: inner domain (0, 1), datum ``load * x``.
 
-        The padding layer defaults to 1.5 eps per side (rounded to whole
-        cells): wide enough that slipping at the boundary costs nearly a
-        full crack, narrow enough that the padding's own elastic energy
-        stays a few percent of the bar's.
+        The padding layer is 1.5 eps per side (rounded to whole cells):
+        wide enough that slipping at the boundary costs nearly a full
+        crack, narrow enough that the padding's own elastic energy stays
+        a few percent of the bar's.
         """
-        if pad_cells is None:
-            pad_cells = max(1, int(round(1.5 * eps / h)))
-        pad = pad_cells * h
-        outer = BoxDomain(np.array([-pad]), np.array([length + pad]))
-        inner = BoxDomain(np.array([0.0]), np.array([length]))
+        check_resolution(h, eps)
+        pad = max(1, int(round(1.5 * eps / h))) * h
+        outer = BoxDomain(np.array([-pad]), np.array([1.0 + pad]))
+        inner = BoxDomain(np.array([0.0]), np.array([1.0]))
         grid = Grid(outer, h)
         datum = _ramp(load)
         return cls(outer=outer, inner=inner, datum=datum, eps=eps, p=1.0, grid=grid)
@@ -116,14 +113,14 @@ class MinimizeOptions:
     """Descent controls.
 
     Each descent stops once the gradient norm is at most ``gtol``
-    (``converged``), after ``max_iter`` accepted steps, or when
-    ``max_backtracks`` halvings of the trial step all fail the Armijo
-    test with constant ``armijo_c``.  ``eps_schedule`` runs
-    coarse-to-fine continuation with warm starts and must end at the
-    problem's eps.  ``nucleation_amplitude`` adds a seeded
-    uniform perturbation to the free cells of the initial iterate.
-    ``candidate_restart`` re-descends from the best single-crack candidate
-    whenever it undercuts the converged iterate.
+    (``converged``), after ``max_iter`` accepted steps, or when 40
+    halvings of the trial step all fail the Armijo test with constant
+    1e-4.  ``eps_schedule`` runs coarse-to-fine continuation with warm
+    starts and must end at the problem's eps.  ``nucleation_amplitude``
+    adds a seeded uniform perturbation to the free cells of the initial
+    iterate.  The line-search constants are fixed, and so is the
+    candidate restart: every run ends by re-descending from the best
+    candidate of ``dirichlet_candidates`` if it undercuts the iterate.
     """
 
     max_iter: int = 600
@@ -131,21 +128,12 @@ class MinimizeOptions:
     eps_schedule: Sequence[float] | None = None
     nucleation_amplitude: float = 0.0
     seed: int = 0
-    candidate_restart: bool = True
-    candidate_margin: float = 0.25
-    candidate_stride: int = 0
-    armijo_c: float = 1e-4
-    max_backtracks: int = 40
 
     def __post_init__(self):
         if not (np.isfinite(self.gtol) and self.gtol >= 0):
             raise ValueError(f"gtol must be finite and non-negative, got {self.gtol}")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError(f"armijo_c must lie in (0, 1), got {self.armijo_c}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
-        if self.max_backtracks < 1:
-            raise ValueError(f"max_backtracks must be at least 1, got {self.max_backtracks}")
         if not (np.isfinite(self.nucleation_amplitude) and self.nucleation_amplitude >= 0):
             raise ValueError(
                 f"nucleation_amplitude must be finite and non-negative, got {self.nucleation_amplitude}"
@@ -241,11 +229,13 @@ def energy_gradient(
 # ---------------------------------------------------------------------------
 
 
-def dirichlet_candidates(
-    prob: DirichletProblem, margin: float = 0.25, stride: int = 0
-) -> list[tuple[str, SampledField]]:
+def dirichlet_candidates(prob: DirichletProblem) -> list[tuple[str, SampledField]]:
     """Finite comparison set: the elastic interpolant of the datum plus
     single-crack fields at interior grid planes.
+
+    Along each axis the planes lie at least a quarter of the inner span
+    from both inner faces, thinned to every ``max(1, m // 32)``-th of the
+    m such planes.
 
     A crack candidate across the plane ``x_d = c`` releases the datum's
     symmetric strain along axis d on each side, anchoring each side at
@@ -260,8 +250,8 @@ def dirichlet_candidates(
     S = 0.5 * (A + A.T)
     for d in range(grid.dim):
         span = prob.inner.upper[d] - prob.inner.lower[d]
-        lo = prob.inner.lower[d] + margin * span
-        hi = prob.inner.upper[d] - margin * span
+        lo = prob.inner.lower[d] + _CANDIDATE_MARGIN * span
+        hi = prob.inner.upper[d] - _CANDIDATE_MARGIN * span
         k_vals = [
             k
             for k in range(1, grid.shape[d])
@@ -269,7 +259,7 @@ def dirichlet_candidates(
         ]
         if not k_vals:
             continue
-        step = stride if stride > 0 else max(1, len(k_vals) // 32)
+        step = max(1, len(k_vals) // 32)
         anchor_lo = 0.5 * (prob.outer.lower[d] + prob.inner.lower[d])
         anchor_hi = 0.5 * (prob.outer.upper[d] + prob.inner.upper[d])
         for k in k_vals[::step]:
@@ -296,8 +286,6 @@ def optimality_gap(u: SampledField, prob: DirichletProblem, rule: DirectionRule)
 # ---------------------------------------------------------------------------
 # descent
 # ---------------------------------------------------------------------------
-
-_HISTORY = 10  # (s, y) pairs kept by the L-BFGS two-loop recursion
 
 
 def _lbfgs_direction(
@@ -349,10 +337,10 @@ def _descend(
         # without curvature pairs the first trial moves at most a unit distance
         step = 1.0 if pairs else min(1.0, 1.0 / gnorm)
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = values + step * direction
             e_trial, g_trial = kernel.energy_and_grad(trial, frozen)
-            if e_trial <= energy + opts.armijo_c * step * slope:
+            if e_trial <= energy + _ARMIJO_C * step * slope:
                 accepted = True
                 break
             step *= 0.5
@@ -381,8 +369,8 @@ def minimize_dirichlet(
 
     Starts from the sampled datum (optionally perturbed), optionally runs
     an eps-continuation with warm starts, then compares against the
-    candidate set and re-descends from any candidate that undercuts the
-    result.  The trace keeps energies from all phases in order; the
+    candidate set and re-descends from the best candidate if it undercuts
+    the result.  The trace keeps energies from all phases in order; the
     sequence never increases.
     """
     opts = opts or MinimizeOptions()
@@ -403,34 +391,23 @@ def minimize_dirichlet(
         raise ValueError("eps schedule must be strictly decreasing")
 
     trace = DescentTrace()
-    reason = "max_iter"
-    energy = np.inf
     for eps in schedule:
-        # re-check every level; a refusal beats silently degrading accuracy
-        if prob.grid.h > eps / 4.0 * (1 + 1e-9):
-            reason = "grid_capability"
-            break
         kernel = DescentKernel(prob.grid, prob.outer, eps, rule)
         values, energy, reason = _descend(kernel, values, frozen, opts, trace)
 
-    if opts.candidate_restart and reason in ("gtol", "max_iter", "line_search_failed"):
-        kernel = DescentKernel(prob.grid, prob.outer, prob.eps, rule)
-        best_c = None
-        best_e = energy
-        for _, cand in dirichlet_candidates(
-            prob, margin=opts.candidate_margin, stride=opts.candidate_stride
-        ):
-            e_c = kernel.energy(cand.values)
-            if e_c < best_e - 1e-12 * (1 + abs(best_e)):
-                best_e = e_c
-                best_c = cand
-        if best_c is not None:
-            trace.restarted = True
-            values2, energy2, reason2 = _descend(
-                kernel, best_c.values.copy(), frozen, opts, trace
-            )
-            if energy2 <= energy:
-                values, energy, reason = values2, energy2, reason2
+    kernel = DescentKernel(prob.grid, prob.outer, prob.eps, rule)
+    best_c = None
+    best_e = energy
+    for _, cand in dirichlet_candidates(prob):
+        e_c = kernel.energy(cand.values)
+        if e_c < best_e - 1e-12 * (1 + abs(best_e)):
+            best_e = e_c
+            best_c = cand
+    if best_c is not None:
+        trace.restarted = True
+        values2, energy2, reason2 = _descend(kernel, best_c.values.copy(), frozen, opts, trace)
+        if energy2 <= energy:
+            values, energy, reason = values2, energy2, reason2
 
     trace.final = SampledField(prob.grid, values, frozen)
     trace.converged = reason == "gtol"

@@ -4,7 +4,7 @@ Every energy and limit-density integral in this package has the form
 ``int f(xi) exp(-|xi|^2) dxi`` over directions ``xi`` in R^n.  This module
 builds truncated product rules for that measure (radial Gauss-Legendre
 times an equal-weight angular rule), provides exact Gamma-function
-moment oracles for validation, and performs support-truncated node sums.
+moment oracles for validation, and sums an integrand over the nodes.
 
 Rules are validated at build time: the total weight must match the
 Gaussian normalization ``pi^(n/2)``, and all polynomial moments up to the
@@ -20,8 +20,6 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma, gammainc
-
-from .domain import BoxDomain
 
 __all__ = [
     "DirectionRule",
@@ -101,21 +99,6 @@ class DirectionRule:
             "n_nodes": self.n_nodes,
             "partitions": 1,
         }
-
-    def rotated(self, angle: float) -> "DirectionRule":
-        """Common rotation of all nodes (dimension 2 only)."""
-        if self.dimension != 2:
-            raise ValueError("rotation helper is only defined for dimension 2")
-        c, s = np.cos(angle), np.sin(angle)
-        rot = np.array([[c, -s], [s, c]])
-        return DirectionRule(
-            self.dimension,
-            self.nodes @ rot.T,
-            self.weights,
-            self.truncation_radius,
-            self.radial_order,
-            self.angular_order,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +294,13 @@ def _monomials(dimension: int, max_degree: int):
 # ---------------------------------------------------------------------------
 
 
-def integrate(
-    rule: DirectionRule,
-    f: Callable[[np.ndarray], float],
-    support: BoxDomain | None = None,
-) -> float:
-    """Support-truncated node sum ``sum_i w_i f(xi_i)``.
+def integrate(rule: DirectionRule, f: Callable[[np.ndarray], float]) -> float:
+    """Node sum ``sum_i w_i f(xi_i)``.
 
-    Nodes outside ``support`` contribute zero, implementing the scaled
-    difference-body truncation of the direction integral.  Summation runs
-    in ascending node order for bitwise reproducibility.
+    Summation runs in ascending node order for bitwise reproducibility.
     """
-    if support is not None:
-        keep = support.contains(rule.nodes)
-    else:
-        keep = np.ones(rule.n_nodes, dtype=bool)
     total = 0.0
     for i in range(rule.n_nodes):
-        if not keep[i]:
-            continue
         value = float(f(rule.nodes[i]))
         if not np.isfinite(value):
             raise NodeEvaluationError(i, rule.nodes[i], value)

@@ -56,20 +56,16 @@ HALF_PI = np.pi / 2.0
 
 @dataclass
 class Section1D:
-    """Scalar function of one variable: piecewise affine with jumps, or sampled.
+    """Scalar function of one variable: piecewise affine with jumps.
 
-    Piecewise kind: ``knots`` are the m+1 piece boundaries; on piece i the
-    value is ``left_values[i] + slopes[i] * (t - knots[i])``.  Jumps sit at
-    the interior knots.  Sampled kind: ``ts``/``values`` nodal data with
-    linear interpolation.
+    ``knots`` are the m+1 piece boundaries; on piece i the value is
+    ``left_values[i] + slopes[i] * (t - knots[i])``.  Jumps sit at the
+    interior knots.
     """
 
-    kind: str
-    knots: np.ndarray | None = None
-    left_values: np.ndarray | None = None
-    slopes: np.ndarray | None = None
-    ts: np.ndarray | None = None
-    samples: np.ndarray | None = None
+    knots: np.ndarray
+    left_values: np.ndarray
+    slopes: np.ndarray
     degenerate: bool = False
 
     @classmethod
@@ -83,33 +79,18 @@ class Section1D:
             raise ValueError("need one (value, slope) pair per piece")
         if not (np.all(np.isfinite(left_values)) and np.all(np.isfinite(slopes))):
             raise ValueError("piece data must be finite")
-        return cls(
-            "piecewise", knots=knots, left_values=left_values, slopes=slopes,
-            degenerate=degenerate,
-        )
+        return cls(knots, left_values, slopes, degenerate)
 
     @classmethod
     def affine(cls, a: float, b: float, value_at_a: float, slope: float) -> "Section1D":
         return cls.piecewise([a, b], [value_at_a], [slope])
 
-    @classmethod
-    def sampled(cls, ts, values) -> "Section1D":
-        ts = np.asarray(ts, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if ts.ndim != 1 or ts.shape != values.shape or np.any(np.diff(ts) <= 0):
-            raise ValueError("sample abscissae must be strictly increasing")
-        return cls("sampled", ts=ts, samples=values)
-
     @property
     def domain(self) -> tuple[float, float]:
-        if self.kind == "piecewise":
-            return float(self.knots[0]), float(self.knots[-1])
-        return float(self.ts[0]), float(self.ts[-1])
+        return float(self.knots[0]), float(self.knots[-1])
 
     def jumps(self) -> list[tuple[float, float]]:
         """Interior (position, signed amplitude) pairs with nonzero amplitude."""
-        if self.kind != "piecewise":
-            return []
         out = []
         for i in range(1, self.knots.size - 1):
             left_limit = self.left_values[i - 1] + self.slopes[i - 1] * (
@@ -122,8 +103,6 @@ class Section1D:
 
     def value(self, t: float) -> float:
         """Pointwise value; exact jump locations must be perturbed by the caller."""
-        if self.kind == "sampled":
-            return float(np.interp(t, self.ts, self.samples))
         lo, hi = self.domain
         if t < lo or t > hi:
             raise ValueError(f"t={t} outside the section domain [{lo}, {hi}]")
@@ -136,9 +115,6 @@ class Section1D:
             if left_limit != self.left_values[i]:
                 raise ValueError(f"t={t} sits exactly on a jump; perturb the query")
         return float(self.left_values[i] + self.slopes[i] * (t - self.knots[i]))
-
-    def value_many(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self.value(t) for t in np.asarray(ts, dtype=float)])
 
 
 @dataclass(frozen=True)
@@ -245,10 +221,9 @@ def nonlocal_energy_1d(v: Section1D, A, eps: float) -> float:
     """1D finite-difference energy
     ``(1/eps) * int_A arctan((v(t + eps) - v(t))^2 / eps) dt``.
 
-    Piecewise sections integrate exactly: the difference ``v(t+eps)-v(t)``
-    is affine between the breakpoints of v and their eps-shifts, constant
-    pieces in closed form and the rest by adaptive quadrature.  Sampled
-    sections fall back to a uniform midpoint rule.
+    The difference ``v(t+eps)-v(t)`` is affine between the breakpoints
+    of v and their eps-shifts, so constant pieces integrate in closed
+    form and the rest by adaptive quadrature.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -259,15 +234,6 @@ def nonlocal_energy_1d(v: Section1D, A, eps: float) -> float:
             raise ValueError(
                 f"interval ({a}, {b}) not contained in Dom(v) and Dom(v) - eps"
             )
-
-    if v.kind == "sampled":
-        total = 0.0
-        for a, b in intervals:
-            m = 4096
-            t = a + (np.arange(m) + 0.5) * (b - a) / m
-            g = np.interp(t + eps, v.ts, v.samples) - np.interp(t, v.ts, v.samples)
-            total += (b - a) / m * float(np.sum(np.arctan(g * g / eps)))
-        return total / eps
 
     cuts = np.concatenate([v.knots, v.knots - eps])
     total = 0.0
@@ -300,8 +266,6 @@ def nonlocal_energy_1d(v: Section1D, A, eps: float) -> float:
 
 def mumford_shah_1d(v: Section1D, interval: tuple[float, float], gamma: float) -> float:
     """``gamma * int |v'|^2 + #(jumps)`` on the interval, in closed form."""
-    if v.kind != "piecewise":
-        raise ValueError("closed-form energy needs a piecewise section")
     a, b = float(interval[0]), float(interval[1])
     grad2 = 0.0
     for i in range(v.slopes.size):
@@ -358,15 +322,13 @@ def endpoint_lower_bound(v: Section1D, a: float, b: float) -> float:
     Endpoints landing exactly on a jump are shifted into the adjacent
     piece by a seventh of its length before evaluating.
     """
-    if v.kind == "piecewise":
-        jump_ts = [t for t, _ in v.jumps()]
-        for t in jump_ts:
-            if a == t:
-                nxt = v.knots[v.knots > t][0]
-                a = t + (nxt - t) / 7.0
-            if b == t:
-                prv = v.knots[v.knots < t][-1]
-                b = t - (t - prv) / 7.0
+    for t, _ in v.jumps():
+        if a == t:
+            nxt = v.knots[v.knots > t][0]
+            a = t + (nxt - t) / 7.0
+        if b == t:
+            prv = v.knots[v.knots < t][-1]
+            b = t - (t - prv) / 7.0
     if b <= a:
         raise ValueError("need a < b")
     return float(min(HALF_PI, (v.value(b) - v.value(a)) ** 2 / (b - a)))

@@ -164,3 +164,10 @@ def test_p1_explore_refuses_nan_p(tmp_path, field2d_json):
     with pytest.raises(ValueError, match="p must be finite"):
         main(["p1-explore", "--field", field2d_json, "--strategy", "dyadic:1", "--p", "nan", "--out", str(out)])
     assert not out.exists()
+
+
+def test_minimize_refuses_infinite_eps(tmp_path):
+    trace, field = tmp_path / "trace.csv", tmp_path / "field.csv"
+    with pytest.raises(ValueError, match="finite"):
+        main(["minimize", "--load", "1", "--eps", "inf", "--out", str(trace), "--field-out", str(field)])
+    assert not trace.exists() and not field.exists()

@@ -230,10 +230,10 @@ def test_averaged_energy_matches_generic_integrate(rule1):
     f = jump_1d(3.0)
     eps = 0.04
     rep = averaged_energy(f, dom, eps, rule1, grid=g)
+    support = difference_body(dom, eps)
     direct = integrate(
         rule1,
-        lambda xi: directional_energy(f, dom, eps, xi, grid=g),
-        support=difference_body(dom, eps),
+        lambda xi: directional_energy(f, dom, eps, xi, grid=g) if support.contains(xi)[0] else 0.0,
     )
     assert rep.total == pytest.approx(direct, rel=1e-14)
 
@@ -344,7 +344,7 @@ def test_greedy_strategy_packs_disjoint_balls():
     fams = ball_candidates(square(), BallStrategy("greedy", count=5))
     fam = fams[0]
     assert 1 <= len(fam) <= 5
-    fam.validate_inside(square())
+    assert all(square().contains_ball(b) for b in fam.balls)
 
 
 def test_ball_supremum_zero_on_constant(rule1):
@@ -414,7 +414,7 @@ def test_supremum_report_reproducible_from_per_ball(rule1):
     rep = ball_supremum_energy(f, dom, 0.04, 2.0, BallStrategy("dyadic", 2), rule1, grid=g)
     assert rep.total == pytest.approx(sum(rep.per_ball.values()), rel=1e-14)
     assert rep.family is not None
-    rep.family.validate_inside(dom)
+    assert all(dom.contains_ball(b) for b in rep.family.balls)
 
 
 @pytest.mark.parametrize("p", [np.nan, np.inf, 0.5])

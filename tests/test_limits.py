@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlgriffith.domain import Affine, BoxDomain, PlaneJump, SumField
 from nlgriffith.limits import (
@@ -14,6 +18,8 @@ from nlgriffith.limits import (
 from nlgriffith.quad import build_direction_rule, gaussian_moment, integrate
 
 SQRT_PI = np.sqrt(np.pi)
+
+PROFILE = settings(derandomize=True, max_examples=100, deadline=None)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +81,31 @@ def test_bulk_density_two_homogeneous(rule2):
             a = bulk_density(lam * A, p, rule2)
             b = lam**2 * bulk_density(A, p, rule2)
             assert a == pytest.approx(b, rel=1e-10)
+
+
+@functools.lru_cache(maxsize=None)
+def low_order_rule(dim):
+    return build_direction_rule(dim, radial_order=4, angular_order=8)
+
+
+@st.composite
+def square_matrices(draw):
+    dim = draw(st.integers(1, 3))
+    entries = draw(st.lists(st.floats(-3.0, 3.0), min_size=dim * dim, max_size=dim * dim))
+    return np.array(entries).reshape(dim, dim)
+
+
+@PROFILE
+@given(A=square_matrices(), p=st.sampled_from([1.0, 1.5, 2.0]), lam=st.floats(0.1, 3.0))
+def test_bulk_density_symmetric_homogeneous_skew_free(A, p, lam):
+    rule = low_order_rule(A.shape[0])
+    value = bulk_density(A, p, rule)
+    # only the symmetric part enters
+    assert value == bulk_density(0.5 * (A + A.T), p, rule)
+    # 2-homogeneity
+    assert bulk_density(lam * A, p, rule) == pytest.approx(lam**2 * value, rel=1e-10)
+    # skew gradients cost nothing
+    assert bulk_density(A - A.T, p, rule) <= 1e-15
 
 
 def test_bulk_identity_against_closed_form(rule1, rule2, rule3):

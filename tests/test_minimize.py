@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from nlgriffith.domain import Affine, BoxDomain, Grid, sample
+from nlgriffith.domain import Affine, BoxDomain, Grid, SampledField, sample
 from nlgriffith.energy import GridCapabilityError
 from nlgriffith.minimize import (
+    DescentTrace,
     DirichletProblem,
     MinimizeOptions,
     band_opening,
@@ -12,6 +13,7 @@ from nlgriffith.minimize import (
     energy_gradient,
     minimize_dirichlet,
     optimality_gap,
+    _descend,
     _lbfgs_direction,
 )
 from nlgriffith.quad import build_direction_rule
@@ -109,7 +111,7 @@ def test_candidates_include_elastic_and_cracks():
 def test_crack_candidate_realizes_plateaus():
     load = 2.0
     prob = bar(load)
-    cands = dirichlet_candidates(prob, stride=1)
+    cands = dirichlet_candidates(prob)
     mid = [c for name, c in cands if name.startswith("crack") and "0.5" in name][0]
     x = prob.grid.centers[:, 0]
     free = ~prob.dirichlet_mask
@@ -245,13 +247,17 @@ def test_lbfgs_direction_satisfies_newest_secant_equation():
     assert np.array_equal(_lbfgs_direction(np.ones(8), []), -np.ones(8))
 
 
-def test_restart_can_be_disabled(rule_fast):
+def test_descent_from_datum_stays_elastic(rule_fast):
+    # without the candidate restart, descent from the datum stays on the
+    # elastic branch even far above the crack threshold
     prob = bar(2.0)
-    trace = minimize_dirichlet(
-        prob, MinimizeOptions(max_iter=150, candidate_restart=False), rule=rule_fast
+    kernel = DescentKernel(prob.grid, prob.outer, prob.eps, rule_fast)
+    start = prob.sampled_datum()
+    trace = DescentTrace()
+    values, _, _ = _descend(
+        kernel, start.values.copy(), start.dirichlet_mask, MinimizeOptions(max_iter=150), trace
     )
-    assert not trace.restarted
-    assert band_opening(trace.final, prob.eps).max() <= 0.5  # stuck on elastic branch
+    assert band_opening(SampledField(prob.grid, values), prob.eps).max() <= 0.5
 
 
 def test_equivariance_under_rigid_shift(rule_fast):
@@ -304,14 +310,10 @@ def test_problem_rejects_non_finite_datum(load):
         {"gtol": np.nan},
         {"gtol": np.inf},
         {"gtol": -1e-6},
-        {"armijo_c": 0.0},
-        {"armijo_c": -1e-4},
         {"max_iter": -1},
         {"nucleation_amplitude": np.nan},
         {"nucleation_amplitude": np.inf},
         {"nucleation_amplitude": -0.1},
-        {"max_backtracks": 0},
-        {"max_backtracks": -3},
     ],
 )
 def test_options_reject_bad_values(kwargs):
@@ -322,6 +324,14 @@ def test_options_reject_bad_values(kwargs):
 def test_problem_rejects_unresolvable_grid():
     with pytest.raises(GridCapabilityError):
         bar(0.5, eps=0.01, h=0.01)
+
+
+@pytest.mark.parametrize(
+    "eps, h", [(np.nan, 0.01), (np.inf, 0.01), (0.04, np.nan), (0.04, np.inf)]
+)
+def test_bar_rejects_non_finite_eps_and_h(eps, h):
+    with pytest.raises(ValueError, match="finite"):
+        bar(1.0, eps=eps, h=h)
 
 
 def test_optimality_gap_clamped_and_branch_sized(rule_fast):

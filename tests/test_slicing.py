@@ -46,6 +46,10 @@ def random_piecewise(rng, n_pieces=4, span=(0.0, 1.0), max_slope=3.0, max_jump=3
     return Section1D.piecewise(knots, left_values, slopes)
 
 
+def values_at(v, ts):
+    return np.array([v.value(t) for t in ts])
+
+
 # ---------------------------------------------------------------------------
 # sections
 # ---------------------------------------------------------------------------
@@ -149,17 +153,6 @@ def test_energy_1d_precondition():
         nonlocal_energy_1d(v, (0.0, 1.0), 0.1)
 
 
-def test_energy_1d_sampled_agrees_with_piecewise():
-    m = 1.5
-    v = Section1D.affine(0.0, 1.0, 0.3, m)
-    ts = np.linspace(0.0, 1.0, 801)
-    vs = 0.3 + m * ts
-    v_s = Section1D.sampled(ts, vs)
-    a = nonlocal_energy_1d(v, (0.0, 0.95), 0.05)
-    b = nonlocal_energy_1d(v_s, (0.0, 0.95), 0.05)
-    assert b == pytest.approx(a, rel=1e-6)
-
-
 def test_energy_1d_mixed_slope_pieces_match_quadrature():
     # difference is genuinely affine across the breakpoint shift
     v = Section1D.piecewise([0.0, 0.5, 1.0], [0.0, 0.25], [0.5, 2.0])
@@ -202,7 +195,7 @@ def test_projection_reproduces_affine():
     v = Section1D.affine(0.0, 1.0, 0.5, 1.0)
     proj = piecewise_project(v, 0.0, 8)
     ts = np.linspace(0.01, 0.99, 37)
-    assert np.allclose(proj.value_many(ts), v.value_many(ts), atol=1e-12)
+    assert np.allclose(values_at(proj, ts), values_at(v, ts), atol=1e-12)
 
 
 def test_projection_inserts_jump_on_steep_interval():
@@ -259,7 +252,7 @@ def test_projection_l1_convergence():
     dists = []
     for j in (8, 16, 32, 64):
         proj = piecewise_project(v, 0.0005, j)
-        dists.append(np.mean(np.abs(proj.value_many(ts) - v.value_many(ts))))
+        dists.append(np.mean(np.abs(values_at(proj, ts) - values_at(v, ts))))
     assert dists[-1] <= dists[0]
     assert dists[-1] <= 0.5 / 64 * 40  # C/j decay with a generous constant
 
