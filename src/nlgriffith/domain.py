@@ -208,7 +208,10 @@ class Grid:
         sides = self.domain.sides
         counts = np.round(sides / self.h).astype(int)
         if np.any(counts < 1) or np.any(np.abs(counts * self.h - sides) > 1e-9 * np.max(sides)):
-            raise ValueError("cells must tile the bounding box exactly")
+            raise ValueError(
+                f"grid spacing h={self.h} does not tile the bounding box with sides "
+                f"{sides.tolist()}: each side divided by h must be a whole number"
+            )
         object.__setattr__(self, "shape", tuple(int(c) for c in counts))
         axes = tuple(
             self.domain.lower[i] + (np.arange(counts[i]) + 0.5) * self.h

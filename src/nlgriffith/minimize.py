@@ -12,6 +12,12 @@ pairs gives the direction, and Armijo backtracking along it accepts only
 energy decreases.  Frozen cells never move, and the arithmetic has a
 fixed order, so reruns are bit-identical.
 
+Every energy and gradient evaluation runs on one ``DescentKernel``: the
+per-direction stencils of ``nlgriffith.energy`` assembled once into a
+sparse matrix with one row per interacting pair, so an evaluation is two
+sparse products and a few vector operations.  One kernel is built per eps
+level, and the last one, at the problem's eps, also prices the candidates.
+
 The energy landscape has an elastic and a fractured branch.  Descent
 from the sampled datum stays on the elastic branch, so the minimizer
 restarts from the best of a finite candidate set (the elastic interpolant
@@ -28,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .domain import Affine, AnalyticField, BoxDomain, Grid, SampledField, sample
 from .energy import _Shift, check_resolution
@@ -132,8 +139,8 @@ class MinimizeOptions:
     def __post_init__(self):
         if not (np.isfinite(self.gtol) and self.gtol >= 0):
             raise ValueError(f"gtol must be finite and non-negative, got {self.gtol}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 0):
+            raise ValueError(f"max_iter must be a non-negative integer, got {self.max_iter}")
         if not (np.isfinite(self.nucleation_amplitude) and self.nucleation_amplitude >= 0):
             raise ValueError(
                 f"nucleation_amplitude must be finite and non-negative, got {self.nucleation_amplitude}"
@@ -167,42 +174,44 @@ class DescentTrace:
 
 
 class DescentKernel:
-    """Shift stencils for one (grid, region, eps, rule), built once per run.
+    """The discrete direction-averaged energy of one (grid, region, eps,
+    rule) as one sparse operator, assembled once per kernel.
 
-    These are the per-direction stencils every energy form of
-    ``nlgriffith.energy`` sums over, one per rule node with pairs.  The
-    gradient applies their transposes in a fixed node order, which makes
-    runs with identical inputs bit-reproducible.
+    ``D`` stacks the slope Jacobians of the per-direction stencils of
+    ``nlgriffith.energy``, one CSR row per interacting pair, so the slopes
+    of nodal values ``v`` (flat, C order) are ``s = D @ v``.  ``W`` holds
+    each row's ``w_i h^n / eps`` for its rule weight ``w_i``.  Then
+    ``E = W . arctan(s^2/eps)`` and the gradient is ``D^T (W phi'(s))``
+    with ``phi'(s) = (2 s/eps) / (1 + s^4/eps^2)``.  The sums run in a
+    fixed order, so runs with identical inputs are bit-reproducible.
     """
 
     def __init__(self, grid: Grid, region: BoxDomain, eps: float, rule: DirectionRule):
         check_resolution(grid.h, eps)
         if rule.dimension != grid.dim:
             raise ValueError("rule dimension mismatch")
-        self.grid = grid
         self.eps = eps
-        self.rule = rule
-        self.scale = grid.cell_volume / eps
-        self._terms = []
-        for i in range(rule.n_nodes):
-            stencil = _Shift(grid, region, rule.nodes[i], eps)
-            if 0 not in stencil.shape:
-                self._terms.append((rule.weights[i], stencil))
+        rows = [_Shift(grid, region, xi, eps).jacobian() for xi in rule.nodes]
+        cols, vals = (np.concatenate(part) for part in zip(*rows))
+        self.D = sparse.csr_matrix(
+            (vals.reshape(-1), cols.reshape(-1), np.arange(0, cols.size + 1, cols.shape[1])),
+            shape=(len(cols), grid.n_cells * grid.dim),
+        )
+        self.D.sum_duplicates()
+        self.D.eliminate_zeros()
+        self.W = np.repeat(grid.cell_volume / eps * rule.weights, [len(c) for c, _ in rows])
 
     def energy(self, values: np.ndarray) -> float:
-        return sum((w * stencil.cell_sum(values, self.eps) for w, stencil in self._terms), 0.0)
+        s = self.D @ values.reshape(-1)
+        return float(np.sum(self.W * np.arctan(s * s / self.eps)))
 
     def energy_and_grad(
         self, values: np.ndarray, frozen: np.ndarray
     ) -> tuple[float, np.ndarray]:
-        total = 0.0
-        grad = np.zeros(values.shape)
-        for w, stencil in self._terms:
-            s = stencil.slopes(values)
-            t = s[stencil.keep]
-            total += w * float(self.scale * np.sum(np.arctan(t * t / self.eps)))
-            ds = (w * self.scale) * (2.0 * s / self.eps) / (1.0 + s**4 / self.eps**2)
-            stencil.add_transpose(ds, grad)
+        s = self.D @ values.reshape(-1)
+        q = s * s / self.eps
+        total = float(np.sum(self.W * np.arctan(q)))
+        grad = (self.D.T @ ((2.0 / self.eps) * self.W * s / (1.0 + q * q))).reshape(values.shape)
         grad[frozen] = 0.0
         return total, grad
 
@@ -213,9 +222,10 @@ def energy_gradient(
     """Exact gradient of the discrete direction-averaged energy.
 
     Each interacting pair contributes ``w * h^n/eps * (2 s / eps) /
-    (1 + s^4/eps^2)`` times the direction vector to its two stencils,
-    with the shifted endpoint's share distributed by its interpolation
-    weights.  Frozen cells receive zero.
+    (1 + s^4/eps^2)`` times its row of the ``DescentKernel`` operator:
+    the direction vector, at the center cell with sign -1 and spread over
+    the shifted endpoint's cells by its interpolation weights.  Frozen
+    cells receive zero.
     """
     if region is None:
         region = u.grid.domain
@@ -389,13 +399,14 @@ def minimize_dirichlet(
         raise ValueError("eps schedule must end at the problem's eps")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
+    schedule[-1] = prob.eps
 
     trace = DescentTrace()
     for eps in schedule:
         kernel = DescentKernel(prob.grid, prob.outer, eps, rule)
         values, energy, reason = _descend(kernel, values, frozen, opts, trace)
 
-    kernel = DescentKernel(prob.grid, prob.outer, prob.eps, rule)
+    # the last level's kernel, at prob.eps, scans the candidates and restarts
     best_c = None
     best_e = energy
     for _, cand in dirichlet_candidates(prob):

@@ -135,7 +135,7 @@ def test_grid_tiles_box_exactly():
 
 
 def test_grid_rejects_non_tiling_spacing():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="h="):
         Grid(unit_interval(), 0.3)
 
 

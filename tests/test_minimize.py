@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nlgriffith.domain import Affine, BoxDomain, Grid, SampledField, sample
-from nlgriffith.energy import GridCapabilityError
+from nlgriffith.domain import Affine, BoxDomain, Grid, PlaneSegment, SampledField, sample
+from nlgriffith.energy import GridCapabilityError, _Shift, averaged_energy
 from nlgriffith.minimize import (
     DescentTrace,
     DirichletProblem,
@@ -86,6 +86,39 @@ def test_gradient_matches_central_differences(rule_fast, rule2_fast):
             fd = (e_plus - e_minus) / (2 * delta)
             an = float(np.sum(grad * v))
             assert abs(an - fd) <= 1e-5 * (1 + abs(an))
+
+
+def test_descent_kernel_energy_matches_averaged_energy(rule_fast, rule2_fast):
+    # the assembled operator and the per-direction stencils of
+    # averaged_energy are two evaluations of the same discrete energy, and
+    # the operator's rows are the stencils' slopes pair for pair
+    rng = np.random.default_rng(23)
+    outer = BoxDomain(np.array([-0.1, -0.1]), np.array([1.1, 1.1]))
+    plate = DirichletProblem(
+        outer=outer,
+        inner=BoxDomain(np.zeros(2), np.ones(2)),
+        datum=Affine(np.array([[1.0, 0.3], [-0.2, 0.6]]), np.zeros(2)),
+        eps=0.2,
+        p=1.0,
+        grid=Grid(outer, 0.05),
+    )
+    # a slit through a row of cell centers (x_1 = 7.5 h) drops pairs inside
+    # the range box
+    slit = BoxDomain(np.zeros(2), np.ones(2), (PlaneSegment(np.array([0.25, 0.46875]), np.array([0.75, 0.46875])),))
+    bar_prob = bar(1.0, eps=0.05, h=0.0125)
+    cases = [
+        (bar_prob.grid, bar_prob.outer, bar_prob.eps, rule_fast, bar_prob.datum),
+        (plate.grid, plate.outer, plate.eps, rule2_fast, plate.datum),
+        (Grid(slit, 0.0625), slit, 0.25, rule2_fast, plate.datum),
+    ]
+    for grid, region, eps, rule, datum in cases:
+        values = sample(datum, grid).values + 0.1 * rng.normal(size=(grid.n_cells, grid.dim))
+        kernel = DescentKernel(grid, region, eps, rule)
+        stencils = [_Shift(grid, region, xi, eps) for xi in rule.nodes]
+        slopes = np.concatenate([st.slopes(values)[st.keep] for st in stencils])
+        assert np.allclose(kernel.D @ values.reshape(-1), slopes, rtol=0.0, atol=1e-12 * np.abs(slopes).max())
+        e_avg = averaged_energy(SampledField(grid, values), region, eps, rule).total
+        assert kernel.energy(values) == pytest.approx(e_avg, rel=1e-12, abs=0.0)
 
 
 def test_gradient_zero_on_frozen_cells(rule_fast):
@@ -288,6 +321,23 @@ def test_eps_continuation_warm_start(rule_fast):
     assert band_opening(trace.final, prob.eps).max() <= 0.5
 
 
+@pytest.mark.parametrize("schedule, levels", [(None, [0.02]), ([0.04, 0.02], [0.04, 0.02])])
+def test_one_kernel_per_eps(rule_fast, monkeypatch, schedule, levels):
+    # the candidate scan and the restart reuse the last level's kernel
+    built = []
+    init = DescentKernel.__init__
+
+    def counting_init(self, grid, region, eps, rule):
+        built.append(eps)
+        init(self, grid, region, eps, rule)
+
+    monkeypatch.setattr(DescentKernel, "__init__", counting_init)
+    opts = MinimizeOptions(max_iter=100, eps_schedule=schedule)
+    trace = minimize_dirichlet(bar(2.0, eps=0.02, h=0.005), opts, rule=rule_fast)
+    assert trace.restarted
+    assert built == levels
+
+
 def test_eps_schedule_validation(rule_fast):
     prob = bar(0.5)
     with pytest.raises(ValueError):
@@ -314,6 +364,9 @@ def test_problem_rejects_non_finite_datum(load):
         {"nucleation_amplitude": np.nan},
         {"nucleation_amplitude": np.inf},
         {"nucleation_amplitude": -0.1},
+        {"max_iter": np.nan},
+        {"max_iter": np.inf},
+        {"max_iter": 2.5},
     ],
 )
 def test_options_reject_bad_values(kwargs):
