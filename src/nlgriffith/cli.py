@@ -30,10 +30,10 @@ from .energy import (
     ball_candidates,
     ball_supremum_energy,
 )
-from .harness import SweepSpec, _build_rule, audit_inequalities, run_sweep, write_csv
+from .harness import SweepSpec, audit_inequalities, run_sweep, write_csv
 from .limits import CONVENTIONS, bulk_density, surface_constant
 from .minimize import DirichletProblem, MinimizeOptions, minimize_dirichlet
-from .quad import build_sphere_rule
+from .quad import build_direction_rule, build_sphere_rule
 from .slicing import ball_sup_slice_measure, averaged_jump_measure, directional_slice_measure
 
 __all__ = ["main"]
@@ -46,7 +46,7 @@ __all__ = ["main"]
 
 def _cmd_energy(args) -> int:
     domain, field_, quad_cfg = load_problem(args.field)
-    rule = _build_rule(domain.dim, quad_cfg)
+    rule = build_direction_rule(domain.dim, **quad_cfg)
     grid = Grid(domain, args.h)
     u = sample(field_, grid) if args.sampled else field_
     t0 = time.perf_counter()
@@ -110,7 +110,7 @@ def _cmd_p1_explore(args) -> int:
 
 def _cmd_density_table(args) -> int:
     rng = np.random.default_rng(args.seed)
-    rule = _build_rule(args.dim, {"angular_order": 32})
+    rule = build_direction_rule(args.dim, angular_order=32)
     rows = []
     mats = [np.eye(args.dim)]
     for _ in range(args.n_matrices - 1):

@@ -14,10 +14,11 @@ All of them and the ball families sum over one shift stencil,
 ``_Shift``.  A closed-form field enters it through its exact difference
 quotient, the affine part's plus the jump of each plane a pair crosses,
 so the field itself is only evaluated at pairs that touch a plane.  The
-descent kernel of ``nlgriffith.minimize`` stacks the stencils' slope
-Jacobians (``_Shift.jacobian``) into one sparse operator on the nodal
-values; the energies here keep the matrix-free stencil, whose pair counts
-at sweep sizes would make that operator too large to hold.
+descent kernel of ``nlgriffith.minimize`` assembles the same pairs into
+one sparse operator on the nodal values, straight from the region's
+membership test and the grid's interpolation weights; the energies here
+keep the matrix-free stencil, whose pair counts at sweep sizes would make
+that operator too large to hold.
 
 On top of these, ``ball_supremum_energy`` maximizes the sum of per-ball
 L^p-in-direction energies over finite families of pairwise disjoint open
@@ -33,8 +34,6 @@ mechanism that exposes it energetically.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -322,33 +321,6 @@ class _Shift:
         """Midpoint cell sum ``(h^n/eps) sum arctan(s^2/eps)`` over the pairs."""
         s = self.slopes(u)[self.keep]
         return float(self.grid.cell_volume / eps * np.sum(np.arctan(s * s / eps)))
-
-    def jacobian(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row entries of the Jacobian of the kept sampled slopes in the flat
-        nodal values (of a stencil built with ``eps``, not ``offset``).
-
-        Returns ``(cols, vals)``, each with one row per kept pair in the
-        order of ``slopes(values)[keep]``, so that a pair's slope is
-        ``sum_j vals[p, j] * values.reshape(-1)[cols[p, j]]``.  Column
-        ``c * dim + k`` is component k of cell c.  The center cell carries
-        -1 and the 2^n corners of the shifted endpoint the tensor product of
-        the per-axis row weights, each times ``xi_k``; a cell can appear
-        more than once in a row.
-        """
-        dim, shape = self.grid.dim, self.grid.shape
-        strides = [int(np.prod(shape[d + 1 :])) for d in range(dim)]
-        cells = [self._axes_dot([np.arange(sl.start, sl.stop) for sl in self.box], strides)]
-        weights = [np.full(self.shape, -1.0)]
-        for corner in itertools.product((0, 1), repeat=dim):
-            # per axis, row[c] is base or top and row[2 + c] its weight lo_w or hi_w
-            picks = list(zip(self.rows, corner))
-            cells.append(self._axes_dot([row[c] for row, c in picks], strides))
-            weights.append(functools.reduce(np.multiply, np.ix_(*(row[2 + c].reshape(-1) for row, c in picks))))
-        cells = np.stack([c.reshape(-1) for c in cells], axis=1)[self.keep]
-        weights = np.stack([w.reshape(-1) for w in weights], axis=1)[self.keep]
-        width = cells.shape[1] * dim
-        cols = (cells[:, :, None] * dim + np.arange(dim)).reshape(-1, width)
-        return cols, (weights[:, :, None] * self.xi).reshape(-1, width)
 
 
 # ---------------------------------------------------------------------------

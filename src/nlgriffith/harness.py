@@ -157,16 +157,6 @@ def griffith_target(
     return griffith_energy(u, domain, p, rule).total
 
 
-def _build_rule(dim: int, quad_cfg: dict) -> DirectionRule:
-    """Direction rule from a problem's ``quad`` config, with the defaults."""
-    return build_direction_rule(
-        dim,
-        radial_order=quad_cfg.get("radial_order", 12),
-        angular_order=quad_cfg.get("angular_order", 24),
-        r_max=quad_cfg.get("r_max", 6.0),
-    )
-
-
 def run_sweep(spec: SweepSpec) -> ExtrapolationResult:
     """Evaluate the energy along the eps ladder and extrapolate.
 
@@ -174,7 +164,7 @@ def run_sweep(spec: SweepSpec) -> ExtrapolationResult:
     cannot be tiled at the requested spacing.
     """
     domain, field_, quad_cfg = load_problem(spec.field_config)
-    rule = _build_rule(domain.dim, {**quad_cfg, **spec.quad})
+    rule = build_direction_rule(domain.dim, **{**quad_cfg, **spec.quad})
     values = []
     for eps in spec.eps_list:
         h = eps / spec.h_over
@@ -351,6 +341,8 @@ def audit_inequalities(
     allowance; the multi-step comparison allows 1% of the right side; the
     other two hold with an O(1e-9) roundoff allowance only.
     """
+    if n_fields < 2:
+        raise ValueError(f"n_fields must be at least 2 (the last two fields are 2D), got {n_fields}")
     rng = np.random.default_rng(seed)
     checks: list[AuditCheck] = []
 
@@ -409,25 +401,25 @@ def audit_inequalities(
             grids[key] = Grid(box, delta / 8.0)
         return grids[key]
 
-    def _ratio(u: AnalyticField, dim: int, delta: float, xi: np.ndarray) -> tuple[float, float, float]:
+    def _ratio(u: AnalyticField, dim: int, delta: float, xi: np.ndarray) -> tuple[float, float]:
         E = BoxDomain(np.full(dim, 0.15), np.full(dim, 0.85))
         grid = _grid_for(dim, delta)
         lhs = _translation_discrepancy(u, E, delta, xi, grid)
         f_dir = directional_energy(u, E, delta, xi, grid=grid)
-        return lhs, delta * (1.0 + f_dir), f_dir
+        return lhs, delta * (1.0 + f_dir)
 
     for dim in sorted(set(dims)):
         worst = 0.0
         for delta in deltas:
             for xi in dirs_by_dim[dim]:
-                lhs, base, _ = _ratio(_reference_field(dim), dim, delta, xi)
+                lhs, base = _ratio(_reference_field(dim), dim, delta, xi)
                 worst = max(worst, lhs / base)
         c_ref[dim] = 2.0 * worst
 
     for fid, (dim, u) in enumerate(zip(dims, fields)):
         for delta in deltas:
             for xi in dirs_by_dim[dim]:
-                lhs, base, _ = _ratio(u, dim, delta, xi)
+                lhs, base = _ratio(u, dim, delta, xi)
                 rhs = c_ref[dim] * base
                 checks.append(
                     AuditCheck(

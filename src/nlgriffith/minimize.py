@@ -12,11 +12,12 @@ pairs gives the direction, and Armijo backtracking along it accepts only
 energy decreases.  Frozen cells never move, and the arithmetic has a
 fixed order, so reruns are bit-identical.
 
-Every energy and gradient evaluation runs on one ``DescentKernel``: the
-per-direction stencils of ``nlgriffith.energy`` assembled once into a
-sparse matrix with one row per interacting pair, so an evaluation is two
-sparse products and a few vector operations.  One kernel is built per eps
-level, and the last one, at the problem's eps, also prices the candidates.
+Every energy and gradient evaluation runs on one ``DescentKernel``: a
+sparse matrix with one row per interacting pair, assembled once from the
+region's membership test and the grid's interpolation weights, so an
+evaluation is two sparse products and a few vector operations.  One
+kernel is built per eps level, and the last one, at the problem's eps,
+also prices the candidates.
 
 The energy landscape has an elastic and a fractured branch.  Descent
 from the sampled datum stays on the elastic branch, so the minimizer
@@ -37,7 +38,7 @@ import numpy as np
 from scipy import sparse
 
 from .domain import Affine, AnalyticField, BoxDomain, Grid, SampledField, sample
-from .energy import _Shift, check_resolution
+from .energy import check_resolution
 from .quad import DirectionRule, build_direction_rule
 
 __all__ = [
@@ -60,14 +61,13 @@ _CANDIDATE_MARGIN = 0.25  # crack planes keep this share of the inner span from 
 
 @dataclass(frozen=True)
 class DirichletProblem:
-    """Relaxed Dirichlet problem: minimize over fields frozen to the datum
-    outside the inner domain."""
+    """Relaxed Dirichlet problem: minimize the p = 1 direction-averaged
+    energy over fields frozen to the datum outside the inner domain."""
 
     outer: BoxDomain
     inner: BoxDomain
     datum: AnalyticField
     eps: float
-    p: float
     grid: Grid
 
     def __post_init__(self):
@@ -108,7 +108,7 @@ class DirichletProblem:
         inner = BoxDomain(np.array([0.0]), np.array([1.0]))
         grid = Grid(outer, h)
         datum = _ramp(load)
-        return cls(outer=outer, inner=inner, datum=datum, eps=eps, p=1.0, grid=grid)
+        return cls(outer=outer, inner=inner, datum=datum, eps=eps, grid=grid)
 
 
 def _ramp(load: float) -> AnalyticField:
@@ -177,13 +177,17 @@ class DescentKernel:
     """The discrete direction-averaged energy of one (grid, region, eps,
     rule) as one sparse operator, assembled once per kernel.
 
-    ``D`` stacks the slope Jacobians of the per-direction stencils of
-    ``nlgriffith.energy``, one CSR row per interacting pair, so the slopes
-    of nodal values ``v`` (flat, C order) are ``s = D @ v``.  ``W`` holds
-    each row's ``w_i h^n / eps`` for its rule weight ``w_i``.  Then
-    ``E = W . arctan(s^2/eps)`` and the gradient is ``D^T (W phi'(s))``
-    with ``phi'(s) = (2 s/eps) / (1 + s^4/eps^2)``.  The sums run in a
-    fixed order, so runs with identical inputs are bit-reproducible.
+    ``D`` has one CSR row per interacting pair ``(x, x + eps xi)``: a cell
+    center ``x`` and its shift along a rule node ``xi``, both inside the
+    region, ordered by node and then by cell.  A row holds ``-xi`` at the
+    center cell and ``xi`` times the multilinear interpolation weights of
+    the shifted endpoint at its 2^n corner cells (``Grid.interp_weights``),
+    so the slopes ``(v(x + eps xi) - v(x)).xi`` of nodal values ``v`` (flat,
+    C order) are ``s = D @ v``.  ``W`` holds each row's ``w_i h^n / eps``
+    for its rule weight ``w_i``.  Then ``E = W . arctan(s^2/eps)`` and the
+    gradient is ``D^T (W phi'(s))`` with ``phi'(s) = (2 s/eps) / (1 +
+    s^4/eps^2)``.  The sums run in a fixed order, so runs with identical
+    inputs are bit-reproducible.
     """
 
     def __init__(self, grid: Grid, region: BoxDomain, eps: float, rule: DirectionRule):
@@ -191,15 +195,23 @@ class DescentKernel:
         if rule.dimension != grid.dim:
             raise ValueError("rule dimension mismatch")
         self.eps = eps
-        rows = [_Shift(grid, region, xi, eps).jacobian() for xi in rule.nodes]
-        cols, vals = (np.concatenate(part) for part in zip(*rows))
+        dim = grid.dim
+        moved = grid.centers + eps * rule.nodes[:, None, :]
+        inside = region.contains(moved.reshape(-1, dim)).reshape(moved.shape[:2])
+        node, cell = np.nonzero(region.contains(grid.centers) & inside)
+        corners, weights = grid.interp_weights(moved[node, cell])
+        cells = np.column_stack([cell, corners])
+        weights = np.column_stack([np.full(node.size, -1.0), weights])
+        # column c * dim + k is component k of cell c
+        cols = (cells[:, :, None] * dim + np.arange(dim)).reshape(-1)
+        vals = (weights[:, :, None] * rule.nodes[node, None, :]).reshape(-1)
         self.D = sparse.csr_matrix(
-            (vals.reshape(-1), cols.reshape(-1), np.arange(0, cols.size + 1, cols.shape[1])),
-            shape=(len(cols), grid.n_cells * grid.dim),
+            (vals, cols, np.arange(0, cols.size + 1, cells.shape[1] * dim)),
+            shape=(node.size, grid.n_cells * dim),
         )
         self.D.sum_duplicates()
         self.D.eliminate_zeros()
-        self.W = np.repeat(grid.cell_volume / eps * rule.weights, [len(c) for c, _ in rows])
+        self.W = (grid.cell_volume / eps * rule.weights)[node]
 
     def energy(self, values: np.ndarray) -> float:
         s = self.D @ values.reshape(-1)

@@ -159,12 +159,6 @@ def _truncated_tensor_moment(dimension: int, alpha, r_max: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _radial_nodes(n_nodes: int, r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(n_nodes)
-    r = 0.5 * r_max * (x + 1.0)
-    return r, 0.5 * r_max * w
-
-
 def _radial_panels(panels: list[tuple[float, float, int]]) -> tuple[np.ndarray, np.ndarray]:
     rs, ws = [], []
     for a, b, m in panels:
@@ -254,7 +248,7 @@ def build_direction_rule(
         nodes = np.concatenate([-r[::-1], r])[:, None]
         weights = np.concatenate([radial_weights[::-1], radial_weights])
     else:
-        r, wr = _radial_nodes(n_radial, r_max)
+        r, wr = _radial_panels([(0.0, r_max, n_radial)])
         sphere_nodes, sphere_weights = build_sphere_rule(
             dimension, max(angular_order, radial_order + 2)
         )

@@ -225,8 +225,8 @@ def nonlocal_energy_1d(v: Section1D, A, eps: float) -> float:
     of v and their eps-shifts, so constant pieces integrate in closed
     form and the rest by adaptive quadrature.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     intervals = _as_intervals(A)
     lo, hi = v.domain
     for a, b in intervals:

@@ -68,6 +68,20 @@ def test_energy_subcommand(tmp_path, field_json, capsys):
     }
 
 
+def test_energy_subcommand_refuses_misspelled_quad_key(tmp_path):
+    cfg = {
+        "domain": {"lower": [0.0], "upper": [1.0]},
+        "field": {"kind": "affine", "matrix": [[1.0]], "offset": [0.0]},
+        "quad": {"radial_ordr": 8},
+    }
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.csv"
+    with pytest.raises(TypeError, match="radial_ordr"):
+        main(["energy", "--field", str(path), "--eps", "0.04", "--h", "0.005", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_energy_subcommand_with_strategy(tmp_path, field_json):
     out = tmp_path / "report.csv"
     rc = main(

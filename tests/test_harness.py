@@ -181,6 +181,20 @@ def test_audit_writes_csv(tmp_path):
     assert report.passed
 
 
+@pytest.mark.parametrize("n_fields", [0, 1])
+def test_audit_refuses_fewer_than_two_fields(tmp_path, n_fields):
+    out = tmp_path / "audit.csv"
+    with pytest.raises(ValueError, match="n_fields must be at least 2"):
+        audit_inequalities(seed=0, n_fields=n_fields, out_path=str(out))
+    assert not out.exists()
+
+
+def test_run_sweep_refuses_misspelled_quad_key():
+    spec = SweepSpec(field_config=affine_config(1.0), eps_list=[0.04], quad={"radial_ordr": 8})
+    with pytest.raises(TypeError, match="radial_ordr"):
+        run_sweep(spec)
+
+
 def test_csv_bit_identical_for_identical_runs(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -68,7 +68,6 @@ def test_gradient_matches_central_differences(rule_fast, rule2_fast):
         inner=BoxDomain(np.zeros(2), np.ones(2)),
         datum=Affine(np.array([[1.0, 0.3], [-0.2, 0.6]]), np.zeros(2)),
         eps=0.2,
-        p=1.0,
         grid=Grid(outer, 0.05),
     )
     for prob, rule in ((bar(1.0, eps=0.05, h=0.0125), rule_fast), (plate, rule2_fast)):
@@ -99,7 +98,6 @@ def test_descent_kernel_energy_matches_averaged_energy(rule_fast, rule2_fast):
         inner=BoxDomain(np.zeros(2), np.ones(2)),
         datum=Affine(np.array([[1.0, 0.3], [-0.2, 0.6]]), np.zeros(2)),
         eps=0.2,
-        p=1.0,
         grid=Grid(outer, 0.05),
     )
     # a slit through a row of cell centers (x_1 = 7.5 h) drops pairs inside
@@ -177,7 +175,6 @@ def test_rigid_datum_minimizer_is_datum(rule_fast):
         inner=BoxDomain(np.array([0.0]), np.array([1.0])),
         datum=Affine(np.zeros((1, 1)), np.array([0.7])),
         eps=0.04,
-        p=1.0,
         grid=Grid(BoxDomain(np.array([-0.06]), np.array([1.06])), 0.01),
     )
     trace = minimize_dirichlet(prob, MinimizeOptions(max_iter=50), rule=rule_fast)
@@ -195,7 +192,7 @@ def test_rigid_rotation_datum_2d(rule2_fast):
     W = np.array([[0.0, 0.8], [-0.8, 0.0]])
     prob = DirichletProblem(
         outer=outer, inner=inner, datum=Affine(W, np.array([0.3, -0.2])),
-        eps=0.16, p=1.0, grid=grid,
+        eps=0.16, grid=grid,
     )
     trace = minimize_dirichlet(prob, MinimizeOptions(max_iter=30), rule=rule2_fast)
     assert trace.iterates[-1] <= 1e-12
@@ -302,7 +299,7 @@ def test_equivariance_under_rigid_shift(rule_fast):
     outer, inner, grid = prob_a.outer, prob_a.inner, prob_a.grid
     datum_b = Affine(np.array([[0.6]]), np.array([shift]))
     prob_b = DirichletProblem(
-        outer=outer, inner=inner, datum=datum_b, eps=prob_a.eps, p=1.0, grid=grid
+        outer=outer, inner=inner, datum=datum_b, eps=prob_a.eps, grid=grid
     )
     for cap in (10, 20, 30, 40, 50):
         opts = MinimizeOptions(max_iter=cap)

@@ -153,6 +153,13 @@ def test_energy_1d_precondition():
         nonlocal_energy_1d(v, (0.0, 1.0), 0.1)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0])
+def test_energy_1d_refuses_non_finite_or_non_positive_eps(eps):
+    v = Section1D.affine(0.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        nonlocal_energy_1d(v, (0.0, 0.5), eps)
+
+
 def test_energy_1d_mixed_slope_pieces_match_quadrature():
     # difference is genuinely affine across the breakpoint shift
     v = Section1D.piecewise([0.0, 0.5, 1.0], [0.0, 0.25], [0.5, 2.0])
