@@ -43,6 +43,7 @@ from .slicing import (
     ball_sup_slice_measure,
     directional_slice_measure,
     endpoint_lower_bound,
+    family_slice_measure,
     mumford_shah_1d,
     nonlocal_energy_1d,
     piecewise_project,

@@ -34,7 +34,12 @@ from .harness import SweepSpec, audit_inequalities, run_sweep, write_csv
 from .limits import CONVENTIONS, bulk_density, surface_constant
 from .minimize import DirichletProblem, MinimizeOptions, minimize_dirichlet
 from .quad import build_direction_rule, build_sphere_rule
-from .slicing import ball_sup_slice_measure, averaged_jump_measure, directional_slice_measure
+from .slicing import (
+    averaged_jump_measure,
+    ball_sup_slice_measure,
+    directional_slice_measure,
+    family_slice_measure,
+)
 
 __all__ = ["main"]
 
@@ -82,23 +87,17 @@ def _cmd_p1_explore(args) -> int:
     families = ball_candidates(domain, strategy)
     # report the finest family; the family-supremum search is separate
     family = families[-1]
-    nodes, weights = sphere
+    _, mu_hat_ball = family_slice_measure(field_, family, args.p, sphere)
     rows = []
     for bi, ball in enumerate(family.balls):
         i_u1 = averaged_jump_measure(field_, ball, sphere)
-        mus = [directional_slice_measure(field_, np.asarray(xi, float), ball) for xi in nodes]
-        # per-ball direction aggregate; a lower bound for the ball-family
-        # supremum restricted to this single ball
-        mu_hat_ball = float(
-            np.sum(weights * np.asarray(mus) ** args.p) ** (1.0 / args.p)
-        )
-        for xi_index, mu in enumerate(mus):
+        for xi_index, xi in enumerate(sphere[0]):
             rows.append(
                 {
                     "ball_index": bi,
                     "xi_index": xi_index,
-                    "mu_xi": mu,
-                    "mu_hat_p_ball": mu_hat_ball,
+                    "mu_xi": directional_slice_measure(field_, xi, ball),
+                    "mu_hat_p_ball": mu_hat_ball[bi],
                     "i_u1": i_u1,
                 }
             )
@@ -172,16 +171,12 @@ def _cmd_minimize(args) -> int:
 def _cmd_gamma_study(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    strategy = doc.get("strategy")
+    # spec keys are SweepSpec fields, so an unknown key raises a TypeError naming it
+    strategy, out_path = doc.pop("strategy", None), doc.pop("out", None)
     spec = SweepSpec(
-        field_config=doc["field_config"],
-        eps_list=doc["eps_list"],
-        h_over=doc.get("h_over", 8),
-        p=doc.get("p", 1.0),
+        **doc,
         strategy=BallStrategy.parse(strategy) if strategy else None,
-        quad=doc.get("quad", {}),
-        out_path=doc.get("out"),
-        sampled=doc.get("sampled", False),
+        out_path=out_path,
     )
     res = run_sweep(spec)
     print(
@@ -195,11 +190,8 @@ def _cmd_gamma_study(args) -> int:
 def _cmd_audit(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    report = audit_inequalities(
-        seed=doc.get("seed", 0),
-        n_fields=doc.get("n_fields", 10),
-        out_path=doc.get("out"),
-    )
+    out_path = doc.pop("out", None)
+    report = audit_inequalities(**doc, out_path=out_path)
     by_name: dict[str, list] = {}
     for c in report.checks:
         by_name.setdefault(c.name, []).append(c)

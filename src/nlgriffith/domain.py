@@ -218,9 +218,7 @@ class Grid:
             for i in range(self.domain.dim)
         )
         object.__setattr__(self, "axes", axes)
-        centers = _mesh(axes)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "inside_mask", self.domain.contains(centers))
+        object.__setattr__(self, "centers", _mesh(axes))
 
     @property
     def dim(self) -> int:
@@ -462,17 +460,14 @@ def eval_nudged(field_: AnalyticField, points: np.ndarray, nudge: float) -> np.n
     are hit), so the result never depends on a side convention.  Only
     exact hits move, so each point's value is independent of the batch.
     """
-    try:
-        return field_.eval_many(points)
-    except HyperplaneEvalError:
-        pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
-        for _ in range(8):
-            try:
-                return field_.eval_many(pts)
-            except HyperplaneEvalError as err:
-                hit = pts @ err.normal - err.offset == 0.0
-                pts[hit] += nudge * err.normal
-        raise
+    pts = np.array(points, dtype=float, ndmin=2)
+    for _ in range(7):
+        try:
+            return field_.eval_many(pts)
+        except HyperplaneEvalError as err:
+            hit = pts @ err.normal - err.offset == 0.0
+            pts[hit] += nudge * err.normal
+    return field_.eval_many(pts)
 
 
 def sample(field_: AnalyticField, grid: Grid) -> SampledField:

@@ -20,11 +20,14 @@ membership test and the grid's interpolation weights; the energies here
 keep the matrix-free stencil, whose pair counts at sweep sizes would make
 that operator too large to hold.
 
-On top of these, ``ball_supremum_energy`` maximizes the sum of per-ball
-L^p-in-direction energies over finite families of pairwise disjoint open
-balls.  The true supremum over all finite families is not computable;
-the returned value is a certified lower bound achieved by the reported
-family, and it improves monotonically under family refinement.
+On top of these sits one ball-family functional, ``family_energy``:
+``sum_B (sum_j w_j F_dir(u, B, xi_j)^p)^(1/p)`` over a finite family of
+pairwise disjoint open balls.  The averaged energy is its p = 1 value on
+one region, and ``slicing.family_slice_measure`` is the same functional
+of the slice measure.  ``ball_supremum_energy`` maximizes it over
+candidate families.  The true supremum over all finite families is not
+computable; the returned value is a certified lower bound achieved by the
+reported family, and it improves monotonically under family refinement.
 
 Only pairs whose endpoints both lie in the region interact.  A precrack
 slit is removed from the membership test pointwise, so interactions may
@@ -91,6 +94,13 @@ def check_resolution(h: float, eps: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _overlaps(balls, ball: Ball) -> np.ndarray:
+    """Which of ``balls`` overlap the open ``ball`` (see ``BallFamily``)."""
+    centers = np.array([b.center for b in balls]).reshape(-1, ball.dim)
+    radii = np.array([b.radius for b in balls])
+    return np.linalg.norm(centers - ball.center, axis=1) < radii + ball.radius - 1e-12
+
+
 @dataclass(frozen=True)
 class BallFamily:
     """Finite family of pairwise disjoint open balls.
@@ -104,11 +114,10 @@ class BallFamily:
     def __post_init__(self):
         balls = tuple(self.balls)
         object.__setattr__(self, "balls", balls)
-        for i in range(len(balls)):
-            for j in range(i + 1, len(balls)):
-                d = float(np.linalg.norm(balls[i].center - balls[j].center))
-                if d < balls[i].radius + balls[j].radius - 1e-12:
-                    raise ValueError(f"balls {i} and {j} overlap")
+        for i, ball in enumerate(balls):
+            hits = np.flatnonzero(_overlaps(balls[i + 1 :], ball))
+            if hits.size:
+                raise ValueError(f"balls {i} and {i + 1 + hits[0]} overlap")
 
     def __len__(self) -> int:
         return len(self.balls)
@@ -132,16 +141,20 @@ class BallStrategy:
     def __post_init__(self):
         if self.kind not in ("dyadic", "greedy"):
             raise ValueError("strategy kind must be 'dyadic' or 'greedy'")
+        for name, least in (("levels", 0), ("count", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
     @classmethod
     def parse(cls, text: str) -> "BallStrategy":
-        """Parse compact forms like ``dyadic:3`` or ``greedy:8``."""
+        """Parse compact forms like ``dyadic:3`` or ``greedy:8``; a bare
+        ``dyadic`` or ``greedy`` takes the field default."""
         kind, _, arg = text.partition(":")
-        if kind == "dyadic":
-            return cls("dyadic", levels=int(arg) if arg else 2)
-        if kind == "greedy":
-            return cls("greedy", count=int(arg) if arg else 8)
-        raise ValueError(f"unknown ball strategy {text!r}")
+        name = {"dyadic": "levels", "greedy": "count"}.get(kind)
+        if name is None:
+            raise ValueError(f"unknown ball strategy {text!r}")
+        return cls(kind, **({name: int(arg)} if arg else {}))
 
 
 def ball_candidates(domain: BoxDomain, strategy: BallStrategy) -> list[BallFamily]:
@@ -181,10 +194,7 @@ def ball_candidates(domain: BoxDomain, strategy: BallStrategy) -> list[BallFamil
             ball = Ball(center, r)
             if not domain.contains_ball(ball):
                 continue
-            if any(
-                np.linalg.norm(ball.center - b.center) < ball.radius + b.radius - 1e-12
-                for b in accepted
-            ):
+            if np.any(_overlaps(accepted, ball)):
                 continue
             accepted.append(ball)
     if not accepted:
@@ -365,6 +375,26 @@ def directional_energy(
     return _Shift(g, region, xi, eps).cell_sum(u, eps)
 
 
+def _direction_values(
+    u: FieldLike, region: Region, eps: float, rule: DirectionRule, grid: Grid, support: BoxDomain
+) -> tuple[np.ndarray, list[float]]:
+    """Rule nodes inside ``support`` and their directional cell sums on the
+    region, both in ascending node order."""
+    nodes = np.flatnonzero(support.contains(rule.nodes))
+    return nodes, [_Shift(grid, region, rule.nodes[i], eps).cell_sum(u, eps) for i in nodes]
+
+
+def _lp_norm(weights, values, p: float) -> float:
+    """``(sum_i w_i v_i^p)^(1/p)``, accumulated in the given order.
+
+    At p = 1 both powers are exact, so this is the plain weighted sum.
+    """
+    acc = 0.0
+    for w, v in zip(weights, values):
+        acc += w * v**p
+    return acc ** (1.0 / p)
+
+
 def averaged_energy(
     u: FieldLike,
     region: Region,
@@ -377,7 +407,8 @@ def averaged_energy(
 
     Directions outside the scaled difference body of the region are
     discarded.  The per-direction breakdown is recorded; the total is the
-    weighted sum over retained nodes, accumulated in ascending node order.
+    weighted sum over retained nodes, accumulated in ascending node order:
+    the p = 1 value of the ball-family functional on the one region.
     """
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)
@@ -385,22 +416,14 @@ def averaged_energy(
         raise ValueError("rule dimension must match the field dimension")
     if support is None:
         support = _support_box(region, eps)
-    keep = support.contains(rule.nodes)
-    per_direction: dict[int, float] = {}
-    total = 0.0
-    for i in range(rule.n_nodes):
-        if not keep[i]:
-            continue
-        value = _Shift(g, region, rule.nodes[i], eps).cell_sum(u, eps)
-        per_direction[i] = value
-        total += rule.weights[i] * value
+    nodes, values = _direction_values(u, region, eps, rule, g, support)
     return EnergyReport(
-        total=total,
+        total=_lp_norm(rule.weights[nodes], values, 1.0),
         eps=eps,
         p=1.0,
         grid_h=g.h,
         rule_meta=rule.meta,
-        per_direction=per_direction,
+        per_direction=dict(zip(nodes.tolist(), values)),
     )
 
 
@@ -465,20 +488,11 @@ def family_energy(
     check_resolution(g.h, eps)
     domain_support = _support_box(domain, eps)
     per_ball: dict[int, float] = {}
-    total = 0.0
     for bi, ball in enumerate(family.balls):
         support = _support_box(ball, eps) if per_ball_support else domain_support
-        keep = support.contains(rule.nodes)
-        acc = 0.0
-        for i in range(rule.n_nodes):
-            if not keep[i]:
-                continue
-            v = _Shift(g, ball, rule.nodes[i], eps).cell_sum(u, eps)
-            acc += rule.weights[i] * v**p
-        value = acc ** (1.0 / p)
-        per_ball[bi] = value
-        total += value
-    return total, per_ball
+        nodes, values = _direction_values(u, ball, eps, rule, g, support)
+        per_ball[bi] = _lp_norm(rule.weights[nodes], values, p)
+    return sum(per_ball.values()), per_ball
 
 
 def ball_supremum_energy(
@@ -494,30 +508,22 @@ def ball_supremum_energy(
 
     Maximizes ``sum_B (int F_dir(u, B, xi)^p dGauss(xi))^(1/p)`` over the
     generated families of pairwise disjoint open balls.  The result is a
-    lower bound for the supremum over all finite families; the achieving
-    family is returned so results are reproducible and refinable (adding
-    candidate families can only increase the reported value).
+    lower bound for the supremum over all finite families; the first
+    family that attains it is returned so results are reproducible and
+    refinable (adding candidate families can only increase the value).
     """
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)
     families = ball_candidates(domain, strategy)
-
-    best_total = -np.inf
-    best_family = None
-    best_per_ball: dict[int, float] = {}
-    for family in families:
-        total, per_ball = family_energy(u, domain, family, eps, p, rule, grid=g)
-        if total > best_total:
-            best_total = total
-            best_family = family
-            best_per_ball = per_ball
-
+    results = [family_energy(u, domain, family, eps, p, rule, grid=g) for family in families]
+    best = max(range(len(families)), key=lambda k: results[k][0])
+    total, per_ball = results[best]
     return EnergyReport(
-        total=best_total,
+        total=total,
         eps=eps,
         p=p,
         grid_h=g.h,
         rule_meta=rule.meta,
-        per_ball=best_per_ball,
-        family=best_family,
+        per_ball=per_ball,
+        family=families[best],
     )

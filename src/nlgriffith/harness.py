@@ -110,10 +110,6 @@ class ExtrapolationResult:
     target: float
 
     @property
-    def raw_smallest(self) -> float:
-        return self.values[-1]
-
-    @property
     def relative_error(self) -> float:
         return abs(self.extrapolated - self.target) / (1.0 + abs(self.target))
 
@@ -341,8 +337,10 @@ def audit_inequalities(
     allowance; the multi-step comparison allows 1% of the right side; the
     other two hold with an O(1e-9) roundoff allowance only.
     """
-    if n_fields < 2:
-        raise ValueError(f"n_fields must be at least 2 (the last two fields are 2D), got {n_fields}")
+    if not (isinstance(n_fields, (int, np.integer)) and n_fields >= 2):
+        raise ValueError(
+            f"n_fields must be at least 2 (the last two fields are 2D) and an integer, got {n_fields!r}"
+        )
     rng = np.random.default_rng(seed)
     checks: list[AuditCheck] = []
 

@@ -11,6 +11,10 @@ plane fill a transverse set of measure ``|normal . xi|`` times the
 plane's area inside the region, and the gradient part fills the region's
 volume.
 
+``family_slice_measure`` is the ball-family functional of
+``nlgriffith.energy`` with the slice measure in place of the directional
+energy; ``ball_sup_slice_measure`` maximizes it over candidate families.
+
 Jump bookkeeping follows the size-one threshold: slice jumps with
 amplitude at most 1 contribute their amplitude to the absolutely
 continuous part, strictly larger jumps are counted once each.
@@ -19,14 +23,13 @@ continuous part, strictly larger jumps are counted once each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.integrate import quad as _quad
 from scipy.special import gamma
 
-from .domain import AnalyticField, Ball, BoxDomain, PlaneJump
-from .energy import BallStrategy, ball_candidates
+from .domain import AnalyticField, BoxDomain, PlaneJump
+from .energy import BallFamily, BallStrategy, Region, _lp_norm, ball_candidates
 from .limits import plane_area_in_box
 
 __all__ = [
@@ -41,10 +44,9 @@ __all__ = [
     "endpoint_lower_bound",
     "directional_slice_measure",
     "averaged_jump_measure",
+    "family_slice_measure",
     "ball_sup_slice_measure",
 ]
-
-Region = Union[BoxDomain, Ball]
 
 HALF_PI = np.pi / 2.0
 
@@ -211,15 +213,10 @@ def section(
 # ---------------------------------------------------------------------------
 
 
-def _as_intervals(A) -> list[tuple[float, float]]:
-    if isinstance(A, tuple) and len(A) == 2 and np.isscalar(A[0]):
-        return [(float(A[0]), float(A[1]))]
-    return [(float(a), float(b)) for a, b in A]
-
-
-def nonlocal_energy_1d(v: Section1D, A, eps: float) -> float:
+def nonlocal_energy_1d(v: Section1D, A: tuple[float, float], eps: float) -> float:
     """1D finite-difference energy
-    ``(1/eps) * int_A arctan((v(t + eps) - v(t))^2 / eps) dt``.
+    ``(1/eps) * int_A arctan((v(t + eps) - v(t))^2 / eps) dt`` on the
+    interval ``A = (a, b)``.
 
     The difference ``v(t+eps)-v(t)`` is affine between the breakpoints
     of v and their eps-shifts, so constant pieces integrate in closed
@@ -227,40 +224,38 @@ def nonlocal_energy_1d(v: Section1D, A, eps: float) -> float:
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    intervals = _as_intervals(A)
+    a, b = float(A[0]), float(A[1])
     lo, hi = v.domain
-    for a, b in intervals:
-        if a < lo - 1e-12 or b > hi - eps + 1e-12:
-            raise ValueError(
-                f"interval ({a}, {b}) not contained in Dom(v) and Dom(v) - eps"
-            )
+    if a < lo - 1e-12 or b > hi - eps + 1e-12:
+        raise ValueError(
+            f"interval ({a}, {b}) not contained in Dom(v) and Dom(v) - eps"
+        )
 
     cuts = np.concatenate([v.knots, v.knots - eps])
+    inner = np.unique(cuts[(cuts > a) & (cuts < b)])
+    pts = np.concatenate([[a], inner, [b]])
     total = 0.0
-    for a, b in intervals:
-        inner = np.unique(cuts[(cuts > a) & (cuts < b)])
-        pts = np.concatenate([[a], inner, [b]])
-        for s0, s1 in zip(pts[:-1], pts[1:]):
-            tm = 0.5 * (s0 + s1)
-            g_m = v.value(tm + eps) - v.value(tm)
-            # slope of the difference on this smooth piece
-            i_t = int(np.searchsorted(v.knots, tm, side="right") - 1)
-            i_s = int(np.searchsorted(v.knots, tm + eps, side="right") - 1)
-            i_t = min(max(i_t, 0), v.slopes.size - 1)
-            i_s = min(max(i_s, 0), v.slopes.size - 1)
-            beta = v.slopes[i_s] - v.slopes[i_t]
-            if beta == 0.0:
-                total += (s1 - s0) * float(np.arctan(g_m * g_m / eps))
-            else:
-                val, _ = _quad(
-                    lambda t: np.arctan((g_m + beta * (t - tm)) ** 2 / eps),
-                    s0,
-                    s1,
-                    epsabs=1e-13,
-                    epsrel=1e-11,
-                    limit=200,
-                )
-                total += val
+    for s0, s1 in zip(pts[:-1], pts[1:]):
+        tm = 0.5 * (s0 + s1)
+        g_m = v.value(tm + eps) - v.value(tm)
+        # slope of the difference on this smooth piece
+        i_t = int(np.searchsorted(v.knots, tm, side="right") - 1)
+        i_s = int(np.searchsorted(v.knots, tm + eps, side="right") - 1)
+        i_t = min(max(i_t, 0), v.slopes.size - 1)
+        i_s = min(max(i_s, 0), v.slopes.size - 1)
+        beta = v.slopes[i_s] - v.slopes[i_t]
+        if beta == 0.0:
+            total += (s1 - s0) * float(np.arctan(g_m * g_m / eps))
+        else:
+            val, _ = _quad(
+                lambda t: np.arctan((g_m + beta * (t - tm)) ** 2 / eps),
+                s0,
+                s1,
+                epsabs=1e-13,
+                epsrel=1e-11,
+                limit=200,
+            )
+            total += val
     return total / eps
 
 
@@ -441,34 +436,44 @@ def averaged_jump_measure(
     return float(np.asarray(weights, dtype=float) @ _jump_term(u, nodes, region))
 
 
+def family_slice_measure(
+    u: AnalyticField,
+    family: BallFamily,
+    p: float,
+    sphere_rule: tuple[np.ndarray, np.ndarray],
+) -> tuple[float, dict[int, float]]:
+    """Value of one disjoint ball family: sum of per-ball L^p sphere norms
+    of the slice measure.
+
+    Returns ``(total, per_ball)`` with
+    ``per_ball[i] = (sum_j w_j mu_(xi_j)(B_i)^p)^(1/p)``, the slice-measure
+    counterpart of ``family_energy``.
+    """
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and at least 1, got {p}")
+    nodes, weights = sphere_rule
+    per_ball: dict[int, float] = {}
+    for bi, ball in enumerate(family.balls):
+        mus = [directional_slice_measure(u, xi, ball) for xi in nodes]
+        per_ball[bi] = _lp_norm(weights, mus, p)
+    return sum(per_ball.values()), per_ball
+
+
 def ball_sup_slice_measure(
     u: AnalyticField,
     domain: BoxDomain,
     p: float,
     sphere_rule: tuple[np.ndarray, np.ndarray],
     strategy: BallStrategy,
-) -> tuple[float, list]:
+) -> tuple[float, BallFamily]:
     """Strategy-searched lower bound for the ball-supremum slice measure.
 
-    Returns ``(value, family)`` where value maximizes
-    ``sum_B (int_sphere mu_xi(B)^p)^(1/p)`` over the candidate families.
-    As with the energy supremum, the reported value is a lower bound for
-    the supremum over all finite disjoint families.
+    Returns ``(value, family)``: the best ``family_slice_measure`` total
+    over the candidate families and the first family that attains it.  As
+    with the energy supremum, the reported value is a lower bound for the
+    supremum over all finite disjoint families.
     """
-    if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"p must be finite and at least 1, got {p}")
-    nodes, weights = sphere_rule
-    best = -np.inf
-    best_family = None
-    for family in ball_candidates(domain, strategy):
-        total = 0.0
-        for ball in family.balls:
-            acc = 0.0
-            for xi, w in zip(nodes, weights):
-                mu = directional_slice_measure(u, np.asarray(xi, float), ball)
-                acc += w * mu**p
-            total += acc ** (1.0 / p)
-        if total > best:
-            best = total
-            best_family = family
-    return float(best), best_family
+    families = ball_candidates(domain, strategy)
+    results = [family_slice_measure(u, family, p, sphere_rule) for family in families]
+    best = max(range(len(families)), key=lambda k: results[k][0])
+    return float(results[best][0]), families[best]

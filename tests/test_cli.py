@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from nlgriffith.cli import main
+from nlgriffith.domain import load_problem
+from nlgriffith.energy import BallStrategy, ball_candidates
+from nlgriffith.quad import build_sphere_rule
+from nlgriffith.slicing import family_slice_measure
 
 
 @pytest.fixture
@@ -140,6 +144,30 @@ def test_audit_subcommand_exit_code(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_audit_subcommand_refuses_unknown_key(tmp_path):
+    spec = tmp_path / "audit.json"
+    out = tmp_path / "audit.csv"
+    spec.write_text(json.dumps({"seed": 1, "nfields": 3, "out": str(out)}))
+    with pytest.raises(TypeError, match="nfields"):
+        main(["audit", "--spec", str(spec)])
+    assert not out.exists()
+
+
+def test_gamma_study_refuses_unknown_key(tmp_path, field_json):
+    out = tmp_path / "sweep.csv"
+    doc = {
+        "field_config": json.loads(open(field_json).read()),
+        "eps_list": [0.04, 0.02],
+        "h_ovr": 12,
+        "out": str(out),
+    }
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    with pytest.raises(TypeError, match="h_ovr"):
+        main(["gamma-study", "--spec", str(spec)])
+    assert not out.exists()
+
+
 def test_density_table_subcommand(tmp_path):
     out = tmp_path / "dens.csv"
     rc = main(["density-table", "--dim", "1", "--p-list", "1.0", "--out", str(out)])
@@ -171,6 +199,17 @@ def test_p1_explore_subcommand(tmp_path, field2d_json):
         weight = 2 * np.pi / len(ball_rows)
         agg = weight * sum(float(r["mu_xi"]) for r in ball_rows)
         assert agg == pytest.approx(float(ball_rows[0]["mu_hat_p_ball"]), rel=1e-9)
+
+
+def test_p1_explore_reports_family_slice_measure(tmp_path, field2d_json):
+    out = tmp_path / "p1.csv"
+    argv = ["p1-explore", "--field", field2d_json, "--strategy", "dyadic:2", "--angular", "8"]
+    assert main(argv + ["--p", "2", "--out", str(out)]) == 0
+    domain, field_, _ = load_problem(field2d_json)
+    family = ball_candidates(domain, BallStrategy.parse("dyadic:2"))[-1]
+    _, per_ball = family_slice_measure(field_, family, 2.0, build_sphere_rule(2, 8))
+    for r in read_rows(out):
+        assert r["mu_hat_p_ball"] == repr(float(per_ball[int(r["ball_index"])]))
 
 
 def test_p1_explore_refuses_nan_p(tmp_path, field2d_json):

@@ -148,13 +148,13 @@ def test_grid_rejects_non_finite_spacing(h):
 def test_grid_cell_count_matches_product():
     g = Grid(unit_square(), 0.1)
     assert g.n_cells == 100
-    assert g.inside_mask.all()
+    assert g.domain.contains(g.centers).all()
 
 
 def test_grid_volume_sum_matches_domain():
     for h in (0.25, 0.125, 0.0625):
         g = Grid(unit_square(), h)
-        vol = g.inside_mask.sum() * g.cell_volume
+        vol = g.domain.contains(g.centers).sum() * g.cell_volume
         # boundary error bound: 2 n h * perimeter-type quantity
         assert abs(vol - g.domain.volume) <= 2 * g.dim * h * 4.0
 
@@ -200,6 +200,18 @@ def test_eval_nudged_is_batch_independent():
     batch = eval_nudged(f, np.vstack([near, [[0.5]]]), 0.01)
     assert alone[0, 0] == batch[0, 0] == 0.0
     assert batch[1, 0] == 1.0
+
+
+def test_eval_nudged_evaluates_once_per_nudge_round(monkeypatch):
+    f = PlaneJump(np.array([1.0]), 0.5, np.zeros(1), np.ones(1))
+    calls = []
+    original = PlaneJump.eval_many
+    monkeypatch.setattr(PlaneJump, "eval_many", lambda f, pts: calls.append(1) or original(f, pts))
+    eval_nudged(f, np.array([[0.25], [0.5]]), 0.01)
+    assert len(calls) == 2  # the batch that hits the plane, then the nudged batch
+    calls.clear()
+    eval_nudged(f, np.array([[0.25]]), 0.01)
+    assert len(calls) == 1
 
 
 def test_sample_then_eval_reproduces_centers():

@@ -312,6 +312,35 @@ def test_ball_family_rejects_overlap():
         BallFamily((Ball(np.array([0.3, 0.5]), 0.2), Ball(np.array([0.5, 0.5]), 0.2)))
 
 
+def test_ball_family_names_first_overlapping_pair():
+    # balls 0, 3 and balls 1, 2 overlap; the pair first in (i, j) order is named
+    balls = [Ball(np.array(c), 0.1) for c in ([0.1, 0.1], [0.5, 0.5], [0.55, 0.5], [0.15, 0.1])]
+    with pytest.raises(ValueError, match="balls 0 and 3 overlap"):
+        BallFamily(tuple(balls))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: BallStrategy.parse("dyadic:-1"), "levels"),
+        (lambda: BallStrategy.parse("greedy:0"), "count"),
+        (lambda: BallStrategy.parse("greedy:-2"), "count"),
+        (lambda: BallStrategy("dyadic", levels=1.5), "levels"),
+        (lambda: BallStrategy("greedy", count=np.nan), "count"),
+    ],
+    ids=["dyadic:-1", "greedy:0", "greedy:-2", "levels=1.5", "count=nan"],
+)
+def test_ball_strategy_refuses_bad_counts(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
+def test_ball_strategy_parse_defaults_are_the_field_defaults():
+    assert BallStrategy.parse("dyadic") == BallStrategy("dyadic")
+    assert BallStrategy.parse("greedy") == BallStrategy("greedy")
+    assert BallStrategy.parse("dyadic:0") == BallStrategy("dyadic", levels=0)
+
+
 def test_ball_family_allows_touching():
     fam = BallFamily((Ball(np.array([0.25, 0.25]), 0.25), Ball(np.array([0.75, 0.25]), 0.25)))
     assert len(fam) == 2

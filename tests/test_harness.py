@@ -189,6 +189,14 @@ def test_audit_refuses_fewer_than_two_fields(tmp_path, n_fields):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_fields", [2.5, 3.0])
+def test_audit_refuses_non_integer_n_fields(tmp_path, n_fields):
+    out = tmp_path / "audit.csv"
+    with pytest.raises(ValueError, match="n_fields must be .* an integer"):
+        audit_inequalities(seed=0, n_fields=n_fields, out_path=str(out))
+    assert not out.exists()
+
+
 def test_run_sweep_refuses_misspelled_quad_key():
     spec = SweepSpec(field_config=affine_config(1.0), eps_list=[0.04], quad={"radial_ordr": 8})
     with pytest.raises(TypeError, match="radial_ordr"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlgriffith.domain import Affine, Ball, BoxDomain, PlaneJump, SumField
-from nlgriffith.energy import BallStrategy
+from nlgriffith.energy import BallFamily, BallStrategy, ball_candidates
 from nlgriffith.quad import build_sphere_rule
 from nlgriffith.slicing import (
     Section1D,
@@ -12,6 +12,7 @@ from nlgriffith.slicing import (
     ball_sup_slice_measure,
     directional_slice_measure,
     endpoint_lower_bound,
+    family_slice_measure,
     mumford_shah_1d,
     nonlocal_energy_1d,
     piecewise_project,
@@ -528,3 +529,29 @@ def test_ball_sup_slice_measure_rejects_bad_p(p):
     u = Affine(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError, match="p must be finite and at least 1"):
         ball_sup_slice_measure(u, square(), p, build_sphere_rule(2, 8), BallStrategy("dyadic", 1))
+
+
+def test_family_slice_measure_is_what_the_supremum_maximizes():
+    A = np.array([[1.0, 0.3], [0.3, -0.5]])
+    u = SumField((Affine(A, np.zeros(2)), plane_jump_2d(5.0, 0.3)))
+    rule = build_sphere_rule(2, 8)
+    strategy = BallStrategy("dyadic", 2)
+    val, family = ball_sup_slice_measure(u, square(), 2.0, rule, strategy)
+    families = ball_candidates(square(), strategy)
+    totals = [family_slice_measure(u, f, 2.0, rule)[0] for f in families]
+    assert val == max(totals)
+    centers = [[b.center.tolist() for b in f.balls] for f in (family, families[totals.index(val)])]
+    assert centers[0] == centers[1]
+    total, per_ball = family_slice_measure(u, family, 2.0, rule)
+    assert total == sum(per_ball.values()) and sorted(per_ball) == list(range(len(family)))
+
+
+def test_family_slice_measure_per_ball_norm():
+    u = SumField((Affine(np.eye(2), np.zeros(2)), plane_jump_2d(0.5, 0.4)))
+    balls = (Ball(np.array([0.25, 0.5]), 0.25), Ball(np.array([0.75, 0.5]), 0.25))
+    nodes, weights = build_sphere_rule(2, 8)
+    for p in (1.0, 2.0):
+        _, per_ball = family_slice_measure(u, BallFamily(balls), p, (nodes, weights))
+        for bi, ball in enumerate(balls):
+            mus = np.array([directional_slice_measure(u, xi, ball) for xi in nodes])
+            assert per_ball[bi] == pytest.approx(np.sum(weights * mus**p) ** (1 / p), rel=1e-14)
