@@ -37,6 +37,12 @@ __all__ = [
 _TOL = 1e-12
 
 
+def _require_finite(name: str, value) -> None:
+    """Refuse nan or inf geometry, which would make membership silently empty."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
+
+
 class HyperplaneEvalError(ValueError):
     """Raised when a field is evaluated exactly on a jump hyperplane.
 
@@ -77,6 +83,8 @@ class PlaneSegment:
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("segment bounds must be matching 1-d vectors")
+        _require_finite("segment lower", lo)
+        _require_finite("segment upper", hi)
         degenerate = np.isclose(hi - lo, 0.0, atol=_TOL)
         if degenerate.sum() != 1 or np.any(hi - lo < -_TOL):
             raise ValueError("segment must be degenerate along exactly one axis")
@@ -113,6 +121,8 @@ class BoxDomain:
         object.__setattr__(self, "precrack", tuple(self.precrack))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be matching 1-d vectors")
+        _require_finite("box lower", lo)
+        _require_finite("box upper", hi)
         if not np.all(lo < hi):
             raise ValueError("box requires lower[i] < upper[i] for every axis")
         for seg in self.precrack:
@@ -160,6 +170,8 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "radius", float(self.radius))
+        _require_finite("ball center", self.center)
+        _require_finite("ball radius", self.radius)
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
 

@@ -11,7 +11,10 @@ Three equivalent views of the same object live here:
   used as a self-consistency check of the direction-averaged form.
 
 All of them and the ball families sum over one shift stencil,
-``_Shift``.  A closed-form field enters it through its exact difference
+``_Shift``.  It works on per-axis coordinates only: the range box of
+pairs inside the region's bounding box is one index range per axis, and
+the ball or slit mask within it is a broadcast sum of per-axis terms.
+A closed-form field enters it through its exact difference
 quotient, the affine part's plus the jump of each plane a pair crosses,
 so the field itself is only evaluated at pairs that touch a plane.  The
 descent kernel of ``nlgriffith.minimize`` assembles the same pairs into
@@ -49,7 +52,6 @@ from .domain import (
     Grid,
     SampledField,
     _interp_row,
-    _mesh,
     difference_body,
     eval_nudged,
 )
@@ -239,6 +241,37 @@ def _axis_inside(region: Region, d: int, x: np.ndarray) -> np.ndarray:
     return (x > region.lower[d]) & (x < region.upper[d])
 
 
+def _fold(terms) -> np.ndarray:
+    """Sum of per-axis arrays over the range box, term d broadcast along
+    axis d, added left to right as ``np.sum(..., axis=1)`` adds the
+    coordinates of one point."""
+    terms = list(terms)
+    total = 0
+    for d, t in enumerate(terms):
+        total = total + t.reshape((-1,) + (1,) * (len(terms) - 1 - d))
+    return total
+
+
+def _range_box_inside(region: Region, coords) -> np.ndarray | bool:
+    """``region.contains`` on the product of the per-axis ``coords`` of a
+    range box, same float ops, shaped like the box.
+
+    Every bounding-box factor holds there, so a plain box contains all of
+    it; a ball's squared distance and a slit's squared excess are folded
+    from per-axis terms.
+    """
+    if isinstance(region, Ball):
+        return _fold((c - region.center[d]) ** 2 for d, c in enumerate(coords)) < region.radius**2
+    inside = True
+    for seg in region.precrack:
+        excess = (
+            np.maximum(seg.lower[d] - c, 0.0) + np.maximum(c - seg.upper[d], 0.0)
+            for d, c in enumerate(coords)
+        )
+        inside = inside & (np.sqrt(_fold(e**2 for e in excess)) > 0.0)
+    return inside
+
+
 class _Shift:
     """The pairs ``(x, x + eps xi)`` of one region on a regular grid.
 
@@ -246,10 +279,12 @@ class _Shift:
     and their shifts are products of per-axis coordinates, so the cells
     whose pair stays inside the region's bounding box form one index
     range per axis, the range box; ``keep`` selects the interacting pairs
-    in it (a residual mask for balls and precrack slits).  The shifted
-    endpoint is multilinear in the nodal values, with one row of cells
-    and weights per axis.  An integer ``offset`` in cells instead of
-    ``eps`` pairs each cell with a partner cell.
+    in it (a residual mask for balls and precrack slits).  Both are built
+    from the per-axis coordinates, like the closed-form slopes, so no
+    point mesh is formed.  The shifted endpoint is multilinear in the
+    nodal values, with one row of cells and weights per axis.  An integer
+    ``offset`` in cells instead of ``eps`` pairs each cell with a partner
+    cell.
     """
 
     def __init__(self, grid: Grid, region: Region, xi: np.ndarray, eps=None, offset=None):
@@ -277,12 +312,13 @@ class _Shift:
         self.shape = tuple(c.size for c in self.centers)
         self.keep = slice(None)
         if isinstance(region, Ball) or region.precrack:
-            self.keep = region.contains(_mesh(self.centers)) & region.contains(_mesh(self.moved))
+            ends = (_range_box_inside(region, coords) for coords in (self.centers, self.moved))
+            self.keep = np.logical_and(*ends).reshape(-1)
 
-    def _axes_dot(self, coords, v) -> np.ndarray:
+    @staticmethod
+    def _axes_dot(coords, v) -> np.ndarray:
         """``sum_d coords_d * v_d`` over the range box, from per-axis coordinates."""
-        dim = self.grid.dim
-        return sum((c * v[d]).reshape((-1,) + (1,) * (dim - 1 - d)) for d, c in enumerate(coords))
+        return _fold(c * v[d] for d, c in enumerate(coords))
 
     def slopes(self, u) -> np.ndarray:
         """``(u(x + eps xi) - u(x)).xi`` over the range box, flat in C order.

@@ -119,9 +119,11 @@ def test_minimize_subcommand(tmp_path):
 def test_gamma_study_and_determinism(tmp_path, field_json):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
+    with open(field_json) as fh:
+        field_config = json.load(fh)
     for out in (out_a, out_b):
         doc = {
-            "field_config": json.loads(open(field_json).read()),
+            "field_config": field_config,
             "eps_list": [0.04, 0.02],
             "h_over": 8,
             "out": str(out),
@@ -155,8 +157,10 @@ def test_audit_subcommand_refuses_unknown_key(tmp_path):
 
 def test_gamma_study_refuses_unknown_key(tmp_path, field_json):
     out = tmp_path / "sweep.csv"
+    with open(field_json) as fh:
+        field_config = json.load(fh)
     doc = {
-        "field_config": json.loads(open(field_json).read()),
+        "field_config": field_config,
         "eps_list": [0.04, 0.02],
         "h_ovr": 12,
         "out": str(out),

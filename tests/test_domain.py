@@ -260,6 +260,25 @@ def test_ball_must_fit_in_box():
     assert not dom.contains_ball(Ball(np.array([0.5, 0.5]), 0.51))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        pytest.param("ball radius", lambda x: Ball([0.5, 0.5], x), id="ball radius"),
+        pytest.param("ball center", lambda x: Ball([0.5, x], 0.2), id="ball center"),
+        pytest.param("segment lower", lambda x: PlaneSegment([x, 0.5], [0.8, 0.5]), id="segment lower"),
+        pytest.param("segment upper", lambda x: PlaneSegment([0.2, 0.5], [x, 0.5]), id="segment upper"),
+        pytest.param("box lower", lambda x: BoxDomain([x, 0.0], [1.0, 1.0]), id="box lower"),
+        pytest.param("box upper", lambda x: BoxDomain([0.0, 0.0], [1.0, x]), id="box upper"),
+    ],
+)
+def test_geometry_refuses_non_finite_values(name, build, bad):
+    # nan geometry used to be accepted and contain nothing, which made every
+    # energy on it silently 0; an infinite box made Grid fail misleadingly
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        build(bad)
+
+
 # ---------------------------------------------------------------------------
 # config round trip
 # ---------------------------------------------------------------------------
