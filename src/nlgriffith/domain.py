@@ -319,6 +319,8 @@ class Affine(AnalyticField):
         b = np.asarray(self.offset, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
             raise ValueError("affine field requires an n x n matrix and an n-vector")
+        _require_finite("affine matrix", A)
+        _require_finite("affine offset", b)
         object.__setattr__(self, "matrix", A)
         object.__setattr__(self, "offset", b)
 
@@ -351,6 +353,8 @@ class PlaneJump(AnalyticField):
         nu = np.asarray(self.normal, dtype=float)
         vm = np.asarray(self.value_minus, dtype=float) + np.zeros(nu.size)
         vp = np.asarray(self.value_plus, dtype=float) + np.zeros(nu.size)
+        for name, value in (("normal", nu), ("offset", self.offset), ("value_minus", vm), ("value_plus", vp)):
+            _require_finite(f"jump {name}", value)
         if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
             raise ValueError("jump normal must be a unit vector")
         object.__setattr__(self, "normal", nu)

@@ -1,16 +1,19 @@
 """Nonlocal finite-difference fracture energies.
 
-Three equivalent views of the same object live here:
+One object lives here: the single-direction energy
 
-* ``directional_energy`` -- the single-direction energy
-  ``(1/eps) * int_{E cap (E - eps xi)} arctan(((u(x+eps xi)-u(x)).xi)^2 / eps) dx``
-  discretized by a midpoint cell sum on the grid;
-* ``averaged_energy`` -- its Gaussian-weighted average over directions,
-  truncated to the scaled difference body of the region;
-* ``pairwise_energy`` -- the equivalent double integral over point pairs,
-  used as a self-consistency check of the direction-averaged form.
+    ``(1/eps) * int_{E cap (E - eps xi)} arctan(((u(x+eps xi)-u(x)).xi)^2 / eps) dx``,
 
-All of them and the ball families sum over one shift stencil,
+discretized by a midpoint cell sum on the grid (``directional_energy``),
+and its Gaussian-weighted sum over the nodes of a direction rule,
+truncated to the scaled difference body of the region
+(``averaged_energy``).  The double integral over point pairs is the same
+sum under the change of variables ``xi = (x'-x)/eps``; only the rule
+differs.  ``averaged_energy`` usually takes the product Gauss rule of
+``nlgriffith.quad``, and ``pairwise_energy`` the lattice rule of the cell
+offsets, a Riemann sum of the Gaussian measure.
+
+Every energy and the ball families sum over one shift stencil,
 ``_Shift``.  It works on per-axis coordinates only: the range box of
 pairs inside the region's bounding box is one index range per axis, and
 the ball or slit mask within it is a broadcast sum of per-axis terms.
@@ -282,32 +285,22 @@ class _Shift:
     in it (a residual mask for balls and precrack slits).  Both are built
     from the per-axis coordinates, like the closed-form slopes, so no
     point mesh is formed.  The shifted endpoint is multilinear in the
-    nodal values, with one row of cells and weights per axis.  An integer
-    ``offset`` in cells instead of ``eps`` pairs each cell with a partner
-    cell.
+    nodal values, with one row of cells and weights per axis.
     """
 
-    def __init__(self, grid: Grid, region: Region, xi: np.ndarray, eps=None, offset=None):
+    def __init__(self, grid: Grid, region: Region, xi: np.ndarray, eps: float):
         self.grid, self.xi = grid, xi
         box, self.centers, self.moved, self.rows = [], [], [], []
         for d, axis in enumerate(grid.axes):
-            n = axis.size
-            if offset is None:
-                partner = axis + eps * xi[d]
-            else:
-                j = np.arange(n) + offset[d]  # partners off the grid get nan, which no test passes
-                partner = np.where((j >= 0) & (j < n), axis[j.clip(0, n - 1)], np.nan)
+            partner = axis + eps * xi[d]
             hits = np.flatnonzero(_axis_inside(region, d, axis) & _axis_inside(region, d, partner))
             sl = slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
             box.append(sl)
             self.centers.append(axis[sl])
             self.moved.append(partner[sl])
-            if offset is None:
-                base, top, frac = _interp_row(axis, grid.h, partner[sl])
-                col = (-1,) + (1,) * (grid.dim - d)  # broadcasts along axis d
-                self.rows.append((base, top, (1.0 - frac).reshape(col), frac.reshape(col)))
-            else:
-                self.rows.append((j[sl], None, None, None))
+            base, top, frac = _interp_row(axis, grid.h, partner[sl])
+            col = (-1,) + (1,) * (grid.dim - d)  # broadcasts along axis d
+            self.rows.append((base, top, (1.0 - frac).reshape(col), frac.reshape(col)))
         self.box = tuple(box)
         self.shape = tuple(c.size for c in self.centers)
         self.keep = slice(None)
@@ -359,8 +352,7 @@ class _Shift:
         nodal = (u.values if isinstance(u, SampledField) else u).reshape(self.grid.shape + (-1,))
         end = nodal
         for d, (base, top, lo_w, hi_w) in enumerate(self.rows):
-            lo = np.take(end, base, axis=d)
-            end = lo if top is None else lo_w * lo + hi_w * np.take(end, top, axis=d)
+            end = lo_w * np.take(end, base, axis=d) + hi_w * np.take(end, top, axis=d)
         return (end - nodal[self.box]).reshape(-1, nodal.shape[-1]) @ self.xi
 
     def cell_sum(self, u, eps: float) -> float:
@@ -474,28 +466,23 @@ def pairwise_energy(
     Discretizes
     ``eps^-(n+1) * int int arctan((((u(x')-u(x)).(x'-x))^2 / eps^3)
     * exp(-|x'-x|^2/eps^2) dx dx'``
-    by summing over lattice offsets with cutoff ``|x'-x| <= 6 eps``, the
-    truncation radius of the default direction rule.
-    Agrees with the direction-averaged form up to quadrature error (the
-    change of variables xi = (x'-x)/eps maps one onto the other).
+    over the pairs of cell centers ``x' - x = k h`` with integer ``k != 0``
+    and cutoff ``|x'-x| <= 6 eps``, the truncation radius of the default
+    direction rule.  The change of variables ``xi = (x'-x)/eps`` makes this
+    the direction-averaged energy on the lattice rule: nodes ``k h/eps``
+    with weights ``(h/eps)^n exp(-|xi|^2)``, a Riemann sum of the Gaussian
+    measure where ``averaged_energy`` usually takes the product Gauss rule.
+    Each pair is formed as ``x + eps xi``, as in every other direction.
     """
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)
-    dim = g.dim
-    vals = u.values if isinstance(u, SampledField) else eval_nudged(u, g.centers, g.h / 7.0)
-
-    cutoff = 6.0 * eps
-    max_cells = int(np.floor(cutoff / g.h))
-    total = 0.0
-    for k in np.ndindex(*(2 * max_cells + 1,) * dim):
-        kk = np.asarray(k, dtype=int) - max_cells
-        delta = kk * g.h
-        if not np.any(kk) or np.dot(delta, delta) > cutoff**2:
-            continue
-        pairs = _Shift(g, domain, delta, offset=kk)
-        s = pairs.slopes(vals)[pairs.keep]
-        total += float(np.exp(-np.dot(delta, delta) / eps**2) * np.sum(np.arctan(s**2 / eps**3)))
-    return g.cell_volume**2 / eps ** (dim + 1) * total
+    cells = int(np.floor(6.0 * eps / g.h))
+    k = np.indices((2 * cells + 1,) * g.dim).reshape(g.dim, -1).T - cells
+    delta = k * g.h
+    xi = delta[np.any(k, axis=1) & (np.sum(delta * delta, axis=1) <= (6.0 * eps) ** 2)] / eps
+    weights = (g.h / eps) ** g.dim * np.exp(-np.sum(xi * xi, axis=1))
+    lattice = DirectionRule(g.dim, xi, weights, truncation_radius=6.0, radial_order=0, angular_order=0)
+    return float(averaged_energy(u, domain, eps, lattice, grid=g).total)
 
 
 def family_energy(

@@ -98,8 +98,8 @@ class SweepSpec:
             raise ValueError("eps_list must be strictly decreasing")
         if not np.isfinite(self.p):
             raise ValueError(f"p must be finite, got {self.p}")
-        if self.h_over < 4:
-            raise ValueError("the grid must resolve eps: need h_over >= 4")
+        if not (np.isfinite(self.h_over) and self.h_over >= 4):
+            raise ValueError(f"the grid must resolve eps: need a finite h_over >= 4, got {self.h_over}")
 
 
 @dataclass
@@ -302,28 +302,6 @@ def _translation_discrepancy(
     return float(grid.cell_volume * np.sum(lhs))
 
 
-def _weighted_direction_sum(
-    u: AnalyticField,
-    region: BoxDomain,
-    eps: float,
-    rule: DirectionRule,
-    grid: Grid,
-    radius_cap: float,
-) -> float:
-    """Gaussian-weighted node sum of directional energies over |xi| <= cap.
-
-    Both sides of the multi-step inequality use the same restricted node
-    set and weights, so any positive weighting preserves the comparison.
-    """
-    total = 0.0
-    for i in range(rule.n_nodes):
-        xi = rule.nodes[i]
-        if float(np.linalg.norm(xi)) > radius_cap:
-            continue
-        total += rule.weights[i] * directional_energy(u, region, eps, xi, grid=grid)
-    return total
-
-
 def audit_inequalities(
     seed: int = 0,
     n_fields: int = 10,
@@ -431,18 +409,27 @@ def audit_inequalities(
                 )
 
     # --- multi-step monotonicity ---
+    # Gaussian-weighted sums over the nodes with |xi| <= cap: both sides use
+    # the same nodes and weights, so any positive weighting preserves the
+    # comparison, and no node leaves a difference body (half-widths >= 4)
     radius_cap = 2.0
+    capped: dict[int, DirectionRule] = {}
+    for dim in sorted(set(dims)):
+        rule = build_direction_rule(dim, radial_order=6, angular_order=16)
+        near = [float(np.linalg.norm(xi)) <= radius_cap for xi in rule.nodes]
+        capped[dim] = DirectionRule(
+            dim, rule.nodes[near], rule.weights[near], radius_cap, rule.radial_order, rule.angular_order
+        )
     for fid, (dim, u) in enumerate(zip(dims, fields)):
         box = BoxDomain(np.zeros(dim), np.ones(dim))
         E = BoxDomain(np.full(dim, 0.3), np.full(dim, 0.7))
         eps = 0.01 if dim == 1 else 0.02
         grid = Grid(box, eps / 8.0 if dim == 1 else eps / 4.0)
-        rule = build_direction_rule(dim, radial_order=6, angular_order=16)
-        rhs = _weighted_direction_sum(u, box, eps, rule, grid, radius_cap)
+        rhs = averaged_energy(u, box, eps, capped[dim], grid=grid).total
         for m in (2, 3, 5):
             # every shifted copy of E must stay inside the box
             assert m * eps * radius_cap < 0.3
-            lhs = _weighted_direction_sum(u, E, m * eps, rule, grid, radius_cap)
+            lhs = averaged_energy(u, E, m * eps, capped[dim], grid=grid).total
             checks.append(
                 AuditCheck(
                     name="m-step-monotonicity",

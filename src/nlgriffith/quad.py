@@ -232,8 +232,8 @@ def build_direction_rule(
         raise ValueError("dimension must be 1, 2, or 3")
     if radial_order < 2 or angular_order < 2:
         raise ValueError("orders must be at least 2")
-    if r_max < 3:
-        raise ValueError("truncation radius must be at least 3")
+    if not (np.isfinite(r_max) and r_max >= 3):
+        raise ValueError(f"truncation radius must be finite and at least 3, got {r_max}")
 
     n_radial = max(radial_order + 12, 20)
     if dimension == 1:
@@ -263,14 +263,15 @@ def build_direction_rule(
 
 def _verify_rule(rule: DirectionRule) -> None:
     norm = np.pi ** (rule.dimension / 2.0)
-    if abs(rule.total_weight - norm) > _NORMALIZATION_RTOL * norm:
+    # written to fail closed: a nan weight or moment fails every check
+    if not abs(rule.total_weight - norm) <= _NORMALIZATION_RTOL * norm:
         raise RuleQualityError(
             f"total weight {rule.total_weight} misses the Gaussian normalization {norm}"
         )
     for alpha in _monomials(rule.dimension, rule.radial_order):
         approx = float(np.sum(rule.weights * np.prod(rule.nodes**alpha, axis=1)))
         exact = _truncated_tensor_moment(rule.dimension, alpha, rule.truncation_radius)
-        if abs(approx - exact) > _MOMENT_RTOL * (1.0 + abs(exact)):
+        if not abs(approx - exact) <= _MOMENT_RTOL * (1.0 + abs(exact)):
             raise RuleQualityError(
                 f"moment xi^{alpha} = {approx} misses the oracle value {exact}"
             )

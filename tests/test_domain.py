@@ -279,6 +279,29 @@ def test_geometry_refuses_non_finite_values(name, build, bad):
         build(bad)
 
 
+def _jump_config(**overrides):
+    return {"kind": "plane_jump", "normal": [1.0], "offset": 0.5, "value_minus": [0.0], "value_plus": [10.0], **overrides}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        pytest.param("affine matrix", lambda x: {"kind": "affine", "matrix": [[x]], "offset": [0.0]}, id="affine matrix"),
+        pytest.param("affine offset", lambda x: {"kind": "affine", "matrix": [[1.0]], "offset": [x]}, id="affine offset"),
+        pytest.param("jump normal", lambda x: _jump_config(normal=[x]), id="jump normal"),
+        pytest.param("jump offset", lambda x: _jump_config(offset=x), id="jump offset"),
+        pytest.param("jump value_minus", lambda x: _jump_config(value_minus=[x]), id="jump value_minus"),
+        pytest.param("jump value_plus", lambda x: _jump_config(value_plus=[x]), id="jump value_plus"),
+    ],
+)
+def test_field_document_refuses_non_finite_values(name, config, bad):
+    # a nan jump offset used to drop the jump silently (a 1D jump of 10 had
+    # averaged energy 0.0), and a nan normal passed the unit-norm test
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        field_from_config(config(bad))
+
+
 # ---------------------------------------------------------------------------
 # config round trip
 # ---------------------------------------------------------------------------

@@ -302,6 +302,54 @@ def test_pairwise_matches_averaged_2d(rule2):
     assert b == pytest.approx(a, rel=0.03)
 
 
+def _pairwise_oracle(u, domain, eps, grid):
+    """The double-integral cell sum over every ordered pair of distinct cell
+    centers inside the domain, O(N^2): ``x' - x = k h`` for the index
+    difference ``k``, cutoff ``|k h| <= 6 eps``, the field evaluated at the
+    centers."""
+    inside = domain.contains(grid.centers)
+    idx = np.indices(grid.shape).reshape(grid.dim, -1).T[inside]
+    vals = u.eval_many(grid.centers[inside])
+    total = 0.0
+    for i in range(idx.shape[0]):  # one center at a time keeps memory O(N)
+        delta = (idx - idx[i]) * grid.h
+        r2 = np.sum(delta * delta, axis=1)
+        pair = (r2 > 0.0) & (r2 <= (6.0 * eps) ** 2)
+        s = np.sum((vals[pair] - vals[i]) * delta[pair], axis=1)
+        total += np.sum(np.exp(-r2[pair] / eps**2) * np.arctan(s * s / eps**3))
+    return grid.cell_volume**2 / eps ** (grid.dim + 1) * total
+
+
+A_TILT = np.array([[1.0, 0.7], [-0.2, 0.5]])
+TILTED_JUMP = PlaneJump(np.array([0.6, 0.8]), 0.51, np.zeros(2), np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize(
+    "f, dom, eps, h",
+    [
+        pytest.param(Affine(np.array([[1.5]]), np.array([0.3])), interval(), 0.05, 0.01, id="1d-affine"),
+        pytest.param(jump_1d(10.0), interval(), 0.05, 0.01, id="1d-jump"),
+        pytest.param(Affine(A_TILT, np.zeros(2)), square(), 0.18, 1 / 24, id="2d-affine"),
+        pytest.param(SumField((Affine(A_TILT, np.zeros(2)), TILTED_JUMP)), square(), 0.18, 1 / 24, id="2d-jump"),
+        # the slit runs through a row of cell centers, which drop out of the
+        # pairs; power-of-two h and eps make each shifted center x + eps xi
+        # land exactly on its partner center, so the partners on it drop too
+        pytest.param(
+            SumField((Affine(A_TILT, np.zeros(2)), TILTED_JUMP)),
+            BoxDomain(np.zeros(2), np.ones(2), (PlaneSegment(np.array([15.5 / 32, 0.0]), np.array([15.5 / 32, 0.5])),)),
+            0.125,
+            1 / 32,
+            id="2d-slit",
+        ),
+    ],
+)
+def test_pairwise_energy_matches_brute_force_pair_sum(f, dom, eps, h):
+    # no cell center lies on a jump plane, so the oracle's plain evaluation
+    # at the centers is the closed-form difference up to roundoff
+    g = Grid(dom, h)
+    assert pairwise_energy(f, dom, eps, grid=g) == pytest.approx(_pairwise_oracle(f, dom, eps, g), rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # ball families and the supremum functional
 # ---------------------------------------------------------------------------

@@ -3,18 +3,20 @@ import filecmp
 import numpy as np
 import pytest
 
-from nlgriffith.energy import BallStrategy, GridCapabilityError
+from nlgriffith.energy import BallStrategy, GridCapabilityError, averaged_energy, directional_energy
 from nlgriffith.harness import (
     ExtrapolationResult,
     SweepSpec,
     audit_inequalities,
     griffith_target,
+    random_field,
+    random_section,
     richardson,
     run_sweep,
     write_csv,
 )
-from nlgriffith.domain import load_problem
-from nlgriffith.quad import build_direction_rule
+from nlgriffith.domain import Affine, BoxDomain, Grid, load_problem
+from nlgriffith.quad import DirectionRule, build_direction_rule
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -122,6 +124,8 @@ def test_sweep_spec_validation():
         ({"eps_list": [0.1, 0.0]}, "eps"),
         ({"eps_list": [0.04, 0.02], "p": np.nan}, "p must be finite"),
         ({"eps_list": [0.04, 0.02], "p": np.inf}, "p must be finite"),
+        ({"eps_list": [0.04, 0.02], "h_over": np.nan}, "h_over >= 4, got nan"),
+        ({"eps_list": [0.04, 0.02], "h_over": np.inf}, "h_over >= 4, got inf"),
     ],
 )
 def test_sweep_spec_rejects_bad_values(kwargs, match):
@@ -136,19 +140,50 @@ def test_relative_error_normalization():
 
 def test_multi_step_inequality_on_smooth_field():
     # jump-free case of the multi-step comparison, checked directly
-    from nlgriffith.domain import Affine, BoxDomain, Grid
-    from nlgriffith.harness import _weighted_direction_sum
-
     u = Affine(np.array([[1.5]]), np.zeros(1))
     box = BoxDomain(np.zeros(1), np.ones(1))
     E = BoxDomain(np.array([0.3]), np.array([0.7]))
     eps = 0.01
     grid = Grid(box, eps / 8)
-    rule = build_direction_rule(1, radial_order=6)
-    rhs = _weighted_direction_sum(u, box, eps, rule, grid, radius_cap=2.0)
+    full = build_direction_rule(1, radial_order=6)
+    near = [float(np.linalg.norm(xi)) <= 2.0 for xi in full.nodes]  # the audit's capped rule
+    rule = DirectionRule(1, full.nodes[near], full.weights[near], 2.0, full.radial_order, full.angular_order)
+    rhs = averaged_energy(u, box, eps, rule, grid=grid).total
     for m in (2, 3, 5):
-        lhs = _weighted_direction_sum(u, E, m * eps, rule, grid, radius_cap=2.0)
+        lhs = averaged_energy(u, E, m * eps, rule, grid=grid).total
         assert lhs <= rhs * 1.01
+
+
+def test_multi_step_rows_equal_per_node_directional_loop():
+    # the audit's Gaussian-weighted sums over |xi| <= 2, bit for bit against
+    # a plain loop of directional energies over the capped nodes in order
+    def node_loop(u, region, eps, rule, grid):
+        total = 0.0
+        for i in range(rule.n_nodes):
+            xi = rule.nodes[i]
+            if float(np.linalg.norm(xi)) > 2.0:
+                continue
+            total += rule.weights[i] * directional_energy(u, region, eps, xi, grid=grid)
+        return total
+
+    rows = [c for c in audit_inequalities(seed=0, n_fields=10).checks if c.name == "m-step-monotonicity"]
+    assert len(rows) == 30
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        random_section(rng)
+    dims = [1] * 8 + [2, 2]
+    fields = [random_field(rng, d) for d in dims]
+    rules = {d: build_direction_rule(d, radial_order=6, angular_order=16) for d in (1, 2)}
+    for row in rows:
+        fid = int(row.field_id.split("-")[1])
+        dim, u = dims[fid], fields[fid]
+        m = int(row.params.split(" m=")[1])
+        eps = 0.01 if dim == 1 else 0.02
+        box = BoxDomain(np.zeros(dim), np.ones(dim))
+        E = BoxDomain(np.full(dim, 0.3), np.full(dim, 0.7))
+        grid = Grid(box, eps / 8.0 if dim == 1 else eps / 4.0)
+        assert row.rhs == node_loop(u, box, eps, rules[dim], grid), row.params
+        assert row.lhs == node_loop(u, E, m * eps, rules[dim], grid), row.params
 
 
 def test_sweep_monotonicity_diagnostic():

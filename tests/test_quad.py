@@ -153,6 +153,23 @@ def test_quality_error_on_tampered_rule(rule1):
         _verify_rule(bad)
 
 
+def test_quality_check_fails_closed_on_nan(rule1):
+    from nlgriffith.quad import _verify_rule
+
+    weights = rule1.weights.copy()
+    weights[0] = np.nan
+    with pytest.raises(RuleQualityError):
+        _verify_rule(dataclasses.replace(rule1, weights=weights))
+
+
+@pytest.mark.parametrize("r_max", [np.nan, np.inf])
+def test_rule_refuses_non_finite_truncation_radius(r_max):
+    # a nan r_max used to build a rule with a nan outer panel, which the
+    # quality check passed; in 1D the averaged energy of u = x came out wrong
+    with pytest.raises(ValueError, match=f"finite and at least 3, got {r_max}"):
+        build_direction_rule(1, r_max=r_max)
+
+
 # ---------------------------------------------------------------------------
 # integrate
 # ---------------------------------------------------------------------------

@@ -68,17 +68,6 @@ def cases(draw):
         lo = np.array([_lattice(draw, m, 0, m // 2) for _ in range(dim)])
         region = BoxDomain(lo, lo + 0.5)
 
-    if draw(st.booleans()):
-        # integer cell offsets, as pairwise_energy pairs cells
-        offset = np.array(draw(st.lists(st.integers(-m // 2, m // 2), min_size=dim, max_size=dim)))
-        if not offset.any():
-            offset[0] = 1
-        partners = []
-        for a, k in zip(grid.axes, offset):
-            j = np.arange(a.size) + k  # partners off the grid are nan, outside every region
-            partners.append(np.where((j >= 0) & (j < a.size), a[j.clip(0, a.size - 1)], np.nan))
-        return grid, region, _Shift(grid, region, offset * h, offset=offset), partners
-
     eps = draw(st.one_of(st.sampled_from([4.0, 8.0]), st.floats(4.0, 8.0))) * h
     # generic directions, or whole multiples of h/2 per axis so that shifted
     # points land on the lattice
