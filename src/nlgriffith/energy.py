@@ -22,9 +22,10 @@ quotient, the affine part's plus the jump of each plane a pair crosses,
 so the field itself is only evaluated at pairs that touch a plane.  The
 descent kernel of ``nlgriffith.minimize`` assembles the same pairs into
 one sparse operator on the nodal values, straight from the region's
-membership test and the grid's interpolation weights; the energies here
-keep the matrix-free stencil, whose pair counts at sweep sizes would make
-that operator too large to hold.
+membership test (at the same roundoff-snapped partners) and the grid's
+interpolation weights; the energies here keep the matrix-free stencil,
+whose pair counts at sweep sizes would make that operator too large to
+hold.
 
 On top of these sits one ball-family functional, ``family_energy``:
 ``sum_B (sum_j w_j F_dir(u, B, xi_j)^p)^(1/p)`` over a finite family of
@@ -255,6 +256,19 @@ def _fold(terms) -> np.ndarray:
     return total
 
 
+def _snap_to_axis(axis: np.ndarray, h: float, x: np.ndarray, step: float) -> np.ndarray:
+    """``x = axis + step`` with each coordinate within roundoff of a grid
+    coordinate moved onto it, so that a shifted center landing on a center
+    (a lattice step ``k h``) is tested for membership at that center."""
+    tol = 8 * np.finfo(float).eps * (max(abs(float(axis[0])), abs(float(axis[-1]))) + abs(step))
+    # the axis is uniform up to roundoff, so a step far from every multiple
+    # of h moves no coordinate near a grid coordinate
+    if abs(step - h * round(step / h)) > 2 * tol:
+        return x
+    near = axis[np.clip(np.rint((x - axis[0]) / h), 0, axis.size - 1).astype(np.int64)]
+    return np.where(np.abs(x - near) <= tol, near, x)
+
+
 def _range_box_inside(region: Region, coords) -> np.ndarray | bool:
     """``region.contains`` on the product of the per-axis ``coords`` of a
     range box, same float ops, shaped like the box.
@@ -284,20 +298,25 @@ class _Shift:
     range per axis, the range box; ``keep`` selects the interacting pairs
     in it (a residual mask for balls and precrack slits).  Both are built
     from the per-axis coordinates, like the closed-form slopes, so no
-    point mesh is formed.  The shifted endpoint is multilinear in the
+    point mesh is formed; a shifted coordinate within roundoff of a grid
+    coordinate is tested there, so a partner that lands on a center has
+    its membership.  The shifted endpoint is multilinear in the
     nodal values, with one row of cells and weights per axis.
     """
 
     def __init__(self, grid: Grid, region: Region, xi: np.ndarray, eps: float):
         self.grid, self.xi = grid, xi
-        box, self.centers, self.moved, self.rows = [], [], [], []
+        box, self.centers, self.moved, self.rows, probes = [], [], [], [], []
         for d, axis in enumerate(grid.axes):
-            partner = axis + eps * xi[d]
-            hits = np.flatnonzero(_axis_inside(region, d, axis) & _axis_inside(region, d, partner))
+            step = eps * xi[d]
+            partner = axis + step
+            probe = _snap_to_axis(axis, grid.h, partner, float(step))
+            hits = np.flatnonzero(_axis_inside(region, d, axis) & _axis_inside(region, d, probe))
             sl = slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
             box.append(sl)
             self.centers.append(axis[sl])
             self.moved.append(partner[sl])
+            probes.append(probe[sl])
             base, top, frac = _interp_row(axis, grid.h, partner[sl])
             col = (-1,) + (1,) * (grid.dim - d)  # broadcasts along axis d
             self.rows.append((base, top, (1.0 - frac).reshape(col), frac.reshape(col)))
@@ -305,7 +324,7 @@ class _Shift:
         self.shape = tuple(c.size for c in self.centers)
         self.keep = slice(None)
         if isinstance(region, Ball) or region.precrack:
-            ends = (_range_box_inside(region, coords) for coords in (self.centers, self.moved))
+            ends = (_range_box_inside(region, coords) for coords in (self.centers, probes))
             self.keep = np.logical_and(*ends).reshape(-1)
 
     @staticmethod
@@ -472,7 +491,8 @@ def pairwise_energy(
     the direction-averaged energy on the lattice rule: nodes ``k h/eps``
     with weights ``(h/eps)^n exp(-|xi|^2)``, a Riemann sum of the Gaussian
     measure where ``averaged_energy`` usually takes the product Gauss rule.
-    Each pair is formed as ``x + eps xi``, as in every other direction.
+    Each pair is formed as ``x + eps xi``, as in every other direction,
+    and its partner is tested for membership at the center it lands on.
     """
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)

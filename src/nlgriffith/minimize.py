@@ -38,7 +38,7 @@ import numpy as np
 from scipy import sparse
 
 from .domain import Affine, AnalyticField, BoxDomain, Grid, SampledField, sample
-from .energy import check_resolution
+from .energy import _snap_to_axis, check_resolution
 from .quad import DirectionRule, build_direction_rule
 
 __all__ = [
@@ -179,11 +179,13 @@ class DescentKernel:
 
     ``D`` has one CSR row per interacting pair ``(x, x + eps xi)``: a cell
     center ``x`` and its shift along a rule node ``xi``, both inside the
-    region, ordered by node and then by cell.  A row holds ``-xi`` at the
-    center cell and ``xi`` times the multilinear interpolation weights of
-    the shifted endpoint at its 2^n corner cells (``Grid.interp_weights``),
-    so the slopes ``(v(x + eps xi) - v(x)).xi`` of nodal values ``v`` (flat,
-    C order) are ``s = D @ v``.  ``W`` holds each row's ``w_i h^n / eps``
+    region (the shift tested where the energies' stencils test it, on a
+    grid coordinate within roundoff), ordered by node and then by cell.
+    A row holds ``-xi`` at the center cell and ``xi`` times the
+    multilinear interpolation weights of the shifted endpoint at its 2^n
+    corner cells (``Grid.interp_weights``), so the slopes ``(v(x + eps xi)
+    - v(x)).xi`` of nodal values ``v`` (flat, C order) are ``s = D @ v``.
+    ``W`` holds each row's ``w_i h^n / eps``
     for its rule weight ``w_i``.  Then ``E = W . arctan(s^2/eps)`` and the
     gradient is ``D^T (W phi'(s))`` with ``phi'(s) = (2 s/eps) / (1 +
     s^4/eps^2)``.  The sums run in a fixed order, so runs with identical
@@ -197,7 +199,12 @@ class DescentKernel:
         self.eps = eps
         dim = grid.dim
         moved = grid.centers + eps * rule.nodes[:, None, :]
-        inside = region.contains(moved.reshape(-1, dim)).reshape(moved.shape[:2])
+        probe = moved.copy()
+        for n, xi in enumerate(rule.nodes):
+            for d, axis in enumerate(grid.axes):
+                probe[n, :, d] = _snap_to_axis(axis, grid.h, moved[n, :, d], float(eps * xi[d]))
+        inside = region.contains(probe.reshape(-1, dim)).reshape(moved.shape[:2])
+        del probe
         node, cell = np.nonzero(region.contains(grid.centers) & inside)
         corners, weights = grid.interp_weights(moved[node, cell])
         cells = np.column_stack([cell, corners])

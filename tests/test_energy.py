@@ -322,6 +322,11 @@ def _pairwise_oracle(u, domain, eps, grid):
 
 A_TILT = np.array([[1.0, 0.7], [-0.2, 0.5]])
 TILTED_JUMP = PlaneJump(np.array([0.6, 0.8]), 0.51, np.zeros(2), np.array([1.0, -2.0]))
+SLIT_FIELD = Affine(np.array([[1.0, 0.3], [0.3, 0.5]]), np.zeros(2))
+# a precrack slit through the row of cell centers at x = 15.5/32 when h = 1/32
+SLIT_ON_CENTERS = BoxDomain(
+    np.zeros(2), np.ones(2), (PlaneSegment(np.array([15.5 / 32, 0.0]), np.array([15.5 / 32, 0.5])),)
+)
 
 
 @pytest.mark.parametrize(
@@ -331,16 +336,11 @@ TILTED_JUMP = PlaneJump(np.array([0.6, 0.8]), 0.51, np.zeros(2), np.array([1.0, 
         pytest.param(jump_1d(10.0), interval(), 0.05, 0.01, id="1d-jump"),
         pytest.param(Affine(A_TILT, np.zeros(2)), square(), 0.18, 1 / 24, id="2d-affine"),
         pytest.param(SumField((Affine(A_TILT, np.zeros(2)), TILTED_JUMP)), square(), 0.18, 1 / 24, id="2d-jump"),
-        # the slit runs through a row of cell centers, which drop out of the
-        # pairs; power-of-two h and eps make each shifted center x + eps xi
-        # land exactly on its partner center, so the partners on it drop too
-        pytest.param(
-            SumField((Affine(A_TILT, np.zeros(2)), TILTED_JUMP)),
-            BoxDomain(np.zeros(2), np.ones(2), (PlaneSegment(np.array([15.5 / 32, 0.0]), np.array([15.5 / 32, 0.5])),)),
-            0.125,
-            1 / 32,
-            id="2d-slit",
-        ),
+        # the centers on the slit drop out of the pairs, as centers and as
+        # partners; at eps 0.15 a shifted center x + eps xi misses its
+        # partner center by roundoff, at eps 0.125 it lands exactly
+        pytest.param(SumField((Affine(A_TILT, np.zeros(2)), TILTED_JUMP)), SLIT_ON_CENTERS, 0.125, 1 / 32, id="2d-slit"),
+        pytest.param(SLIT_FIELD, SLIT_ON_CENTERS, 0.15, 1 / 32, id="2d-slit-eps0.15"),
     ],
 )
 def test_pairwise_energy_matches_brute_force_pair_sum(f, dom, eps, h):

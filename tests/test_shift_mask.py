@@ -10,9 +10,17 @@ from nlgriffith.energy import _Shift
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None)
 
 
+def _on_centers(axis, partner):
+    """Partner coordinates within 1e-13 of a center moved onto it: a shifted
+    center that lands on another center has that center's membership."""
+    near = axis[np.argmin(np.abs(partner[:, None] - axis[None, :]), axis=1)]
+    return np.where(np.abs(partner - near) <= 1e-13, near, partner)
+
+
 def _mesh_mask(grid, region, partners):
     """Pairs with both endpoints in the region over the whole grid, from
     ``region.contains`` on full point meshes of the centers and partners."""
+    partners = [_on_centers(a, p) for a, p in zip(grid.axes, partners)]
     inside = region.contains(_mesh(grid.axes)) & region.contains(_mesh(partners))
     return inside.reshape(grid.shape)
 
@@ -86,3 +94,16 @@ def cases(draw):
 def test_keep_equals_mesh_membership(case):
     grid, region, pairs, partners = case
     np.testing.assert_array_equal(_stencil_mask(pairs), _mesh_mask(grid, region, partners))
+
+
+def test_keep_drops_partners_landing_on_a_slit_through_centers():
+    # with h = 1/12 a shifted center x + eps xi misses its partner center one
+    # cell to the right by roundoff; the partners on the slit still drop out
+    grid = Grid(BoxDomain(np.zeros(2), np.ones(2)), 1 / 12)
+    slit = PlaneSegment(np.array([4.5 / 12, 0.0]), np.array([4.5 / 12, 0.5]))
+    region = BoxDomain(np.zeros(2), np.ones(2), (slit,))
+    eps = 5 * grid.h
+    pairs = _Shift(grid, region, np.array([grid.h / eps, 0.0]), eps)
+    right = [np.append(grid.axes[0][1:], 1.0 + grid.h / 2), grid.axes[1]]  # the lattice partners
+    assert not np.array_equal(grid.axes[0] + eps * (grid.h / eps), right[0])
+    np.testing.assert_array_equal(_stencil_mask(pairs), _mesh_mask(grid, region, right))
