@@ -168,11 +168,18 @@ def _cmd_minimize(args) -> int:
     return 0
 
 
+def _pop_out_path(doc: dict):
+    """Pop the spec's output path, keyed ``out`` (the CLI name) or ``out_path``."""
+    if "out" in doc and "out_path" in doc:
+        raise ValueError("the spec gives both 'out' and 'out_path'; give one")
+    return doc.pop("out", doc.pop("out_path", None))
+
+
 def _cmd_gamma_study(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     # spec keys are SweepSpec fields, so an unknown key raises a TypeError naming it
-    strategy, out_path = doc.pop("strategy", None), doc.pop("out", None)
+    strategy, out_path = doc.pop("strategy", None), _pop_out_path(doc)
     spec = SweepSpec(
         **doc,
         strategy=BallStrategy.parse(strategy) if strategy else None,
@@ -190,7 +197,7 @@ def _cmd_gamma_study(args) -> int:
 def _cmd_audit(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    out_path = doc.pop("out", None)
+    out_path = _pop_out_path(doc)
     report = audit_inequalities(**doc, out_path=out_path)
     by_name: dict[str, list] = {}
     for c in report.checks:

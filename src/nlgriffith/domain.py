@@ -253,14 +253,7 @@ class Grid:
         linear fields are reproduced exactly on the whole box.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.zeros((pts.shape[0], 1), dtype=np.int64)
-        wts = np.ones((pts.shape[0], 1))
-        # corner bit d selects the upper cell along axis d
-        for d, n in enumerate(self.shape):
-            base, top, frac = _interp_row(self.axes[d], self.h, pts[:, d])
-            idx = np.concatenate([idx * n + base[:, None], idx * n + top[:, None]], axis=1)
-            wts = np.concatenate([wts * (1.0 - frac)[:, None], wts * frac[:, None]], axis=1)
-        return idx, wts
+        return _corner_product(self.shape, [_interp_row(a, self.h, x) for a, x in zip(self.axes, pts.T)])
 
 
 def _mesh(coords) -> np.ndarray:
@@ -274,6 +267,19 @@ def _interp_row(axis: np.ndarray, h: float, x: np.ndarray):
     g = (x - axis[0]) / h if axis.size > 1 else np.zeros_like(x)
     base = np.clip(np.floor(g).astype(np.int64), 0, max(axis.size - 2, 0))
     return base, np.minimum(base + 1, axis.size - 1), g - base
+
+
+def _corner_product(shape, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Flat cell indices and weights, shape ``(m, 2**dim)``, of the corner
+    cells of m points on a grid of ``shape``, from one ``(base, top, frac)``
+    row of ``_interp_row`` per axis."""
+    idx = np.zeros((rows[0][0].size, 1), dtype=np.int64)
+    wts = np.ones((rows[0][0].size, 1))
+    # corner bit d selects the upper cell along axis d
+    for n, (base, top, frac) in zip(shape, rows):
+        idx = np.concatenate([idx * n + base[:, None], idx * n + top[:, None]], axis=1)
+        wts = np.concatenate([wts * (1.0 - frac)[:, None], wts * frac[:, None]], axis=1)
+    return idx, wts
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,11 @@ the ball or slit mask within it is a broadcast sum of per-axis terms.
 A closed-form field enters it through its exact difference
 quotient, the affine part's plus the jump of each plane a pair crosses,
 so the field itself is only evaluated at pairs that touch a plane.  The
-descent kernel of ``nlgriffith.minimize`` assembles the same pairs into
-one sparse operator on the nodal values, straight from the region's
-membership test (at the same roundoff-snapped partners) and the grid's
-interpolation weights; the energies here keep the matrix-free stencil,
-whose pair counts at sweep sizes would make that operator too large to
-hold.
+descent kernel of ``nlgriffith.minimize`` assembles one sparse operator
+on the nodal values from the stencils' kept pairs and interpolation rows
+(``_Shift.pairs``), so the stencil alone decides which pairs interact;
+the energies here keep the matrix-free stencil, whose pair counts at
+sweep sizes would make that operator too large to hold.
 
 On top of these sits one ball-family functional, ``family_energy``:
 ``sum_B (sum_j w_j F_dir(u, B, xi_j)^p)^(1/p)`` over a finite family of
@@ -226,8 +225,6 @@ class EnergyReport:
     total: float
     eps: float
     p: float
-    grid_h: float
-    rule_meta: dict
     per_direction: dict[int, float] | None = None
     per_ball: dict[int, float] | None = None
     family: BallFamily | None = None
@@ -259,7 +256,8 @@ def _fold(terms) -> np.ndarray:
 def _snap_to_axis(axis: np.ndarray, h: float, x: np.ndarray, step: float) -> np.ndarray:
     """``x = axis + step`` with each coordinate within roundoff of a grid
     coordinate moved onto it, so that a shifted center landing on a center
-    (a lattice step ``k h``) is tested for membership at that center."""
+    (a lattice step ``k h``) is tested for membership at that center; only
+    ``_Shift`` calls it, for the energies and the descent kernel alike."""
     tol = 8 * np.finfo(float).eps * (max(abs(float(axis[0])), abs(float(axis[-1]))) + abs(step))
     # the axis is uniform up to roundoff, so a step far from every multiple
     # of h moves no coordinate near a grid coordinate
@@ -326,6 +324,13 @@ class _Shift:
         if isinstance(region, Ball) or region.precrack:
             ends = (_range_box_inside(region, coords) for coords in (self.centers, probes))
             self.keep = np.logical_and(*ends).reshape(-1)
+
+    def pairs(self) -> tuple[np.ndarray, list]:
+        """The kept pairs in C order: each center's flat grid index, and its
+        partner's ``(base, top, frac)`` interpolation row per axis."""
+        at = [i[self.keep] for i in np.indices(self.shape).reshape(self.grid.dim, -1)]
+        centers = np.ravel_multi_index([sl.start + i for sl, i in zip(self.box, at)], self.grid.shape)
+        return centers, [(base[i], top[i], hi.reshape(-1)[i]) for (base, top, _, hi), i in zip(self.rows, at)]
 
     @staticmethod
     def _axes_dot(coords, v) -> np.ndarray:
@@ -417,6 +422,8 @@ def directional_energy(
     within roundoff of a plane evaluate the field, nudged off it by h/7.
     """
     xi = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(xi)):
+        raise ValueError(f"xi must be finite, got {xi}")
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)
     return _Shift(g, region, xi, eps).cell_sum(u, eps)
@@ -468,8 +475,6 @@ def averaged_energy(
         total=_lp_norm(rule.weights[nodes], values, 1.0),
         eps=eps,
         p=1.0,
-        grid_h=g.h,
-        rule_meta=rule.meta,
         per_direction=dict(zip(nodes.tolist(), values)),
     )
 
@@ -565,8 +570,6 @@ def ball_supremum_energy(
         total=total,
         eps=eps,
         p=p,
-        grid_h=g.h,
-        rule_meta=rule.meta,
         per_ball=per_ball,
         family=families[best],
     )

@@ -14,7 +14,7 @@ fixed order, so reruns are bit-identical.
 
 Every energy and gradient evaluation runs on one ``DescentKernel``: a
 sparse matrix with one row per interacting pair, assembled once from the
-region's membership test and the grid's interpolation weights, so an
+pairs and interpolation rows of the energies' shift stencils, so an
 evaluation is two sparse products and a few vector operations.  One
 kernel is built per eps level, and the last one, at the problem's eps,
 also prices the candidates.
@@ -37,8 +37,8 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .domain import Affine, AnalyticField, BoxDomain, Grid, SampledField, sample
-from .energy import _snap_to_axis, check_resolution
+from .domain import Affine, AnalyticField, BoxDomain, Grid, SampledField, _corner_product, sample
+from .energy import _Shift, check_resolution
 from .quad import DirectionRule, build_direction_rule
 
 __all__ = [
@@ -107,12 +107,8 @@ class DirichletProblem:
         outer = BoxDomain(np.array([-pad]), np.array([1.0 + pad]))
         inner = BoxDomain(np.array([0.0]), np.array([1.0]))
         grid = Grid(outer, h)
-        datum = _ramp(load)
+        datum = Affine(np.array([[load]]), np.array([0.0]))
         return cls(outer=outer, inner=inner, datum=datum, eps=eps, grid=grid)
-
-
-def _ramp(load: float) -> AnalyticField:
-    return Affine(np.array([[load]]), np.array([0.0]))
 
 
 @dataclass
@@ -177,19 +173,18 @@ class DescentKernel:
     """The discrete direction-averaged energy of one (grid, region, eps,
     rule) as one sparse operator, assembled once per kernel.
 
-    ``D`` has one CSR row per interacting pair ``(x, x + eps xi)``: a cell
-    center ``x`` and its shift along a rule node ``xi``, both inside the
-    region (the shift tested where the energies' stencils test it, on a
-    grid coordinate within roundoff), ordered by node and then by cell.
-    A row holds ``-xi`` at the center cell and ``xi`` times the
-    multilinear interpolation weights of the shifted endpoint at its 2^n
-    corner cells (``Grid.interp_weights``), so the slopes ``(v(x + eps xi)
-    - v(x)).xi`` of nodal values ``v`` (flat, C order) are ``s = D @ v``.
-    ``W`` holds each row's ``w_i h^n / eps``
-    for its rule weight ``w_i``.  Then ``E = W . arctan(s^2/eps)`` and the
-    gradient is ``D^T (W phi'(s))`` with ``phi'(s) = (2 s/eps) / (1 +
-    s^4/eps^2)``.  The sums run in a fixed order, so runs with identical
-    inputs are bit-reproducible.
+    ``D`` has one CSR row per interacting pair ``(x, x + eps xi)`` of the
+    energies' shift stencil for each rule node ``xi``, ordered by node and
+    then by cell; the stencil decides which pairs interact.  A row holds
+    ``-xi`` at the center cell and ``xi`` times the multilinear
+    interpolation weights of the shifted endpoint at its 2^n corner cells,
+    from the stencil's per-axis interpolation rows, so the slopes
+    ``(v(x + eps xi) - v(x)).xi`` of nodal values ``v`` (flat, C order) are
+    ``s = D @ v``.  ``W`` holds each row's ``w_i h^n / eps`` for its rule
+    weight ``w_i``.  Then ``E = W . arctan(s^2/eps)`` and the gradient is
+    ``D^T (W phi'(s))`` with ``phi'(s) = (2 s/eps) / (1 + s^4/eps^2)``.
+    The sums run in a fixed order, so runs with identical inputs are
+    bit-reproducible.
     """
 
     def __init__(self, grid: Grid, region: BoxDomain, eps: float, rule: DirectionRule):
@@ -198,15 +193,13 @@ class DescentKernel:
             raise ValueError("rule dimension mismatch")
         self.eps = eps
         dim = grid.dim
-        moved = grid.centers + eps * rule.nodes[:, None, :]
-        probe = moved.copy()
-        for n, xi in enumerate(rule.nodes):
-            for d, axis in enumerate(grid.axes):
-                probe[n, :, d] = _snap_to_axis(axis, grid.h, moved[n, :, d], float(eps * xi[d]))
-        inside = region.contains(probe.reshape(-1, dim)).reshape(moved.shape[:2])
-        del probe
-        node, cell = np.nonzero(region.contains(grid.centers) & inside)
-        corners, weights = grid.interp_weights(moved[node, cell])
+        cell, rows = zip(*(_Shift(grid, region, xi, eps).pairs() for xi in rule.nodes))
+        node = np.repeat(np.arange(rule.n_nodes), [c.size for c in cell])
+        cell = np.concatenate(cell)
+        # per axis, each of base, top and frac joined over the nodes
+        joined = [tuple(map(np.concatenate, zip(*axis))) for axis in zip(*rows)]
+        corners, weights = _corner_product(grid.shape, joined)
+        del rows, joined  # not held through the assembly below
         cells = np.column_stack([cell, corners])
         weights = np.column_stack([np.full(node.size, -1.0), weights])
         # column c * dim + k is component k of cell c

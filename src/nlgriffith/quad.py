@@ -71,14 +71,16 @@ class DirectionRule:
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 2 or nodes.shape[1] != self.dimension:
-            raise ValueError("nodes must have shape (m, dimension)")
+        if nodes.ndim != 2 or nodes.shape[0] < 1 or nodes.shape[1] != self.dimension:
+            raise ValueError("nodes must have shape (m, dimension) with m >= 1")
         if weights.shape != (nodes.shape[0],):
             raise ValueError("weights must match the node count")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        radii = np.linalg.norm(nodes, axis=1)
-        if np.any(radii > self.truncation_radius + 1e-12):
+        # written to fail closed: a nan node, weight or radius fails its check
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("nodes must be finite")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError("weights must be finite and positive")
+        if not np.all(np.linalg.norm(nodes, axis=1) <= self.truncation_radius + 1e-12):
             raise ValueError("all nodes must lie within the truncation radius")
 
     @property
@@ -88,17 +90,6 @@ class DirectionRule:
     @property
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
-
-    @property
-    def meta(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "radial_order": self.radial_order,
-            "angular_order": self.angular_order,
-            "r_max": self.truncation_radius,
-            "n_nodes": self.n_nodes,
-            "partitions": 1,
-        }
 
 
 # ---------------------------------------------------------------------------

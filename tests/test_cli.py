@@ -172,6 +172,35 @@ def test_gamma_study_refuses_unknown_key(tmp_path, field_json):
     assert not out.exists()
 
 
+def _spec_doc(command, field_json):
+    if command == "audit":
+        return {"seed": 1, "n_fields": 3}
+    with open(field_json) as fh:
+        return {"field_config": json.load(fh), "eps_list": [0.04, 0.02], "h_over": 8}
+
+
+@pytest.mark.parametrize("command", ["gamma-study", "audit"])
+def test_spec_accepts_library_out_path(tmp_path, field_json, command):
+    # spec keys are the library's fields, and the library calls it out_path
+    out = tmp_path / "out.csv"
+    doc = _spec_doc(command, field_json)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**doc, "out_path": str(out)}))
+    assert main([command, "--spec", str(spec)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["gamma-study", "audit"])
+def test_spec_refuses_both_out_keys(tmp_path, field_json, command):
+    out = tmp_path / "out.csv"
+    doc = _spec_doc(command, field_json)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**doc, "out": str(out), "out_path": str(out)}))
+    with pytest.raises(ValueError, match="'out' and 'out_path'"):
+        main([command, "--spec", str(spec)])
+    assert not out.exists()
+
+
 def test_density_table_subcommand(tmp_path):
     out = tmp_path / "dens.csv"
     rc = main(["density-table", "--dim", "1", "--p-list", "1.0", "--out", str(out)])

@@ -101,6 +101,13 @@ def test_directional_energy_rejects_bad_eps():
             directional_energy(jump_1d(), dom, eps, np.array([1.0]), grid=g)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_directional_energy_refuses_non_finite_xi(bad):
+    dom = interval()
+    with pytest.raises(ValueError, match="xi must be finite"):
+        directional_energy(jump_1d(), dom, 0.04, np.array([bad]), grid=Grid(dom, 0.01))
+
+
 def test_resolution_contract_enforced():
     dom = interval()
     g = Grid(dom, 0.05)

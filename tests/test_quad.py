@@ -6,6 +6,7 @@ from scipy.special import erf
 
 from nlgriffith.domain import BoxDomain
 from nlgriffith.quad import (
+    DirectionRule,
     NodeEvaluationError,
     RuleQualityError,
     build_direction_rule,
@@ -139,7 +140,7 @@ def test_sphere_rule_total_weights():
 
 
 def test_quality_error_on_tampered_rule(rule1):
-    from nlgriffith.quad import DirectionRule, _verify_rule
+    from nlgriffith.quad import _verify_rule
 
     bad = DirectionRule(
         rule1.dimension,
@@ -158,8 +159,39 @@ def test_quality_check_fails_closed_on_nan(rule1):
 
     weights = rule1.weights.copy()
     weights[0] = np.nan
+    # the constructor refuses a nan weight, so set it past the constructor
+    bad = dataclasses.replace(rule1)
+    object.__setattr__(bad, "weights", weights)
     with pytest.raises(RuleQualityError):
-        _verify_rule(dataclasses.replace(rule1, weights=weights))
+        _verify_rule(bad)
+
+
+@pytest.mark.parametrize(
+    "part, value, message",
+    [
+        ("weights", np.nan, "weights must be finite and positive"),
+        ("weights", np.inf, "weights must be finite and positive"),
+        ("nodes", np.nan, "nodes must be finite"),
+        ("nodes", np.inf, "nodes must be finite"),
+        ("truncation_radius", np.nan, "within the truncation radius"),
+    ],
+)
+def test_rule_refuses_non_finite_parts(rule1, part, value, message):
+    # nan fails every comparison, so checks written as "refuse if bad"
+    # used to let nan nodes and weights through to a nan energy
+    if part == "truncation_radius":
+        changed = value
+    else:
+        changed = getattr(rule1, part).copy()
+        changed[0] = value
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(rule1, **{part: changed})
+
+
+def test_rule_refuses_no_nodes():
+    # an empty rule used to give every energy 0.0, and an empty descent operator
+    with pytest.raises(ValueError, match=r"m >= 1"):
+        DirectionRule(1, np.zeros((0, 1)), np.zeros(0), 6.0, 0, 0)
 
 
 @pytest.mark.parametrize("r_max", [np.nan, np.inf])

@@ -1,11 +1,16 @@
-"""Property test: the shift stencil's pair mask against point-mesh membership."""
+"""Property tests: the shift stencil's pair mask against point-mesh
+membership, and the descent operator built from the stencils against
+per-point assembly."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from nlgriffith.domain import Ball, BoxDomain, Grid, PlaneSegment, _mesh
-from nlgriffith.energy import _Shift
+from nlgriffith.energy import _Shift, _snap_to_axis
+from nlgriffith.minimize import DescentKernel
+from nlgriffith.quad import DirectionRule
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -49,7 +54,7 @@ def _slit(draw, dim, m):
 
 
 @st.composite
-def cases(draw):
+def geometries(draw):
     dim = draw(st.integers(1, 3))
     # power-of-two cell counts make every lattice coordinate, difference and
     # square exact, so that squared distances tie with r^2 exactly; 12 and 6
@@ -77,14 +82,22 @@ def cases(draw):
         region = BoxDomain(lo, lo + 0.5)
 
     eps = draw(st.one_of(st.sampled_from([4.0, 8.0]), st.floats(4.0, 8.0))) * h
-    # generic directions, or whole multiples of h/2 per axis so that shifted
-    # points land on the lattice
-    xi = np.array(
-        [
-            draw(st.one_of(st.floats(-1.5, 1.5), st.integers(-6, 6).map(lambda k: k * h / (2 * eps))))
-            for _ in range(dim)
-        ]
+    return grid, region, eps
+
+
+def _direction(draw, grid, eps):
+    """A generic direction, or whole multiples of h/2 per axis so that
+    shifted points land on the lattice."""
+    half = grid.h / (2 * eps)
+    return np.array(
+        [draw(st.one_of(st.floats(-1.5, 1.5), st.integers(-6, 6).map(lambda k: k * half))) for _ in range(grid.dim)]
     )
+
+
+@st.composite
+def cases(draw):
+    grid, region, eps = draw(geometries())
+    xi = _direction(draw, grid, eps)
     partners = [a + eps * x for a, x in zip(grid.axes, xi)]
     return grid, region, _Shift(grid, region, xi, eps), partners
 
@@ -107,3 +120,69 @@ def test_keep_drops_partners_landing_on_a_slit_through_centers():
     right = [np.append(grid.axes[0][1:], 1.0 + grid.h / 2), grid.axes[1]]  # the lattice partners
     assert not np.array_equal(grid.axes[0] + eps * (grid.h / eps), right[0])
     np.testing.assert_array_equal(_stencil_mask(pairs), _mesh_mask(grid, region, right))
+
+
+def _assembled(grid, region, eps, rule):
+    """``D`` and ``W`` of the descent operator assembled point by point:
+    ``region.contains`` at the full-mesh centers and at their partners
+    snapped onto grid coordinates within roundoff, and
+    ``Grid.interp_weights`` at the unsnapped partners."""
+    dim = grid.dim
+    moved = grid.centers + eps * rule.nodes[:, None, :]
+    probe = moved.copy()
+    for n, xi in enumerate(rule.nodes):
+        for d, axis in enumerate(grid.axes):
+            probe[n, :, d] = _snap_to_axis(axis, grid.h, moved[n, :, d], float(eps * xi[d]))
+    inside = region.contains(probe.reshape(-1, dim)).reshape(moved.shape[:2])
+    node, cell = np.nonzero(region.contains(grid.centers) & inside)
+    corners, weights = grid.interp_weights(moved[node, cell])
+    cells = np.column_stack([cell, corners])
+    weights = np.column_stack([np.full(node.size, -1.0), weights])
+    cols = (cells[:, :, None] * dim + np.arange(dim)).reshape(-1)
+    vals = (weights[:, :, None] * rule.nodes[node, None, :]).reshape(-1)
+    D = sparse.csr_matrix(
+        (vals, cols, np.arange(0, cols.size + 1, cells.shape[1] * dim)),
+        shape=(node.size, grid.n_cells * dim),
+    )
+    D.sum_duplicates()
+    D.eliminate_zeros()
+    return D, (grid.cell_volume / eps * rule.weights)[node]
+
+
+@st.composite
+def operator_cases(draw):
+    grid, region, eps = draw(geometries())
+    count = draw(st.integers(1, 4))
+    nodes = np.array([_direction(draw, grid, eps) for _ in range(count)])
+    weights = draw(st.lists(st.floats(0.1, 2.0), min_size=count, max_size=count))
+    # every drawn component is at most 1.5, so |xi| <= 1.5 sqrt(3) < 3
+    return grid, region, eps, DirectionRule(grid.dim, nodes, weights, 3.0, 0, 0)
+
+
+def _assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
+
+
+def _slit_through_centers():
+    """The h = 1/12 slit of the test above, where a lattice step misses its
+    partner center by roundoff, with that step and a generic direction."""
+    grid = Grid(BoxDomain(np.zeros(2), np.ones(2)), 1 / 12)
+    slit = PlaneSegment(np.array([4.5 / 12, 0.0]), np.array([4.5 / 12, 0.5]))
+    eps = 5 * grid.h
+    nodes = np.array([[grid.h / eps, 0.0], [0.3, -0.7]])
+    rule = DirectionRule(2, nodes, np.array([1.0, 0.5]), 3.0, 0, 0)
+    return grid, BoxDomain(np.zeros(2), np.ones(2), (slit,)), eps, rule
+
+
+@PROFILE
+@given(operator_cases())
+@example(_slit_through_centers())
+def test_descent_operator_equals_per_point_assembly(case):
+    grid, region, eps, rule = case
+    kernel = DescentKernel(grid, region, eps, rule)
+    D, W = _assembled(grid, region, eps, rule)
+    assert kernel.D.shape == D.shape
+    for name in ("indptr", "indices", "data"):
+        _assert_same_bits(getattr(kernel.D, name), getattr(D, name))
+    _assert_same_bits(kernel.W, W)
