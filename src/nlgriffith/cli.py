@@ -34,12 +34,7 @@ from .harness import SweepSpec, audit_inequalities, run_sweep, write_csv
 from .limits import CONVENTIONS, bulk_density, surface_constant
 from .minimize import DirichletProblem, MinimizeOptions, minimize_dirichlet
 from .quad import build_direction_rule, build_sphere_rule
-from .slicing import (
-    averaged_jump_measure,
-    ball_sup_slice_measure,
-    directional_slice_measure,
-    family_slice_measure,
-)
+from .slicing import _family_norms, _slice_measures, averaged_jump_measure, family_slice_measure
 
 __all__ = ["main"]
 
@@ -85,23 +80,26 @@ def _cmd_p1_explore(args) -> int:
     sphere = build_sphere_rule(domain.dim, args.angular)
     strategy = BallStrategy.parse(args.strategy)
     families = ball_candidates(domain, strategy)
-    # report the finest family; the family-supremum search is separate
+    # report the finest family, whose slice measures also enter the
+    # family-supremum search (ball_sup_slice_measure's, without recomputing)
     family = families[-1]
-    _, mu_hat_ball = family_slice_measure(field_, family, args.p, sphere)
+    measures = _slice_measures(field_, family, sphere[0])
+    finest, mu_hat_ball = _family_norms(measures, sphere[1], args.p)
     rows = []
     for bi, ball in enumerate(family.balls):
         i_u1 = averaged_jump_measure(field_, ball, sphere)
-        for xi_index, xi in enumerate(sphere[0]):
+        for xi_index, mu_xi in enumerate(measures[bi]):
             rows.append(
                 {
                     "ball_index": bi,
                     "xi_index": xi_index,
-                    "mu_xi": directional_slice_measure(field_, xi, ball),
+                    "mu_xi": mu_xi,
                     "mu_hat_p_ball": mu_hat_ball[bi],
                     "i_u1": i_u1,
                 }
             )
-    mu_hat, _ = ball_sup_slice_measure(field_, domain, args.p, sphere, strategy)
+    coarser = [family_slice_measure(field_, f, args.p, sphere)[0] for f in families[:-1]]
+    mu_hat = max(coarser + [finest])
     write_csv(args.out, rows)
     print(f"{len(rows)} rows ({args.out}); family supremum lower bound {float(mu_hat)!r}")
     return 0

@@ -374,9 +374,12 @@ class _Shift:
                 s[cells] = (moved - centers) @ self.xi
             return s
         nodal = (u.values if isinstance(u, SampledField) else u).reshape(self.grid.shape + (-1,))
-        end = nodal
-        for d, (base, top, lo_w, hi_w) in enumerate(self.rows):
-            end = lo_w * np.take(end, base, axis=d) + hi_w * np.take(end, top, axis=d)
+        # each axis pass reads only the partner columns of the later axes;
+        # the rows' cells are nondecreasing, so those span base[0]..top[-1]
+        cols = [slice(base[0], top[-1] + 1) if base.size else slice(0, 0) for base, top, _, _ in self.rows]
+        end = nodal[tuple(cols)]
+        for d, ((base, top, lo_w, hi_w), sl) in enumerate(zip(self.rows, cols)):
+            end = lo_w * np.take(end, base - sl.start, axis=d) + hi_w * np.take(end, top - sl.start, axis=d)
         return (end - nodal[self.box]).reshape(-1, nodal.shape[-1]) @ self.xi
 
     def cell_sum(self, u, eps: float) -> float:

@@ -13,13 +13,13 @@ requested radial order must agree with the closed-form oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma, gammainc
 
 __all__ = [
     "DirectionRule",
@@ -97,15 +97,47 @@ class DirectionRule:
 # ---------------------------------------------------------------------------
 
 
+def _gamma(x: float) -> float:
+    """Gamma function: the exact product ``(n-1)!`` or
+    ``sqrt(pi) * prod_j (j + 1/2)`` at positive integers and
+    half-integers, ``math.gamma`` elsewhere."""
+    x = float(x)
+    if x > 0 and (2.0 * x).is_integer():
+        if x.is_integer():
+            return float(math.factorial(int(x) - 1))
+        out = math.sqrt(math.pi)
+        for j in range(int(x)):
+            out *= j + 0.5
+        return out
+    return math.gamma(x)
+
+
+def _gammainc(s: float, x: float) -> float:
+    """Regularized lower incomplete gamma ``P(s, x)`` at an integer or
+    half-integer ``s > 0`` and ``x > 0``.
+
+    The complement starts from ``Q(1, x) = exp(-x)`` or
+    ``Q(1/2, x) = erfc(sqrt(x))`` and climbs by
+    ``Q(j + 1, x) = Q(j, x) + x^j exp(-x) / Gamma(j + 1)``.  Every term is
+    positive, so ``1 - Q`` is accurate unless ``Q`` is close to 1, which
+    the rules' truncation radii (``x = r_max^2 >= 9``) keep away from.
+    """
+    j, q = (1.0, math.exp(-x)) if float(s).is_integer() else (0.5, math.erfc(math.sqrt(x)))
+    while j < s:
+        q += math.exp(j * math.log(x) - x - math.lgamma(j + 1.0))
+        j += 1.0
+    return 1.0 - q
+
+
 def _sphere_surface(n: int) -> float:
-    return 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
+    return 2.0 * np.pi ** (n / 2.0) / _gamma(n / 2.0)
 
 
 def _gauss_1d_moment(m: int) -> float:
     # int t^m exp(-t^2) dt over R
     if m % 2 == 1:
         return 0.0
-    return float(gamma((m + 1) / 2.0))
+    return _gamma((m + 1) / 2.0)
 
 
 def gaussian_moment(dimension: int, exponent) -> float:
@@ -120,7 +152,7 @@ def gaussian_moment(dimension: int, exponent) -> float:
         k = float(exponent)
         if k < 0:
             raise ValueError("radial exponent must be nonnegative")
-        return _sphere_surface(dimension) * float(gamma((k + dimension) / 2.0)) / 2.0
+        return _sphere_surface(dimension) * _gamma((k + dimension) / 2.0) / 2.0
     alpha = tuple(int(a) for a in exponent)
     if len(alpha) != dimension:
         raise ValueError("tensor exponent must have one entry per dimension")
@@ -142,7 +174,7 @@ def _truncated_tensor_moment(dimension: int, alpha, r_max: float) -> float:
     if full == 0.0:
         return 0.0
     s = (sum(alpha) + dimension) / 2.0
-    return full * float(gammainc(s, r_max**2))
+    return full * _gammainc(s, r_max**2)
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,16 @@ continuous part, strictly larger jumps are counted once each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _quad
-from scipy.special import gamma
+from numpy.polynomial.legendre import leggauss
 
 from .domain import AnalyticField, BoxDomain, PlaneJump
 from .energy import BallFamily, BallStrategy, Region, _lp_norm, ball_candidates
 from .limits import plane_area_in_box
+from .quad import _gamma
 
 __all__ = [
     "Section1D",
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 HALF_PI = np.pi / 2.0
+_SQRT2 = math.sqrt(2.0)
+_GL_NODES, _GL_WEIGHTS = leggauss(8)
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +216,57 @@ def section(
 # ---------------------------------------------------------------------------
 
 
+def _check_interval(a: float, b: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"interval ({a}, {b}) must be finite")
+    if b < a:
+        raise ValueError(f"interval ({a}, {b}) is reversed")
+
+
+def _arctan_sq_antiderivative(y: float, eps: float) -> float:
+    """``F(y) = int_0^y arctan(s^2/eps) ds``.
+
+    By parts, ``F(y) = y arctan(y^2/eps) - 2 eps int_0^y s^2/(s^4 + eps^2) ds``,
+    and in ``x = y/sqrt(eps)`` the last integral is one log plus two
+    arctans, joined into one ``atan2`` so that F stays continuous.
+    """
+    c = math.sqrt(eps)
+    x = y / c
+    rest = 0.5 * math.log1p(-2.0 * _SQRT2 * x / (x * x + _SQRT2 * x + 1.0))
+    rest += math.atan2(_SQRT2 * x, 1.0 - x * x)
+    return y * math.atan(y * y / eps) - c / _SQRT2 * rest
+
+
+def _sloped_piece_integral(g: float, beta: float, length: float, eps: float) -> float:
+    """``int arctan(y(t)^2/eps) dt`` over a piece of the given length on
+    which ``y`` is affine with slope ``beta != 0`` and midpoint value ``g``.
+
+    The antiderivative difference over ``beta`` is exact; where ``y``
+    barely moves against its size that difference cancels, and an 8-node
+    Gauss-Legendre sum, exact to roundoff there, is used instead.
+    """
+    y0, y1 = g - 0.5 * beta * length, g + 0.5 * beta * length
+    dy = y1 - y0
+    if abs(dy) <= 1e-2 * max(abs(y0), abs(y1), math.sqrt(eps)):
+        y = g + 0.5 * dy * _GL_NODES
+        return 0.5 * length * float(_GL_WEIGHTS @ np.arctan(y * y / eps))
+    return (_arctan_sq_antiderivative(y1, eps) - _arctan_sq_antiderivative(y0, eps)) / beta
+
+
 def nonlocal_energy_1d(v: Section1D, A: tuple[float, float], eps: float) -> float:
     """1D finite-difference energy
     ``(1/eps) * int_A arctan((v(t + eps) - v(t))^2 / eps) dt`` on the
     interval ``A = (a, b)``.
 
     The difference ``v(t+eps)-v(t)`` is affine between the breakpoints
-    of v and their eps-shifts, so constant pieces integrate in closed
-    form and the rest by adaptive quadrature.
+    of v and their eps-shifts, so every piece integrates in closed form
+    (no adaptive quadrature): a constant difference directly, a sloped one
+    through the antiderivative of ``arctan(y^2/eps)``.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     a, b = float(A[0]), float(A[1])
+    _check_interval(a, b)
     lo, hi = v.domain
     if a < lo - 1e-12 or b > hi - eps + 1e-12:
         raise ValueError(
@@ -247,21 +289,16 @@ def nonlocal_energy_1d(v: Section1D, A: tuple[float, float], eps: float) -> floa
         if beta == 0.0:
             total += (s1 - s0) * float(np.arctan(g_m * g_m / eps))
         else:
-            val, _ = _quad(
-                lambda t: np.arctan((g_m + beta * (t - tm)) ** 2 / eps),
-                s0,
-                s1,
-                epsabs=1e-13,
-                epsrel=1e-11,
-                limit=200,
-            )
-            total += val
+            total += _sloped_piece_integral(g_m, beta, s1 - s0, eps)
     return total / eps
 
 
 def mumford_shah_1d(v: Section1D, interval: tuple[float, float], gamma: float) -> float:
     """``gamma * int |v'|^2 + #(jumps)`` on the interval, in closed form."""
     a, b = float(interval[0]), float(interval[1])
+    _check_interval(a, b)
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     grad2 = 0.0
     for i in range(v.slopes.size):
         seg = max(0.0, min(b, v.knots[i + 1]) - max(a, v.knots[i]))
@@ -355,7 +392,7 @@ def slice_measure(sec: Section1D, span: tuple[float, float] | None = None) -> Sl
 
 def _unit_ball_volume(k: int) -> float:
     """Lebesgue measure of the unit ball of R^k (1 for k = 0)."""
-    return float(np.pi ** (k / 2.0) / gamma(k / 2.0 + 1.0))
+    return float(np.pi ** (k / 2.0) / _gamma(k / 2.0 + 1.0))
 
 
 def _volume(region: Region) -> float:
@@ -436,6 +473,19 @@ def averaged_jump_measure(
     return float(np.asarray(weights, dtype=float) @ _jump_term(u, nodes, region))
 
 
+def _slice_measures(u: AnalyticField, family: BallFamily, nodes: np.ndarray) -> list[list[float]]:
+    """``directional_slice_measure`` of every ball (rows) and direction (columns)."""
+    return [[directional_slice_measure(u, xi, ball) for xi in nodes] for ball in family.balls]
+
+
+def _family_norms(measures: list[list[float]], weights, p: float) -> tuple[float, dict[int, float]]:
+    """``(total, per_ball)`` of per-ball L^p sphere norms of ``_slice_measures`` rows."""
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and at least 1, got {p}")
+    per_ball = {bi: _lp_norm(weights, mus, p) for bi, mus in enumerate(measures)}
+    return sum(per_ball.values()), per_ball
+
+
 def family_slice_measure(
     u: AnalyticField,
     family: BallFamily,
@@ -449,14 +499,8 @@ def family_slice_measure(
     ``per_ball[i] = (sum_j w_j mu_(xi_j)(B_i)^p)^(1/p)``, the slice-measure
     counterpart of ``family_energy``.
     """
-    if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"p must be finite and at least 1, got {p}")
     nodes, weights = sphere_rule
-    per_ball: dict[int, float] = {}
-    for bi, ball in enumerate(family.balls):
-        mus = [directional_slice_measure(u, xi, ball) for xi in nodes]
-        per_ball[bi] = _lp_norm(weights, mus, p)
-    return sum(per_ball.values()), per_ball
+    return _family_norms(_slice_measures(u, family, nodes), weights, p)
 
 
 def ball_sup_slice_measure(

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nlgriffith import slicing
 from nlgriffith.cli import main
 from nlgriffith.domain import load_problem
 from nlgriffith.energy import BallStrategy, ball_candidates
@@ -243,6 +244,24 @@ def test_p1_explore_reports_family_slice_measure(tmp_path, field2d_json):
     _, per_ball = family_slice_measure(field_, family, 2.0, build_sphere_rule(2, 8))
     for r in read_rows(out):
         assert r["mu_hat_p_ball"] == repr(float(per_ball[int(r["ball_index"])]))
+
+
+def test_p1_explore_computes_each_slice_measure_once(tmp_path, field2d_json, monkeypatch):
+    # the finest family's measures used to be computed three times: for
+    # mu_xi, for mu_hat_p_ball and in the family-supremum search
+    calls = []
+    real = slicing.directional_slice_measure
+
+    def counting(u, xi, region):
+        calls.append(region)
+        return real(u, xi, region)
+
+    monkeypatch.setattr(slicing, "directional_slice_measure", counting)
+    argv = ["p1-explore", "--field", field2d_json, "--strategy", "dyadic:2", "--angular", "8"]
+    assert main(argv + ["--out", str(tmp_path / "p1.csv")]) == 0
+    domain, _, _ = load_problem(field2d_json)
+    families = ball_candidates(domain, BallStrategy.parse("dyadic:2"))
+    assert len(calls) == 8 * sum(len(family.balls) for family in families)
 
 
 def test_p1_explore_refuses_nan_p(tmp_path, field2d_json):

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.special import erf
 
+from nlgriffith import quad
 from nlgriffith.domain import BoxDomain
 from nlgriffith.quad import (
     DirectionRule,
@@ -67,6 +69,53 @@ def test_tensor_moment_factorizes():
 def test_radial_moment_fractional_exponent():
     # dimension 1, k=1: int |xi| exp(-xi^2) = 1
     assert gaussian_moment(1, 1) == pytest.approx(1.0, rel=1e-14)
+
+
+# the truncation radii and the largest radial order of the rules this
+# package and its tests build
+R_MAX_IN_USE = (3.0, 5.0, 6.0, 8.0)
+MAX_RADIAL_ORDER = 14
+
+
+def _verify_arguments():
+    """Every ``(s, x)`` at which ``_verify_rule`` evaluates the incomplete
+    gamma in dimensions 1-3: a tensor moment is nonzero only when every
+    exponent is even, so ``s = (|alpha| + n)/2`` with ``|alpha|`` even, and
+    ``x = r_max^2``."""
+    return sorted(
+        {((m + n) / 2.0, r * r) for n in (1, 2, 3) for m in range(0, MAX_RADIAL_ORDER + 1, 2) for r in R_MAX_IN_USE}
+    )
+
+
+def test_verify_arguments_cover_the_default_rules(monkeypatch):
+    reached = set()
+
+    def recording(s, x):
+        reached.add((s, x))
+        return special.gammainc(s, x)
+
+    monkeypatch.setattr(quad, "_gammainc", recording)
+    for dim in (1, 2, 3):
+        build_direction_rule(dim)
+    assert reached and reached <= set(_verify_arguments())
+
+
+def test_gamma_matches_scipy():
+    # integers and half-integers take the exact product, the rest math.gamma
+    for s in sorted({s for s, _ in _verify_arguments()} | {0.3, 2.7, 4.1}):
+        assert quad._gamma(s) == pytest.approx(special.gamma(s), rel=4e-16, abs=0.0)
+
+
+def test_gamma_is_scipys_at_the_slice_measure_arguments():
+    # ball volumes and plane areas of 1-3 dimensional balls and the sphere
+    # surfaces equal scipy's to the last bit, so slice measures do not move
+    for s in (0.5, 1.0, 1.5, 2.0, 2.5):
+        assert quad._gamma(s) == special.gamma(s)
+
+
+@pytest.mark.parametrize("s, x", _verify_arguments())
+def test_gammainc_matches_scipy(s, x):
+    assert quad._gammainc(s, x) == pytest.approx(special.gammainc(s, x), rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Property tests: the shift stencil's pair mask against point-mesh
-membership, and the descent operator built from the stencils against
-per-point assembly."""
+membership, the descent operator built from the stencils against
+per-point assembly, and the sampled slopes against a full-width pass."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -186,3 +187,37 @@ def test_descent_operator_equals_per_point_assembly(case):
     for name in ("indptr", "indices", "data"):
         _assert_same_bits(getattr(kernel.D, name), getattr(D, name))
     _assert_same_bits(kernel.W, W)
+
+
+def _full_width_slopes(pairs, values):
+    """The sampled slopes with every axis pass over all grid columns."""
+    nodal = values.reshape(pairs.grid.shape + (-1,))
+    end = nodal
+    for d, (base, top, lo_w, hi_w) in enumerate(pairs.rows):
+        end = lo_w * np.take(end, base, axis=d) + hi_w * np.take(end, top, axis=d)
+    return (end - nodal[pairs.box]).reshape(-1, nodal.shape[-1]) @ pairs.xi
+
+
+def _regions(dim):
+    box = BoxDomain(np.zeros(dim), np.ones(dim))
+    lower, upper = np.full(dim, 0.2), np.full(dim, 0.6)
+    lower[0] = upper[0] = 0.45
+    return {
+        "box": box,
+        "ball": Ball(np.full(dim, 0.55), 0.3),
+        "slit": BoxDomain(np.zeros(dim), np.ones(dim), (PlaneSegment(lower, upper),)),
+        "small-ball": Ball(np.full(dim, 0.5), 0.08),  # range boxes of a cell or two, or empty
+    }
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["box", "ball", "slit", "small-ball"])
+def test_sampled_slopes_equal_the_full_width_pass(dim, kind):
+    grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), 1 / 20 if dim == 2 else 1 / 10)
+    region = _regions(dim)[kind]
+    rng = np.random.default_rng(dim)
+    values = rng.normal(size=(grid.n_cells, dim))
+    eps = 0.2
+    for xi in (rng.uniform(-1.5, 1.5, size=dim), np.eye(dim)[-1] * grid.h / eps, -np.ones(dim)):
+        pairs = _Shift(grid, region, xi, eps)
+        _assert_same_bits(pairs.slopes(values), _full_width_slopes(pairs, values))

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from nlgriffith.domain import Affine, Ball, BoxDomain, PlaneJump, SumField
 from nlgriffith.energy import BallFamily, BallStrategy, ball_candidates
@@ -19,6 +22,7 @@ from nlgriffith.slicing import (
     section,
     slice_measure,
 )
+from nlgriffith.slicing import _sloped_piece_integral
 
 HALF_PI = np.pi / 2
 
@@ -174,6 +178,57 @@ def test_energy_1d_mixed_slope_pieces_match_quadrature():
     assert val == pytest.approx(oracle, rel=1e-6)
 
 
+@st.composite
+def sloped_pieces(draw):
+    """A piece of length 1e-4..1 on which the difference runs with slope
+    |beta| in 1e-8..1e3 around a midpoint value anywhere, near zero, or
+    such that the piece crosses zero."""
+    eps = draw(st.floats(1e-3, 0.1))
+    beta = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-8.0, 3.0))
+    length = 10.0 ** draw(st.floats(-4.0, 0.0))
+    u = draw(st.floats(-1.0, 1.0))
+    where = draw(st.sampled_from(["anywhere", "near-zero", "crossing"]))
+    g = {"anywhere": 10.0 * u, "near-zero": u * np.sqrt(eps), "crossing": 0.5 * u * beta * length}[where]
+    return g, beta, length, eps
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sloped_pieces())
+@example((2.0, 1e-3, 1.0, 0.01))  # |dy| = 1e-3 <= 1e-2 |y|: the Gauss-Legendre sum
+@example((0.0, 1e-3, 1.0, 0.01))  # |dy| = 1e-3 <= 1e-2 sqrt(eps), around zero
+@example((0.3, 0.05, 1.0, 0.01))  # |dy| = 0.05 just above 1e-2 * 3.3: the closed form
+@example((0.0, -1e3, 1.0, 1e-3))  # a steep piece through zero
+def test_sloped_piece_closed_form_matches_adaptive_quadrature(piece):
+    g, beta, length, eps = piece
+    zero = 0.5 * length - g / beta  # where the difference crosses zero
+    ref, _ = quad(
+        lambda t: np.arctan((g + beta * (t - 0.5 * length)) ** 2 / eps),
+        0.0,
+        length,
+        points=[zero] if 0.0 < zero < length else None,
+        epsabs=1e-13,
+        epsrel=1e-11,
+        limit=200,
+    )
+    assert abs(_sloped_piece_integral(g, beta, length, eps) - ref) <= 1e-13 + 1e-11 * abs(ref)
+
+
+def _two_pieces():
+    return Section1D.piecewise([0.0, 0.5, 1.0], [0.0, 1.0], [1.0, 1.0])
+
+
+def test_energy_1d_refuses_non_finite_interval():
+    # used to return nan
+    with pytest.raises(ValueError, match=r"interval \(nan, 0.5\) must be finite"):
+        nonlocal_energy_1d(_two_pieces(), (np.nan, 0.5), 0.1)
+
+
+def test_energy_1d_refuses_reversed_interval():
+    # used to raise "t=0.5 sits exactly on a jump"
+    with pytest.raises(ValueError, match=r"interval \(0.6, 0.2\) is reversed"):
+        nonlocal_energy_1d(_two_pieces(), (0.6, 0.2), 0.1)
+
+
 # ---------------------------------------------------------------------------
 # Mumford-Shah and the grid projection
 # ---------------------------------------------------------------------------
@@ -187,6 +242,18 @@ def test_ms_1d_affine():
 def test_ms_1d_counts_jumps():
     v = Section1D.piecewise([0.0, 0.3, 0.7, 1.0], [0.0, 1.0, 3.0], [0.0, 0.0, 0.0])
     assert mumford_shah_1d(v, (0.0, 1.0), 1.0) == 2.0
+
+
+def test_ms_1d_refuses_non_finite_gamma():
+    # used to return nan
+    with pytest.raises(ValueError, match="gamma must be finite, got nan"):
+        mumford_shah_1d(_two_pieces(), (0.0, 1.0), np.nan)
+
+
+def test_ms_1d_refuses_reversed_interval():
+    # used to return 0.0
+    with pytest.raises(ValueError, match=r"interval \(0.7, 0.2\) is reversed"):
+        mumford_shah_1d(_two_pieces(), (0.7, 0.2), 1.0)
 
 
 def test_upper_bound_energy_vs_ms():
