@@ -342,6 +342,19 @@ class Affine(AnalyticField):
         return self.matrix, self.offset
 
 
+def _dot_rows(points: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``points @ v`` row by row, the terms added left to right.
+
+    Elementwise, so a row's value does not depend on the other rows of
+    the batch; a matrix-vector product may round a row differently with
+    the number of rows.
+    """
+    total = 0
+    for d, w in enumerate(v):
+        total = total + points[:, d] * w
+    return total
+
+
 @dataclass(frozen=True)
 class PlaneJump(AnalyticField):
     """Piecewise-constant field jumping across the hyperplane ``x·normal = offset``.
@@ -378,7 +391,7 @@ class PlaneJump(AnalyticField):
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        side = pts @ self.normal - self.offset
+        side = _dot_rows(pts, self.normal) - self.offset
         if np.any(side == 0.0):
             raise HyperplaneEvalError(self.normal, self.offset)
         return np.where((side > 0)[:, None], self.value_plus, self.value_minus)
@@ -480,14 +493,15 @@ def eval_nudged(field_: AnalyticField, points: np.ndarray, nudge: float) -> np.n
     Query points that land exactly on a jump hyperplane are moved by
     ``nudge`` along the offending normal (repeatedly if several planes
     are hit), so the result never depends on a side convention.  Only
-    exact hits move, so each point's value is independent of the batch.
+    exact hits move, and whether a point hits a plane does not depend on
+    the other points of the batch (``_dot_rows``).
     """
     pts = np.array(points, dtype=float, ndmin=2)
     for _ in range(7):
         try:
             return field_.eval_many(pts)
         except HyperplaneEvalError as err:
-            hit = pts @ err.normal - err.offset == 0.0
+            hit = _dot_rows(pts, err.normal) - err.offset == 0.0
             pts[hit] += nudge * err.normal
     return field_.eval_many(pts)
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .domain import Affine, AnalyticField, BoxDomain, Grid, SampledField, _corner_product, sample
 from .energy import _Shift, check_resolution
@@ -188,12 +187,15 @@ class DescentKernel:
     """
 
     def __init__(self, grid: Grid, region: BoxDomain, eps: float, rule: DirectionRule):
+        # imported here, its only use, so that importing the library loads no scipy
+        from scipy import sparse
+
         check_resolution(grid.h, eps)
         if rule.dimension != grid.dim:
             raise ValueError("rule dimension mismatch")
         self.eps = eps
         dim = grid.dim
-        cell, rows = zip(*(_Shift(grid, region, xi, eps).pairs() for xi in rule.nodes))
+        cell, rows = zip(*(stencil.pairs() for stencil in _Shift.each(grid, region, rule.nodes, eps)))
         node = np.repeat(np.arange(rule.n_nodes), [c.size for c in cell])
         cell = np.concatenate(cell)
         # per axis, each of base, top and frac joined over the nodes

@@ -354,6 +354,8 @@ def endpoint_lower_bound(v: Section1D, a: float, b: float) -> float:
     Endpoints landing exactly on a jump are shifted into the adjacent
     piece by a seventh of its length before evaluating.
     """
+    a, b = float(a), float(b)
+    _check_interval(a, b)
     for t, _ in v.jumps():
         if a == t:
             nxt = v.knots[v.knots > t][0]
@@ -376,6 +378,7 @@ def slice_measure(sec: Section1D, span: tuple[float, float] | None = None) -> Sl
     if sec.degenerate:
         return SliceMeasureValue(0.0, 0)
     a, b = sec.domain if span is None else span
+    _check_interval(float(a), float(b))
     ac = 0.0
     count = 0
     for i in range(sec.slopes.size):

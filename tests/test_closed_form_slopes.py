@@ -1,6 +1,9 @@
-"""Property test: closed-form slopes of the shift stencil against endpoint evaluation."""
+"""Property tests of the closed-form cell sums: the per-cell path (the
+oracle) against endpoint evaluation, and the counting kernel against the
+per-cell path, cell class by cell class."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,16 +18,77 @@ from nlgriffith.domain import (
     _mesh,
     eval_nudged,
 )
-from nlgriffith.energy import _Shift
+from nlgriffith.energy import (
+    _CHUNK,
+    _closed_form_sums,
+    _count_chunk,
+    _fold,
+    _Shift,
+    averaged_energy,
+    directional_energy,
+)
+from nlgriffith.quad import build_direction_rule
 
 PROFILE = settings(derandomize=True, max_examples=50, deadline=None)
 
 
-def _two_endpoint_slopes(pairs, u):
+def _moved(pairs, eps):
+    """The partners ``x + eps xi`` of the range box, per axis."""
+    return [c + eps * x for c, x in zip(pairs.centers, pairs.xi)]
+
+
+def _per_cell(pairs, u, eps):
+    """The per-cell closed-form path over the range box, flat in C order:
+    each cell's slope, its crossing of each plane (+1, 0, -1, one column
+    per plane) and whether an endpoint lies within roundoff of a plane.
+
+    A pair's slope is ``(x + eps xi - x).(A^T xi)`` plus ``J.xi`` for each
+    plane it crosses to the plus side, minus that for each it crosses back;
+    a cell within roundoff of a plane at either endpoint is evaluated at
+    both endpoints with ``eval_nudged`` instead.
+    """
+    xi, dim = pairs.xi, pairs.grid.dim
+    moved = _moved(pairs, eps)
+    steps = [m - c for m, c in zip(moved, pairs.centers)]
+    a_xi = u.affine_part()[0].T @ xi
+    s = _fold(t * a_xi[d] for d, t in enumerate(steps))
+    near = np.zeros(pairs.shape, dtype=bool)
+    crossings = []
+    for plane in u.jump_planes():
+        up = []
+        for coords in (pairs.centers, moved):
+            side = _fold(c * plane.normal[d] for d, c in enumerate(coords))
+            side -= plane.offset
+            up.append(side > 0)
+            size = abs(plane.offset) + sum(
+                np.max(np.abs(c), initial=0.0) * abs(n) for c, n in zip(coords, plane.normal)
+            )
+            near |= np.abs(side, out=side) <= 4 * (dim + 1) * np.finfo(float).eps * size
+        crossing = np.subtract(up[1], up[0], dtype=np.int8)
+        s = s + (plane.jump @ xi) * crossing
+        crossings.append(crossing.reshape(-1))
+    s, near = np.broadcast_to(s, pairs.shape).reshape(-1).copy(), near.reshape(-1)
+    cells = np.flatnonzero(near)
+    if cells.size:
+        at = np.unravel_index(cells, pairs.shape)
+        ends = (np.stack([c[i] for c, i in zip(cs, at)], axis=1) for cs in (moved, pairs.centers))
+        ends_u = [eval_nudged(u, x, pairs.grid.h / 7.0) for x in ends]
+        s[cells] = (ends_u[0] - ends_u[1]) @ xi
+    crossing = np.stack(crossings, axis=1) if crossings else np.zeros((s.size, 0), dtype=np.int8)
+    return s, crossing, near
+
+
+def _kept(pairs):
+    kept = np.zeros(int(np.prod(pairs.shape)), dtype=bool)
+    kept[pairs.keep] = True
+    return kept
+
+
+def _two_endpoint_slopes(pairs, u, eps):
     """Slopes from both endpoints evaluated exactly, nudged off the jump
     planes by h/7, and the largest ``|u| |xi|`` among those endpoints."""
     nudge = pairs.grid.h / 7.0
-    ends = eval_nudged(u, _mesh(pairs.moved), nudge), eval_nudged(u, _mesh(pairs.centers), nudge)
+    ends = eval_nudged(u, _mesh(_moved(pairs, eps)), nudge), eval_nudged(u, _mesh(pairs.centers), nudge)
     size = max(np.max(np.abs(e), initial=0.0) for e in ends) * np.linalg.norm(pairs.xi)
     return (ends[0] - ends[1]) @ pairs.xi, size
 
@@ -86,6 +150,8 @@ def cases(draw):
             jump[k] = 2.0
             if dim > 1:
                 xi[k] = 0.0
+                if np.linalg.norm(xi) < 0.1:
+                    xi[(k + 1) % dim] = 0.75
             else:
                 jump[k] = 0.0
         parts.append(PlaneJump(nu, offset, np.zeros(dim), jump))
@@ -111,7 +177,7 @@ def cases(draw):
 def test_closed_form_slopes_match_two_endpoint_evaluation(case):
     grid, region, eps, xi, u = case
     pairs = _Shift(grid, region, xi, eps)
-    new, (old, size) = pairs.slopes(u), _two_endpoint_slopes(pairs, u)
+    (new, _, _), (old, size) = _per_cell(pairs, u, eps), _two_endpoint_slopes(pairs, u, eps)
     assert new.shape == old.shape
     # the oracle differences field values, so its own roundoff scales with |u| |xi|
     scale = max(np.max(np.abs(old), initial=0.0), size)
@@ -130,10 +196,175 @@ def test_closed_form_slopes_match_two_endpoint_evaluation(case):
                 for i, p in enumerate(planes)
             )
         )
-        crossed_new = np.rint(pairs.slopes(probe))
-        crossed_old = np.rint(_two_endpoint_slopes(pairs, probe)[0])
+        crossed_new = np.rint(_per_cell(pairs, probe, eps)[0])
+        crossed_old = np.rint(_two_endpoint_slopes(pairs, probe, eps)[0])
         np.testing.assert_array_equal(crossed_new, crossed_old)
         if plane.jump @ xi != 0.0:
             carries_new |= crossed_new != 0.0
             carries_old |= crossed_old != 0.0
     np.testing.assert_array_equal(carries_new, carries_old)
+
+
+def _chunk_of(draw, grid, eps, xi):
+    """A chunk with ``xi`` at a drawn place among other directions."""
+    others = [
+        np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=grid.dim, max_size=grid.dim)))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    at = draw(st.integers(0, len(others)))
+    return np.array(others[:at] + [xi] + others[at:]), at
+
+
+@st.composite
+def chunk_cases(draw):
+    grid, region, eps, xi, u = draw(cases())
+    xis, at = _chunk_of(draw, grid, eps, xi)
+    return grid, region, eps, xis, at, u
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(chunk_cases())
+def test_counting_kernel_matches_the_per_cell_path(case):
+    grid, region, eps, xis, at, u = case
+    pairs = _Shift(grid, region, xis[at], eps)
+    s, crossing, near = _per_cell(pairs, u, eps)
+    kept = _kept(pairs)
+    crossings, counts, owners, cells, _ = _count_chunk(u, grid, region, eps, xis)
+
+    # the kept pairs clear of every plane, by crossing pattern
+    regular = kept & ~near
+    patterns, count = np.unique(crossing[regular], axis=0, return_counts=True)
+    mine = counts[at] > 0
+    np.testing.assert_array_equal(crossings[mine], patterns)
+    np.testing.assert_array_equal(counts[at][mine], count)
+
+    # the exceptions, kept pairs within roundoff of a plane, as grid indices in C order
+    at_box = np.unravel_index(np.flatnonzero(kept & near), pairs.shape)
+    expected = np.stack([sl.start + i for sl, i in zip(pairs.box, at_box)], axis=1)
+    np.testing.assert_array_equal(cells[owners == at], expected.reshape(-1, grid.dim))
+
+    # the sums, within roundoff of the per-cell slopes: the kernel's affine
+    # slope is eps xi.(A^T xi) where the oracle differences coordinates
+    old = grid.cell_volume / eps * np.sum(np.arctan(s[kept] ** 2 / eps))
+    new = _closed_form_sums(u, grid, region, eps, xis)[at]
+    slack = 1e-13 * (np.linalg.norm(u.affine_part()[0]) + 1.0) * np.linalg.norm(xis[at]) ** 2
+    allowed = grid.cell_volume / eps * np.sum((2 * np.abs(s[kept]) + slack) * slack / eps)
+    assert abs(new - old) <= 1e-12 * abs(old) + allowed
+
+
+def _regions(dim, h):
+    lower, upper = np.full(dim, 0.2), np.full(dim, 0.8)
+    lower[0] = upper[0] = 0.5 + h / 2  # through a row of centers
+    return {
+        "box": BoxDomain(np.full(dim, 0.1), np.full(dim, 0.9)),
+        "ball": Ball(np.full(dim, 0.52), 0.4),
+        "slit": BoxDomain(np.zeros(dim), np.ones(dim), (PlaneSegment(lower, upper),)),
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["box", "ball", "slit"])
+def test_directional_energy_is_its_entry_of_the_average(dim, kind):
+    # A direction's value depends on that direction alone, not on the chunk
+    # it is counted in nor on how many directions share that chunk.
+    h = {1: 1 / 64, 2: 1 / 24, 3: 1 / 10}[dim]
+    grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), h)
+    region = _regions(dim, h)[kind]
+    eps = 4 * h
+    nu = np.ones(dim) / np.sqrt(dim)
+    u = SumField(
+        (
+            Affine(np.arange(dim * dim).reshape(dim, dim) / 4 - 1, np.ones(dim)),
+            # through a row of centers, so that some pairs are evaluated at their endpoints
+            PlaneJump(np.eye(dim)[0], 0.5 + h / 2, np.zeros(dim), np.full(dim, 3.0)),
+            PlaneJump(nu, 0.37 * np.sqrt(dim), np.zeros(dim), -2 * nu),
+        )
+    )
+    rule = build_direction_rule(dim, radial_order=4, angular_order=8 if dim == 2 else 4)
+    report = averaged_energy(u, region, eps, rule, grid=grid)
+    assert len(report.per_direction) > _CHUNK
+    for i, value in report.per_direction.items():
+        alone = directional_energy(u, region, eps, rule.nodes[i], grid=grid)
+        assert np.float64(alone).tobytes() == np.float64(value).tobytes()
+
+
+@st.composite
+def geometries(draw):
+    """A grid of the unit cube with a power-of-two cell count, so that
+    shifting it by whole cells moves every coordinate exactly; eps; and a
+    box, ball or slit box region."""
+    dim = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([8, 16]) if dim < 3 else st.sampled_from([4, 8]))
+    h = 1.0 / m
+    grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), h)
+    eps = draw(st.sampled_from([4, 5, 6])) * h
+    kind = draw(st.sampled_from(["box", "ball", "slit"]))
+    if kind == "box":
+        lo = h * np.array(draw(st.lists(st.integers(0, m // 4), min_size=dim, max_size=dim)))
+        region = BoxDomain(lo, lo + 0.5)
+    elif kind == "ball":
+        center = np.array(draw(st.lists(st.floats(0.3, 0.7), min_size=dim, max_size=dim)))
+        region = Ball(center, draw(st.floats(0.2, 0.5)))
+    else:
+        axis = draw(st.integers(0, dim - 1))
+        lower, upper = np.full(dim, 0.25), np.full(dim, 0.75)
+        lower[axis] = upper[axis] = draw(st.sampled_from([0.5, 0.5 + h / 2]))
+        region = BoxDomain(np.zeros(dim), np.ones(dim), (PlaneSegment(lower, upper),))
+    xis = np.array(
+        [
+            draw(st.lists(st.floats(-1.5, 1.5).filter(lambda x: abs(x) > 1e-3), min_size=dim, max_size=dim))
+            for _ in range(draw(st.integers(1, 2 * _CHUNK)))
+        ]
+    )
+    return grid, region, eps, xis
+
+
+INVARIANTS = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@INVARIANTS
+@given(geometries(), st.data())
+def test_rigid_motions_cost_nothing(geometry, data):
+    grid, region, eps, xis = geometry
+    dim = grid.dim
+    W = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    b = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=dim, max_size=dim)))
+    values = _closed_form_sums(Affine(W - W.T, b), grid, region, eps, xis)
+    assert np.all(np.abs(values) <= 1e-12)
+
+
+def _moved_by(region, shift):
+    if isinstance(region, Ball):
+        return Ball(region.center + shift, region.radius)
+    slits = tuple(PlaneSegment(s.lower + shift, s.upper + shift) for s in region.precrack)
+    return BoxDomain(region.lower + shift, region.upper + shift, slits)
+
+
+@INVARIANTS
+@given(geometries(), st.data())
+def test_translation_by_whole_cells_keeps_the_energy(geometry, data):
+    grid, region, eps, xis = geometry
+    dim, h = grid.dim, grid.h
+    A = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    b = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)))
+    planes = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        nu = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)))
+        nu = nu / np.linalg.norm(nu) if np.linalg.norm(nu) > 0.1 else np.eye(dim)[0]
+        jump = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim)))
+        planes.append((nu, data.draw(st.floats(0.2, 0.8)), jump))
+    shift = h * np.array(data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)))
+    # partners a quarter cell off the lattice: a partner within roundoff of
+    # the region's boundary may fall on either side of it once shifted
+    quarters = st.integers(-6, 5).map(lambda j: j + 0.25) | st.integers(-6, 5).map(lambda j: j + 0.75)
+    xis = np.array([[data.draw(quarters) * h / eps for _ in range(dim)] for _ in range(len(xis))])
+
+    def field(by):
+        # u(x - by): the same field carried along with the domain
+        jumps = [PlaneJump(nu, off + nu @ by, np.zeros(dim), jump) for nu, off, jump in planes]
+        return SumField((Affine(A, b - A @ by),) + tuple(jumps))
+
+    moved = Grid(BoxDomain(grid.domain.lower + shift, grid.domain.upper + shift), h)
+    here = np.sum(_closed_form_sums(field(np.zeros(dim)), grid, region, eps, xis))
+    there = np.sum(_closed_form_sums(field(shift), moved, _moved_by(region, shift), eps, xis))
+    assert abs(there - here) <= 1e-12 * abs(here)

@@ -101,6 +101,13 @@ def test_directional_energy_rejects_bad_eps():
             directional_energy(jump_1d(), dom, eps, np.array([1.0]), grid=g)
 
 
+@pytest.mark.parametrize("size", [1, 4])
+def test_directional_energy_refuses_xi_of_another_dimension(size):
+    # one component per grid axis: a 4-vector on a 2D grid is not two directions
+    with pytest.raises(ValueError, match="xi must have 2 components"):
+        directional_energy(Affine(np.eye(2), np.zeros(2)), square(), 0.2, np.ones(size), grid=Grid(square(), 0.05))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_directional_energy_refuses_non_finite_xi(bad):
     dom = interval()

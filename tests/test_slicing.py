@@ -352,6 +352,24 @@ def test_lower_bound_shifts_off_jump():
     assert np.isfinite(val)
 
 
+def test_lower_bound_refuses_non_finite_endpoint():
+    # used to return pi/2
+    with pytest.raises(ValueError, match=r"interval \(nan, 0.5\) must be finite"):
+        endpoint_lower_bound(_two_pieces(), np.nan, 0.5)
+
+
+def test_slice_measure_refuses_non_finite_span():
+    # used to return 0.0
+    with pytest.raises(ValueError, match=r"interval \(nan, 0.5\) must be finite"):
+        slice_measure(_two_pieces(), (np.nan, 0.5))
+
+
+def test_slice_measure_refuses_reversed_span():
+    # used to return 0.0
+    with pytest.raises(ValueError, match=r"interval \(0.7, 0.2\) is reversed"):
+        slice_measure(_two_pieces(), (0.7, 0.2))
+
+
 def test_small_eps_energy_dominates_lower_bound():
     rng = np.random.default_rng(21)
     for _ in range(10):
