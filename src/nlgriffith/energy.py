@@ -49,6 +49,7 @@ mechanism that exposes it energetically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -243,6 +244,8 @@ class EnergyReport:
 # Shift stencil
 # ---------------------------------------------------------------------------
 
+_CHUNK = 16  # directions per set-up or kernel pass: bounds its arrays, never its values
+
 
 def _axis_inside(region: Region, d: int, x: np.ndarray) -> np.ndarray:
     """Axis-d bounding-box factor of ``region.contains``, same float ops."""
@@ -298,25 +301,39 @@ def _pair_axis(region: Region, d: int, axis: np.ndarray, h: float, steps):
     return partner, probe, first, stop
 
 
-def _range_box_inside(region: Region, coords) -> np.ndarray | bool:
-    """``region.contains`` on the product of the per-axis ``coords`` of a
-    range box, same float ops, shaped like the box.
-
-    Every bounding-box factor holds there, so a plain box contains all of
-    it; a ball's squared distance and a slit's squared excess are folded
-    from per-axis terms.
-    """
+def _inside_terms(region: Region, coords) -> list[list[np.ndarray]]:
+    """The per-axis terms of ``region.contains`` that its bounding-box
+    factors leave out, same float ops, at per-axis ``coords`` (rows or
+    tables): a ball's squared distances, or each slit's squared excesses;
+    none for a box without slits."""
     if isinstance(region, Ball):
-        return _fold((c - region.center[d]) ** 2 for d, c in enumerate(coords)) < region.radius**2
+        return [[(c - region.center[d]) ** 2 for d, c in enumerate(coords)]]
+    return [[e**2 for e in _slit_excess(seg, coords)] for seg in region.precrack]
+
+
+def _folded_inside(region: Region, terms) -> np.ndarray | bool:
+    """``region.contains`` where every bounding-box factor holds, from its
+    ``_inside_terms`` folded over their product (``_fold``); True for a box
+    without slits."""
     inside = True
-    for seg in region.precrack:
-        inside = inside & (np.sqrt(_fold(e**2 for e in _slit_excess(seg, coords))) > 0.0)
+    for group in terms:
+        total = _fold(group)
+        inside = inside & (total < region.radius**2 if isinstance(region, Ball) else np.sqrt(total) > 0.0)
     return inside
 
 
 def _slit_excess(seg, coords):
     """Per-axis distance of coordinates to a slit's extent, as ``PlaneSegment.distance`` forms it."""
     return (np.maximum(seg.lower[d] - c, 0.0) + np.maximum(c - seg.upper[d], 0.0) for d, c in enumerate(coords))
+
+
+def _buffer(buffers: list, i: int, shape) -> np.ndarray:
+    """Buffer i of ``buffers`` as a C-ordered array of ``shape``, first
+    replaced by a larger one if it is too small."""
+    size = math.prod(shape)
+    if buffers[i].size < size:
+        buffers[i] = np.empty(size)
+    return buffers[i][:size].reshape(shape)
 
 
 class _Shift:
@@ -327,46 +344,62 @@ class _Shift:
     whose pair stays inside the region's bounding box form one index
     range per axis, the range box (``_pair_axis``); ``keep`` selects the
     interacting pairs in it (a residual mask for balls and precrack
-    slits).  Both are built from the per-axis coordinates, so no point
+    slits, folded from per-axis ``_inside_terms`` at the centers and the
+    probes).  Both are built from the per-axis coordinates, so no point
     mesh is formed; a shifted coordinate within roundoff of a grid
     coordinate is tested there, so a partner that lands on a center has
     its membership.  The shifted endpoint is multilinear in the nodal
     values, with one row of cells and weights per axis.  Closed-form
     fields do not visit the stencil's cells: ``_closed_form_sums`` counts
     them with the same pair rule.
+
+    ``_Shift(grid, region, xi, eps)`` is ``each`` on the one row ``xi``.
     """
 
-    def __init__(self, grid: Grid, region: Region, xi: np.ndarray, eps: float):
-        rules = [_pair_axis(region, d, axis, grid.h, eps * xi[d]) for d, axis in enumerate(grid.axes)]
-        self._place(grid, region, xi, rules, 0)
+    def __new__(cls, grid: Grid, region: Region, xi: np.ndarray, eps: float):
+        (stencil,) = cls.each(grid, region, np.reshape(xi, (1, -1)), eps)
+        return stencil
 
     @classmethod
     def each(cls, grid: Grid, region: Region, xis: np.ndarray, eps: float):
-        """The stencil of each row of ``xis`` in turn, the pair rule applied
-        to all rows at once (no per-direction set-up)."""
-        rules = [_pair_axis(region, d, axis, grid.h, eps * xis[:, d]) for d, axis in enumerate(grid.axes)]
-        for k, xi in enumerate(xis):
-            stencil = cls.__new__(cls)
-            stencil._place(grid, region, xi, rules, k)
-            yield stencil
+        """The stencil of each row of ``xis`` in turn.  The per-axis set-up
+        is done for ``_CHUNK`` rows at once (the pair rule, the partners'
+        interpolation rows and the probes' ``_inside_terms``) and the
+        centers' membership once, so that a stencil only slices its row
+        out of each table.  A stencil does not depend on the other rows.
+        Their ``slopes`` run the axis passes in three shared buffers, so
+        that the process reuses memory it holds rather than mapping fresh
+        pages for each stencil; no two of them may run at once."""
+        centers = _folded_inside(region, _inside_terms(region, grid.axes))
+        buffers = [np.empty(0)] * 3
+        for at in range(0, len(xis), _CHUNK):
+            X = xis[at : at + _CHUNK]
+            rules = [_pair_axis(region, d, axis, grid.h, eps * X[:, d]) for d, axis in enumerate(grid.axes)]
+            rows = [_interp_row(axis, grid.h, partner) for axis, (partner, _, _, _) in zip(grid.axes, rules)]
+            probes = _inside_terms(region, [probe for _, probe, _, _ in rules])
+            for k, xi in enumerate(X):
+                stencil = object.__new__(cls)
+                stencil._place(grid, region, xi, rules, rows, centers, probes, k)
+                stencil._buffers = buffers
+                yield stencil
 
-    def _place(self, grid: Grid, region: Region, xi: np.ndarray, rules, k: int):
-        """Build from row k of each axis's ``_pair_axis`` rule."""
+    def _place(self, grid: Grid, region: Region, xi: np.ndarray, rules, rows, centers, probes, k: int):
+        """Build from row k of each axis's pair rule, interpolation rows and
+        probe terms, and the grid's membership mask ``centers``."""
         self.grid, self.xi = grid, xi
-        box, self.centers, self.rows, probes = [], [], [], []
-        for d, (axis, (partner, probe, first, stop)) in enumerate(zip(grid.axes, rules)):
+        box, self.centers, self.rows = [], [], []
+        for d, (axis, (_, _, first, stop), row) in enumerate(zip(grid.axes, rules, rows)):
             sl = slice(int(first[k]), int(stop[k]))
             box.append(sl)
             self.centers.append(axis[sl])
-            probes.append(probe[k, sl])
-            base, top, frac = _interp_row(axis, grid.h, partner[k, sl])
+            base, top, frac = (a[k, sl] for a in row)
             col = (-1,) + (1,) * (grid.dim - d)  # broadcasts along axis d
             self.rows.append((base, top, (1.0 - frac).reshape(col), frac.reshape(col)))
         self.box = tuple(box)
         self.shape = tuple(c.size for c in self.centers)
         self.keep = slice(None)
-        if isinstance(region, Ball) or region.precrack:
-            ends = (_range_box_inside(region, coords) for coords in (self.centers, probes))
+        if probes:
+            ends = centers[self.box], _folded_inside(region, [[t[k, sl] for t, sl in zip(g, box)] for g in probes])
             self.keep = np.logical_and(*ends).reshape(-1)
 
     def pairs(self) -> tuple[np.ndarray, list]:
@@ -387,20 +420,29 @@ class _Shift:
         cols = [slice(base[0], top[-1] + 1) if base.size else slice(0, 0) for base, top, _, _ in self.rows]
         end = nodal[tuple(cols)]
         for d, ((base, top, lo_w, hi_w), sl) in enumerate(zip(self.rows, cols)):
-            end = lo_w * np.take(end, base - sl.start, axis=d) + hi_w * np.take(end, top - sl.start, axis=d)
-        return (end - nodal[self.box]).reshape(-1, nodal.shape[-1]) @ self.xi
+            if d == self.grid.dim - 1:  # per component too, so that one inner loop runs over both last axes
+                lo_w, hi_w = (np.repeat(w, nodal.shape[-1], axis=1) for w in (lo_w, hi_w))
+            # lo_w * end[base] + hi_w * end[top], in buffers other than end's
+            shape = end.shape[:d] + base.shape + end.shape[d + 1 :]
+            lo = np.take(end, base - sl.start, axis=d, mode="clip", out=_buffer(self._buffers, d % 2, shape))
+            hi = np.take(end, top - sl.start, axis=d, mode="clip", out=_buffer(self._buffers, 2, shape))
+            lo *= lo_w
+            hi *= hi_w
+            end = np.add(lo, hi, out=lo)
+        end -= nodal[self.box]
+        return end.reshape(-1, nodal.shape[-1]) @ self.xi
 
     def cell_sum(self, u, eps: float) -> float:
         """Midpoint cell sum ``(h^n/eps) sum arctan(s^2/eps)`` over the pairs."""
         s = self.slopes(u)[self.keep]
-        return float(self.grid.cell_volume / eps * np.sum(np.arctan(s * s / eps)))
+        s *= s
+        s /= eps
+        return float(self.grid.cell_volume / eps * np.sum(np.arctan(s, out=s)))
 
 
 # ---------------------------------------------------------------------------
 # Closed-form cell sums by counting
 # ---------------------------------------------------------------------------
-
-_CHUNK = 16  # directions per kernel pass: bounds its arrays, never its values
 
 
 def _first_true(test, lo: np.ndarray, hi: np.ndarray, guess: np.ndarray) -> np.ndarray:
@@ -569,8 +611,8 @@ def _plane_intervals(cols: _Columns, plane, kind: str):
 
 def _ball_interval(cols: _Columns, ball: Ball, kind: str):
     """Per column, the stretch of cells whose ``kind`` endpoint (centers or
-    probes) lies in the ball, ``fold((x - c)^2) < r^2`` as
-    ``_range_box_inside`` forms it; the squared distance falls and then
+    probes) lies in the ball, ``fold((x - c)^2) < r^2`` as ``_Shift``
+    forms it from ``_inside_terms``; the squared distance falls and then
     rises along the column, so the stretch is one interval."""
     rest = np.zeros(cols.dirs.size)
     for d, c in enumerate(cols.coords(kind)):

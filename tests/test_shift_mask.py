@@ -1,6 +1,7 @@
 """Property tests: the shift stencil's pair mask against point-mesh
-membership, the descent operator built from the stencils against
-per-point assembly, and the sampled slopes against a full-width pass."""
+membership, each stencil of a batch against the stencil built alone, the
+descent operator built from the stencils against per-point assembly, and
+the sampled slopes and cell sums against a full-width pass."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from nlgriffith.domain import Ball, BoxDomain, Grid, PlaneSegment, _mesh
-from nlgriffith.energy import _Shift, _snap_to_axis
+from nlgriffith.energy import _CHUNK, _Shift, _snap_to_axis
 from nlgriffith.minimize import DescentKernel
 from nlgriffith.quad import DirectionRule
 
@@ -108,6 +109,34 @@ def cases(draw):
 def test_keep_equals_mesh_membership(case):
     grid, region, pairs, partners = case
     np.testing.assert_array_equal(_stencil_mask(pairs), _mesh_mask(grid, region, partners))
+
+
+@st.composite
+def batches(draw):
+    grid, region, eps = draw(geometries())
+    count = draw(st.sampled_from([1, _CHUNK, _CHUNK + 1]))
+    return grid, region, eps, np.array([_direction(draw, grid, eps) for _ in range(count)])
+
+
+@PROFILE
+@given(batches())
+def test_each_stencil_equals_the_stencil_built_alone(case):
+    # the set-up of a batch is shared by a chunk of rows; no stencil may
+    # depend on the rows built with it, across a chunk boundary too
+    grid, region, eps, xis = case
+    values = np.random.default_rng(0).normal(size=(grid.n_cells, grid.dim))
+    for xi, pairs in zip(xis, _Shift.each(grid, region, xis, eps)):
+        alone = _Shift(grid, region, xi, eps)
+        assert pairs.box == alone.box
+        for row, own in zip(pairs.rows, alone.rows):
+            for a, b in zip(row, own):
+                _assert_same_bits(a, b)
+        if isinstance(alone.keep, slice):
+            assert pairs.keep == alone.keep
+        else:
+            _assert_same_bits(pairs.keep, alone.keep)
+        _assert_same_bits(pairs.slopes(values), alone.slopes(values))
+        assert pairs.cell_sum(values, eps).hex() == alone.cell_sum(values, eps).hex()
 
 
 def test_keep_drops_partners_landing_on_a_slit_through_centers():
@@ -221,3 +250,20 @@ def test_sampled_slopes_equal_the_full_width_pass(dim, kind):
     for xi in (rng.uniform(-1.5, 1.5, size=dim), np.eye(dim)[-1] * grid.h / eps, -np.ones(dim)):
         pairs = _Shift(grid, region, xi, eps)
         _assert_same_bits(pairs.slopes(values), _full_width_slopes(pairs, values))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["box", "ball", "slit", "small-ball"])
+def test_cell_sum_equals_the_mesh_masked_sum(dim, kind):
+    # the oracle forms every temporary anew; cell_sum writes into its own
+    grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), 1 / 20 if dim == 2 else 1 / 10)
+    region = _regions(dim)[kind]
+    rng = np.random.default_rng(dim)
+    values = rng.normal(size=(grid.n_cells, dim))
+    eps = 0.2
+    for xi in (rng.uniform(-1.5, 1.5, size=dim), np.eye(dim)[-1] * grid.h / eps, -np.ones(dim)):
+        pairs = _Shift(grid, region, xi, eps)
+        partners = [a + eps * x for a, x in zip(grid.axes, xi)]
+        s = _full_width_slopes(pairs, values)[_mesh_mask(grid, region, partners)[pairs.box].reshape(-1)]
+        expected = float(grid.cell_volume / eps * np.sum(np.arctan(s * s / eps)))
+        assert pairs.cell_sum(values, eps).hex() == expected.hex()
