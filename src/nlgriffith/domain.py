@@ -336,7 +336,8 @@ class Affine(AnalyticField):
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return pts @ self.matrix.T + self.offset
+        # row by row, so that a point's value does not depend on its batch
+        return np.stack([_dot_rows(pts, row) for row in self.matrix], axis=1) + self.offset
 
     def affine_part(self):
         return self.matrix, self.offset

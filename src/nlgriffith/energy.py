@@ -25,12 +25,13 @@ pattern, and along a grid column every predicate of a cell (the side of
 a plane at either endpoint, ball membership, lying on a slit) holds on
 one interval of indices.  ``_closed_form_sums`` counts the cells of each
 pattern from the interval ends, a fixed-size chunk of directions at a
-time, and evaluates the field only at the few pairs within roundoff of
-a plane.  The descent kernel of ``nlgriffith.minimize`` assembles one
-sparse operator on the nodal values from the stencils' kept pairs and
-interpolation rows (``_Shift.pairs``), so the pair rule alone decides
-which pairs interact; the energies keep the matrix-free stencil, whose
-pair counts at sweep sizes would make that operator too large to hold.
+time, and evaluates the field only at the few pairs with an endpoint
+exactly on a plane, in one batch per chunk.  The descent kernel of
+``nlgriffith.minimize`` assembles one sparse operator on the nodal
+values from the stencils' kept pairs and interpolation rows
+(``_Shift.pairs``), so the pair rule alone decides which pairs
+interact; the energies keep the matrix-free stencil, whose pair counts
+at sweep sizes would make that operator too large to hold.
 
 On top of these sits one ball-family functional, ``family_energy``:
 ``sum_B (sum_j w_j F_dir(u, B, xi_j)^p)^(1/p)`` over a finite family of
@@ -528,22 +529,10 @@ class _Columns:
             return self.grid.axes[-1][None, :], np.zeros_like(self.dirs)
         return (self.partners if kind == "moved" else self.probes)[-1], self.dirs
 
-    def extent(self, kind: str) -> list[np.ndarray]:
-        """Per axis and direction, the largest ``|coordinate|`` of the
-        centers or partners over the range box (0 where it is empty); the
-        coordinates rise along each axis, so it sits at an end."""
-        out = []
-        for d, axis in enumerate(self.grid.axes):
-            rows = np.broadcast_to(axis, self.partners[d].shape) if kind == "center" else self.partners[d]
-            k, first, stop = np.arange(len(rows)), self.first[:, d], self.stop[:, d]
-            ends = np.maximum(np.abs(rows[k, first]), np.abs(rows[k, np.maximum(stop - 1, 0)]))
-            out.append(np.where(stop > first, ends, 0.0))
-        return out
-
 
 def _plane_intervals(cols: _Columns, plane, kind: str):
     """Per column, where the ``kind`` endpoints (centers or partners) lie on
-    the plus side of the plane, and the stretch within roundoff of it.
+    the plus side of the plane, and the stretch where they lie on it.
 
     The plus side is given as ``(cut, above)``: the cells at or past the
     cut when ``above``, else the cells before it.
@@ -554,23 +543,18 @@ def _plane_intervals(cols: _Columns, plane, kind: str):
     a column the side is monotone in the last coordinate and each stretch
     is one interval of indices.  Its ends are guessed from the real line
     and confirmed, or else searched (``_first_true``), with the exact
-    per-cell expression.  A cell is within roundoff when ``|side| <= 4
-    (n+1) ulp size`` with ``size = |offset| + sum_d max|x_d| |nu_d|`` over
-    the direction's range box.
+    per-cell expression.  The cells on the plane are those whose side is
+    0.0, the points ``eval_nudged`` moves.
     """
-    nu, off, n = plane.normal, plane.offset, cols.dim
+    nu, off = plane.normal, plane.offset
     rest = np.zeros(cols.dirs.size)
     for c, w in zip(cols.coords(kind), nu[:-1]):
         rest = rest + c * w
-    size = 0
-    for ext, w in zip(cols.extent(kind), nu):
-        size = size + ext * abs(w)
-    bound = (4 * (n + 1) * _ULP * (abs(off) + size))[cols.dirs]
     lo, hi, nu_l = cols.lo, cols.hi, nu[-1]
     if nu_l == 0:
         # x_l * 0 adds a zero: the side is the same along the column
         side = rest - off
-        return (np.where(side > 0, lo, hi), True), (lo, np.where(np.abs(side) <= bound, hi, lo))
+        return (np.where(side > 0, lo, hi), True), (lo, np.where(side == 0, hi, lo))
     sgn = -1.0 if nu_l < 0 else 1.0
     table, row = cols.last(kind)
 
@@ -578,35 +562,18 @@ def _plane_intervals(cols: _Columns, plane, kind: str):
         # sgn side, which rises along the column
         return sgn * ((rest[sel] + table[row[sel], j] * nu_l) - off)
 
-    # the plus side is s > 0 for sgn 1 and s < 0 for sgn -1, so cut at the
-    # first s > 0 or the first s >= 0
-    zero = 0.0 if sgn > 0 else -np.finfo(float).smallest_subnormal
     with np.errstate(over="ignore"):
         # a tiny |nu_l| sends the guess off the column; the search then corrects it
-        target = (off + sgn * zero - rest) / nu_l
-    cut = _guess(target, table[row, 0], cols.grid.h, lo, hi)
-    every = slice(None)
-    # s just below and at the guess (indices kept in the grid; masked where out of the column)
-    before, at = s(every, np.maximum(cut - 1, 0)), s(every, np.minimum(cut, table.shape[1] - 1))
-    wrong = np.flatnonzero(((cut > lo) & (before > zero)) | ((cut < hi) & ~(at > zero)))
-    if wrong.size:
-        cut[wrong] = _first_true(lambda sel, j: s(wrong[sel], j) > zero, lo[wrong], hi[wrong], cut[wrong])
-        before[wrong] = s(wrong, np.maximum(cut[wrong] - 1, 0))
-        at[wrong] = s(wrong, np.minimum(cut[wrong], table.shape[1] - 1))
-    # the band -bound <= s <= bound meets the cut; it holds more than the
-    # cut itself only where a neighbour of the cut lies in it
-    below = np.flatnonzero((cut > lo) & (before >= -bound))
-    above = np.flatnonzero((cut < hi) & (at <= bound))
-    band_lo, band_hi = cut.copy(), cut.copy()
-    if below.size:
-        band_lo[below] = _first_true(
-            lambda sel, j: s(below[sel], j) >= -bound[below[sel]], lo[below], cut[below], cut[below] - 1
-        )
-    if above.size:
-        band_hi[above] = _first_true(
-            lambda sel, j: s(above[sel], j) > bound[above[sel]], cut[above], hi[above], cut[above] + 1
-        )
-    return (cut, sgn > 0), (band_lo, band_hi)
+        target = (off - rest) / nu_l
+    guess = _guess(target, table[row, 0], cols.grid.h, lo, hi)
+    # the first cell with s >= 0, and past the cells on the plane the first with s > 0
+    ge = _first_true(lambda sel, j: s(sel, j) >= 0, lo, hi, guess)
+    on = np.flatnonzero((ge < hi) & (s(slice(None), np.minimum(ge, table.shape[1] - 1)) == 0))
+    gt = ge.copy()
+    if on.size:
+        gt[on] = _first_true(lambda sel, j: s(on[sel], j) > 0, ge[on] + 1, hi[on], ge[on] + 1)
+    # the plus side is s > 0 for sgn 1 and s < 0 for sgn -1
+    return (gt, True) if sgn > 0 else (ge, False), (ge, gt)
 
 
 def _ball_interval(cols: _Columns, ball: Ball, kind: str):
@@ -660,26 +627,25 @@ def _count_chunk(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: 
     crossing patterns, one row each with one entry per jump plane (+1 where
     the pair crosses to the plus side, -1 where it crosses back, 0 where it
     does not cross); ``counts[k, i]``, the kept pairs of direction k with
-    pattern i and both endpoints clear of every plane; the kept pairs within
-    roundoff of a plane at either endpoint (the exceptions), as the
-    direction and grid index of each center, direction-major and in C order;
-    and the chunk's ``_Columns``.
+    pattern i and both endpoints off every plane; the kept pairs with an
+    endpoint exactly on a plane (the exceptions), as the direction and grid
+    index of each center, direction-major and in C order; and the chunk's
+    ``_Columns``.
 
     Along a column every predicate of a cell (the plus side of a plane at
-    the center and at the partner, the roundoff band of each, ball
-    membership at the center and at the probe, lying on a slit) holds on
-    one interval of indices.  Between the sorted ends of the side and
-    membership intervals a stretch of cells shares one pattern and is
-    counted by its length; the few cells in a band are then taken out of
-    those counts one by one.
+    the center and at the partner, lying on each plane, ball membership at
+    the center and at the probe, lying on a slit) holds on one interval of
+    indices.  Between the sorted ends of the side and membership intervals
+    a stretch of cells shares one pattern and is counted by its length; the
+    few cells on a plane are then taken out of those counts one by one.
     """
     cols = _Columns(grid, region, eps, xis)
-    sides, bands = [], []
+    sides, on_plane = [], []
     for plane in u.jump_planes():
         for kind in ("center", "moved"):
-            side, band = _plane_intervals(cols, plane, kind)
+            side, on = _plane_intervals(cols, plane, kind)
             sides.append(side)
-            bands.append(band)
+            on_plane.append(on)
     inside, outside = [], []
     if isinstance(region, Ball):
         inside = [_ball_interval(cols, region, kind) for kind in ("center", "probe")]
@@ -704,7 +670,7 @@ def _count_chunk(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: 
     start, length = ends[:, :-1], ends[:, 1:] - ends[:, :-1]
     kept, code = classify(start, (slice(None), None))
     kept &= length > 0
-    col, j = _band_cells(bands, grid.shape[-1])
+    col, j = _interval_cells(on_plane, grid.shape[-1])
     near_kept, near_code = classify(j, col)
     col, j, near_code = col[near_kept], j[near_kept], near_code[near_kept]
 
@@ -722,16 +688,16 @@ def _count_chunk(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: 
     return crossings, counts.reshape(len(xis), -1), cols.dirs[col], cells, cols
 
 
-def _band_cells(bands, size: int):
-    """The cells of the band intervals, each once, as ``(column, index)``
+def _interval_cells(intervals, size: int):
+    """The cells of the intervals, each once, as ``(column, index)``
     sorted by column and then index: columns are direction-major, so each
     direction's cells come in C order.  ``size`` is the column length."""
-    run = np.concatenate([np.zeros(0, dtype=np.int64)] + [hi - lo for lo, hi in bands])
+    run = np.concatenate([np.zeros(0, dtype=np.int64)] + [hi - lo for lo, hi in intervals])
     if not run.any():
         return run[:0], run[:0]
     owner, offset = _runs(run)
-    col = np.tile(np.arange(bands[0][0].size), len(bands))[owner]
-    j = np.concatenate([lo for lo, _ in bands])[owner] + offset
+    col = np.tile(np.arange(intervals[0][0].size), len(intervals))[owner]
+    j = np.concatenate([lo for lo, _ in intervals])[owner] + offset
     return np.divmod(np.unique(col * size + j), size)
 
 
@@ -742,10 +708,12 @@ def _closed_form_sums(u: AnalyticField, grid: Grid, region: Region, eps: float, 
     A pair's slope is ``eps xi.(A^T xi)`` for the affine part ``A``, plus
     ``J.xi`` for each plane it crosses to the plus side, minus that for each
     it crosses back, so each crossing pattern's cells share one value and
-    are counted (``_count_chunk``).  The exceptions, pairs within roundoff
-    of a plane, are evaluated at both endpoints with ``eval_nudged``, so the
-    side of each plane and the h/7 nudge off it are those of ``eval_many``.
-    A direction's value depends on that direction alone, not on its chunk.
+    are counted (``_count_chunk``).  The exceptions, pairs with an endpoint
+    exactly on a plane, are nudged off it by h/7 there, so they are
+    evaluated at both endpoints with ``eval_nudged``, one batch per chunk.
+    Every point's value, its slope (``_dot_rows``) and its direction's sum
+    (``np.bincount``, in order) are formed row by row, so a direction's
+    value depends on that direction alone, not on its chunk.
     """
     xis = np.asarray(xis, dtype=float).reshape(-1, grid.dim)
     A = u.affine_part()[0]
@@ -765,18 +733,18 @@ def _closed_form_sums(u: AnalyticField, grid: Grid, region: Region, eps: float, 
             for j_xi, c in zip(jump_xi, crossing):
                 s = s + c * j_xi
             total = total + count * np.arctan(s * s / eps)
-        # one evaluation per direction, of its partners and then its centers
-        for k in np.unique(owners):
-            at_k = cells[owners == k]
+        if owners.size:
+            # one evaluation per chunk, of the exceptions' partners and then their centers
             ends = np.concatenate(
                 [
-                    np.stack([rows[k, i] for rows, i in zip(cols.partners, at_k.T)], axis=1),
-                    np.stack([axis[i] for axis, i in zip(grid.axes, at_k.T)], axis=1),
+                    np.stack([rows[owners, i] for rows, i in zip(cols.partners, cells.T)], axis=1),
+                    np.stack([axis[i] for axis, i in zip(grid.axes, cells.T)], axis=1),
                 ]
             )
             moved, centers = np.split(eval_nudged(u, ends, grid.h / 7.0), 2)
-            s = (moved - centers) @ X[k]
-            total[k] += np.sum(np.arctan(s * s / eps))
+            s = _dot_rows(moved - centers, X[owners].T)
+            # summed in order per direction
+            total = total + np.bincount(owners, np.arctan(s * s / eps), len(X))
         out[at : at + len(X)] = grid.cell_volume / eps * total
     return out
 
@@ -817,8 +785,8 @@ def directional_energy(
     of each plane a pair crosses, and their pairs are counted per
     crossing pattern rather than visited (``_closed_form_sums``, here a
     batch of one; the value equals this direction's entry of
-    ``averaged_energy`` bit for bit).  Only pairs with an endpoint on or
-    within roundoff of a plane evaluate the field, nudged off it by h/7.
+    ``averaged_energy`` bit for bit).  Only pairs with an endpoint exactly
+    on a plane evaluate the field, nudged off it by h/7.
     """
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):

@@ -15,6 +15,7 @@ from nlgriffith.domain import (
     PlaneJump,
     PlaneSegment,
     SumField,
+    _dot_rows,
     _mesh,
     eval_nudged,
 )
@@ -40,14 +41,14 @@ def _moved(pairs, eps):
 def _per_cell(pairs, u, eps):
     """The per-cell closed-form path over the range box, flat in C order:
     each cell's slope, its crossing of each plane (+1, 0, -1, one column
-    per plane) and whether an endpoint lies within roundoff of a plane.
+    per plane) and whether an endpoint lies on a plane.
 
     A pair's slope is ``(x + eps xi - x).(A^T xi)`` plus ``J.xi`` for each
     plane it crosses to the plus side, minus that for each it crosses back;
-    a cell within roundoff of a plane at either endpoint is evaluated at
+    a cell with an endpoint on a plane (side exactly 0.0) is evaluated at
     both endpoints with ``eval_nudged`` instead.
     """
-    xi, dim = pairs.xi, pairs.grid.dim
+    xi = pairs.xi
     moved = _moved(pairs, eps)
     steps = [m - c for m, c in zip(moved, pairs.centers)]
     a_xi = u.affine_part()[0].T @ xi
@@ -60,10 +61,7 @@ def _per_cell(pairs, u, eps):
             side = _fold(c * plane.normal[d] for d, c in enumerate(coords))
             side -= plane.offset
             up.append(side > 0)
-            size = abs(plane.offset) + sum(
-                np.max(np.abs(c), initial=0.0) * abs(n) for c, n in zip(coords, plane.normal)
-            )
-            near |= np.abs(side, out=side) <= 4 * (dim + 1) * np.finfo(float).eps * size
+            near |= side == 0.0
         crossing = np.subtract(up[1], up[0], dtype=np.int8)
         s = s + (plane.jump @ xi) * crossing
         crossings.append(crossing.reshape(-1))
@@ -135,11 +133,12 @@ def cases(draw):
         if how == "grid":
             offset = float(nu @ np.full(dim, 0.5)) + draw(st.integers(-4, 4)) * h / 2
         elif how == "through":
-            # through a cell center or its shift, as eval_many computes x.nu, so
-            # that tilted planes are hit exactly and nearly-hit where x.nu
-            # summed in another order differs in the last bit
+            # through a cell center or its shift: x.nu summed as eval_many sums
+            # it hits the plane exactly, so the point is nudged; a matrix
+            # product may miss it by an ulp, so the point is counted by its sign
             point = grid.centers[draw(st.integers(0, grid.n_cells - 1))] + draw(st.sampled_from([0.0, eps])) * xi
-            offset = float((point[None, :] @ nu)[0])
+            exact = draw(st.booleans())
+            offset = float((_dot_rows(point[None, :], nu) if exact else point[None, :] @ nu)[0])
         else:
             offset = draw(st.floats(-0.5, 1.5))
         jump = np.array(draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim)))
@@ -238,7 +237,7 @@ def test_counting_kernel_matches_the_per_cell_path(case):
     np.testing.assert_array_equal(crossings[mine], patterns)
     np.testing.assert_array_equal(counts[at][mine], count)
 
-    # the exceptions, kept pairs within roundoff of a plane, as grid indices in C order
+    # the exceptions, kept pairs with an endpoint on a plane, as grid indices in C order
     at_box = np.unravel_index(np.flatnonzero(kept & near), pairs.shape)
     expected = np.stack([sl.start + i for sl, i in zip(pairs.box, at_box)], axis=1)
     np.testing.assert_array_equal(cells[owners == at], expected.reshape(-1, grid.dim))

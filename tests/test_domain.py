@@ -11,6 +11,7 @@ from nlgriffith.domain import (
     PlaneSegment,
     SampledField,
     SumField,
+    _dot_rows,
     difference_body,
     domain_from_config,
     eval_nudged,
@@ -200,6 +201,23 @@ def test_eval_nudged_is_batch_independent():
     batch = eval_nudged(f, np.vstack([near, [[0.5]]]), 0.01)
     assert alone[0, 0] == batch[0, 0] == 0.0
     assert batch[1, 0] == 1.0
+
+    # nor does a point's value, affine part included: every sub-batch gives
+    # each row the value it has in the whole batch, bit for bit
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.0, 1.0, size=(500, 3))
+    nu = rng.normal(size=3)
+    nu /= np.linalg.norm(nu)
+    A, b, jump = rng.uniform(-2, 2, (3, 3)), rng.uniform(-1, 1, 3), rng.uniform(-3, 3, 3)
+    # the tilted plane runs through the first point, which is nudged
+    f = SumField((Affine(A, b), PlaneJump(nu, float(_dot_rows(pts[:1], nu)[0]), np.zeros(3), jump)))
+    whole = eval_nudged(f, pts, 0.01)
+    differ = 0
+    for size in range(1, 60):
+        for at in range(0, len(pts), size):
+            part = eval_nudged(f, pts[at : at + size], 0.01)
+            differ += np.sum(np.any(part.view(np.int64) != whole[at : at + size].view(np.int64), axis=1))
+    assert differ == 0
 
 
 def test_eval_nudged_evaluates_once_per_nudge_round(monkeypatch):
