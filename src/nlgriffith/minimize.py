@@ -14,10 +14,11 @@ fixed order, so reruns are bit-identical.
 
 Every energy and gradient evaluation runs on one ``DescentKernel``: a
 sparse matrix with one row per interacting pair, assembled once from the
-pairs and interpolation rows of the energies' shift stencils, so an
-evaluation is two sparse products and a few vector operations.  One
-kernel is built per eps level, and the last one, at the problem's eps,
-also prices the candidates.
+pairs and interpolation rows of the energies' shift stencils, and its
+transpose, stored once next to it.  An evaluation is two sparse products
+(the slopes, then the gradient through the stored transpose) and a few
+in-place vector operations.  One kernel is built per eps level, and the
+last one, at the problem's eps, also prices the candidates.
 
 The energy landscape has an elastic and a fractured branch.  Descent
 from the sampled datum stays on the elastic branch, so the minimizer
@@ -182,8 +183,13 @@ class DescentKernel:
     ``s = D @ v``.  ``W`` holds each row's ``w_i h^n / eps`` for its rule
     weight ``w_i``.  Then ``E = W . arctan(s^2/eps)`` and the gradient is
     ``D^T (W phi'(s))`` with ``phi'(s) = (2 s/eps) / (1 + s^4/eps^2)``.
-    The sums run in a fixed order, so runs with identical inputs are
-    bit-reproducible.
+
+    The float operations are fixed by the code.  ``D^T`` is stored once as
+    its own CSR matrix, whose rows list their entries by ascending row of
+    ``D``, so each gradient component adds its terms in pair order.  With
+    ``q = (s s)/eps``, an evaluation forms ``arctan(q) W`` and its sum, then
+    ``(((2/eps) W) s) / (q q + 1)``, each step in place in a fixed order.
+    Runs with identical inputs are therefore bit-reproducible.
     """
 
     def __init__(self, grid: Grid, region: BoxDomain, eps: float, rule: DirectionRule):
@@ -213,19 +219,34 @@ class DescentKernel:
         )
         self.D.sum_duplicates()
         self.D.eliminate_zeros()
+        # a CSR copy adds each component's terms in pair order, as a product
+        # with the CSC view D.T does, without rebuilding the view per call
+        self._DT = self.D.T.tocsr()
         self.W = (grid.cell_volume / eps * rule.weights)[node]
+        self._grad_W = (2.0 / eps) * self.W
+
+    def _arctan_sum(self, s: np.ndarray) -> tuple[float, np.ndarray]:
+        """``W . arctan(s^2/eps)`` and ``q = s^2/eps``, formed in place."""
+        q = s * s
+        q /= self.eps
+        terms = np.arctan(q)
+        terms *= self.W
+        return float(terms.sum()), q
 
     def energy(self, values: np.ndarray) -> float:
-        s = self.D @ values.reshape(-1)
-        return float(np.sum(self.W * np.arctan(s * s / self.eps)))
+        return self._arctan_sum(self.D @ values.reshape(-1))[0]
 
     def energy_and_grad(
         self, values: np.ndarray, frozen: np.ndarray
     ) -> tuple[float, np.ndarray]:
         s = self.D @ values.reshape(-1)
-        q = s * s / self.eps
-        total = float(np.sum(self.W * np.arctan(q)))
-        grad = (self.D.T @ ((2.0 / self.eps) * self.W * s / (1.0 + q * q))).reshape(values.shape)
+        total, q = self._arctan_sum(s)
+        # W phi'(s) = ((2/eps) W) s / (1 + q^2), overwriting s and q
+        q *= q
+        q += 1.0
+        s *= self._grad_W
+        s /= q
+        grad = (self._DT @ s).reshape(values.shape)
         grad[frozen] = 0.0
         return total, grad
 
@@ -321,14 +342,14 @@ def _lbfgs_direction(
     q = grad.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        a = rho * float(np.sum(s * q))
+        a = rho * float((s * q).sum())
         q -= a * y
         alphas.append(a)
     if pairs:
         s, y, rho = pairs[-1]
-        q *= 1.0 / (rho * float(np.sum(y * y)))
+        q *= 1.0 / (rho * float((y * y).sum()))
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(np.sum(y * q))
+        b = rho * float((y * q).sum())
         q += (a - b) * s
     return -q
 
@@ -353,7 +374,7 @@ def _descend(
             break
         direction = _lbfgs_direction(grad, pairs)
         direction[frozen] = 0.0
-        slope = float(np.sum(grad * direction))
+        slope = float((grad * direction).sum())
         if not slope < 0.0:
             # not a descent direction: forget the curvature, go downhill
             pairs.clear()
@@ -373,7 +394,7 @@ def _descend(
             break
         s = step * direction
         y = g_trial - grad
-        sy = float(np.sum(s * y))
+        sy = float((s * y).sum())
         if sy > 0.0:
             pairs.append((s, y, 1.0 / sy))
         values, energy, grad = trial, e_trial, g_trial

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -87,11 +89,8 @@ def test_gradient_matches_central_differences(rule_fast, rule2_fast):
             assert abs(an - fd) <= 1e-5 * (1 + abs(an))
 
 
-def test_descent_kernel_energy_matches_averaged_energy(rule_fast, rule2_fast):
-    # the assembled operator and the per-direction stencils of
-    # averaged_energy are two evaluations of the same discrete energy, and
-    # the operator's rows are the stencils' slopes pair for pair
-    rng = np.random.default_rng(23)
+def _kernel_cases(rule_fast, rule2_fast):
+    """(grid, region, eps, rule, datum) of a bar, a plate and a slit domain."""
     outer = BoxDomain(np.array([-0.1, -0.1]), np.array([1.1, 1.1]))
     plate = DirichletProblem(
         outer=outer,
@@ -104,12 +103,19 @@ def test_descent_kernel_energy_matches_averaged_energy(rule_fast, rule2_fast):
     # the range box
     slit = BoxDomain(np.zeros(2), np.ones(2), (PlaneSegment(np.array([0.25, 0.46875]), np.array([0.75, 0.46875])),))
     bar_prob = bar(1.0, eps=0.05, h=0.0125)
-    cases = [
+    return [
         (bar_prob.grid, bar_prob.outer, bar_prob.eps, rule_fast, bar_prob.datum),
         (plate.grid, plate.outer, plate.eps, rule2_fast, plate.datum),
         (Grid(slit, 0.0625), slit, 0.25, rule2_fast, plate.datum),
     ]
-    for grid, region, eps, rule, datum in cases:
+
+
+def test_descent_kernel_energy_matches_averaged_energy(rule_fast, rule2_fast):
+    # the assembled operator and the per-direction stencils of
+    # averaged_energy are two evaluations of the same discrete energy, and
+    # the operator's rows are the stencils' slopes pair for pair
+    rng = np.random.default_rng(23)
+    for grid, region, eps, rule, datum in _kernel_cases(rule_fast, rule2_fast):
         values = sample(datum, grid).values + 0.1 * rng.normal(size=(grid.n_cells, grid.dim))
         kernel = DescentKernel(grid, region, eps, rule)
         stencils = [_Shift(grid, region, xi, eps) for xi in rule.nodes]
@@ -117,6 +123,30 @@ def test_descent_kernel_energy_matches_averaged_energy(rule_fast, rule2_fast):
         assert np.allclose(kernel.D @ values.reshape(-1), slopes, rtol=0.0, atol=1e-12 * np.abs(slopes).max())
         e_avg = averaged_energy(SampledField(grid, values), region, eps, rule).total
         assert kernel.energy(values) == pytest.approx(e_avg, rel=1e-12, abs=0.0)
+
+
+def test_descent_kernel_evaluation_is_the_plain_expression_bit_for_bit(rule_fast, rule2_fast):
+    # the in-place evaluation through the stored transpose performs the
+    # float operations of the plain expressions below, in the same order
+    rng = np.random.default_rng(29)
+    for grid, region, eps, rule, datum in _kernel_cases(rule_fast, rule2_fast):
+        kernel = DescentKernel(grid, region, eps, rule)
+        D, W = kernel.D, kernel.W
+        for scale in (1e-3, 0.1, 10.0):
+            values = sample(datum, grid).values + scale * rng.normal(size=(grid.n_cells, grid.dim))
+            frozen = rng.random(grid.n_cells) < 0.3
+            before = values.copy()
+            s = D @ values.reshape(-1)
+            q = s * s / eps
+            e_ref = float(np.sum(W * np.arctan(q)))
+            g_ref = (D.T @ ((2.0 / eps) * W * s / (1.0 + q * q))).reshape(values.shape)
+            g_ref[frozen] = 0.0
+            energy, grad = kernel.energy_and_grad(values, frozen)
+            assert energy.hex() == e_ref.hex()
+            assert grad.shape == values.shape
+            assert grad.tobytes() == g_ref.tobytes()
+            assert kernel.energy(values).hex() == float(np.sum(W * np.arctan(s * s / eps))).hex()
+            assert values.tobytes() == before.tobytes()
 
 
 def test_gradient_zero_on_frozen_cells(rule_fast):
@@ -275,6 +305,40 @@ def test_lbfgs_direction_satisfies_newest_secant_equation():
     gamma = float(s @ y) / float(y @ y)
     assert np.allclose(-_lbfgs_direction(v, pairs[-1:]), gamma * v, rtol=1e-12, atol=1e-12)
     assert np.array_equal(_lbfgs_direction(np.ones(8), []), -np.ones(8))
+
+
+def _reference_lbfgs_direction(grad, pairs):
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(np.sum(s * q))
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(np.sum(y * y)))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        b = rho * float(np.sum(y * q))
+        q += (a - b) * s
+    return -q
+
+
+@pytest.mark.parametrize("n_pairs", [1, 5, 10])
+def test_lbfgs_direction_matches_reference_recursion(n_pairs):
+    # the two-loop recursion written with np.sum, bit for bit, on arrays of
+    # a descent's (cells, components) layout
+    rng = np.random.default_rng(n_pairs)
+    shape = (700, 2)
+    pairs = deque(maxlen=10)
+    for _ in range(n_pairs):
+        s = rng.normal(size=shape)
+        y = rng.uniform(0.5, 2.0, size=shape) * s + 0.1 * rng.normal(size=shape)
+        pairs.append((s, y, 1.0 / float(np.sum(s * y))))
+    grad = rng.normal(size=shape)
+    before = grad.copy()
+    direction = _lbfgs_direction(grad, pairs)
+    assert direction.tobytes() == _reference_lbfgs_direction(before, pairs).tobytes()
+    assert grad.tobytes() == before.tobytes()
 
 
 def test_descent_from_datum_stays_elastic(rule_fast):
