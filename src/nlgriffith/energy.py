@@ -13,17 +13,21 @@ differs.  ``averaged_energy`` usually takes the product Gauss rule of
 ``nlgriffith.quad``, and ``pairwise_energy`` the lattice rule of the cell
 offsets, a Riemann sum of the Gaussian measure.
 
-Every energy and the ball families follow one pair rule, ``_pair_axis``:
-per grid axis, the partner coordinates ``x + eps xi``, the probes at
-which their membership is tested, and the range of cells whose pair
-stays inside the region's bounding box.  A sampled field is summed over
-the shift stencil ``_Shift``, cell by cell, with the ball or slit mask a
-broadcast sum of per-axis terms.  A closed-form field is counted, not
-visited: a pair's slope is the affine part's ``eps xi.(A^T xi)`` plus the
-jump of each plane the pair crosses, so it takes one value per crossing
-pattern, and along a grid column every predicate of a cell (the side of
-a plane at either endpoint, ball membership, lying on a slit) holds on
-one interval of indices.  ``_closed_form_sums`` counts the cells of each
+Every energy and the ball families follow one pair rule: per grid axis,
+the partner coordinates ``x + eps xi`` and the probes at which their
+membership is tested (``_partners``, which do not depend on the region),
+and the range of cells whose pair stays inside the region's bounding box
+(``_pair_axis``).  A sampled field is summed over the shift stencil
+``_Shift``, with the ball or slit mask a broadcast sum of per-axis terms.
+Only ``(u(x+eps xi)-u(x)).xi`` enters, and interpolation is linear, so
+the field is projected onto xi before it is interpolated, and one slope
+pass per direction serves every region of a call (each ball of a family,
+``_sampled_sums``).  A closed-form field is counted, not visited: a
+pair's slope is the affine part's ``eps xi.(A^T xi)`` plus the jump of
+each plane the pair crosses, so it takes one value per crossing pattern,
+and along a grid column every predicate of a cell (the side of a plane
+at either endpoint, ball membership, lying on a slit) holds on one
+interval of indices.  ``_closed_form_sums`` counts the cells of each
 pattern from the interval ends, a fixed-size chunk of directions at a
 time, and evaluates the field only at the few pairs with an endpoint
 exactly on a plane, in one batch per chunk.  The descent kernel of
@@ -166,11 +170,17 @@ class BallStrategy:
     def parse(cls, text: str) -> "BallStrategy":
         """Parse compact forms like ``dyadic:3`` or ``greedy:8``; a bare
         ``dyadic`` or ``greedy`` takes the field default."""
-        kind, _, arg = text.partition(":")
+        kind, colon, arg = text.partition(":")
         name = {"dyadic": "levels", "greedy": "count"}.get(kind)
         if name is None:
             raise ValueError(f"unknown ball strategy {text!r}")
-        return cls(kind, **({name: int(arg)} if arg else {}))
+        if not colon:
+            return cls(kind)
+        try:
+            value = int(arg)
+        except ValueError:
+            raise ValueError(f"ball strategy {text!r} must have the form {kind} or {kind}:integer") from None
+        return cls(kind, **{name: value})
 
 
 def ball_candidates(domain: BoxDomain, strategy: BallStrategy) -> list[BallFamily]:
@@ -283,23 +293,27 @@ def _snap_to_axis(axis: np.ndarray, h: float, x: np.ndarray, step) -> np.ndarray
     return np.where(lattice & (np.abs(x - near) <= tol), near, x)
 
 
-def _pair_axis(region: Region, d: int, axis: np.ndarray, h: float, steps):
-    """The pair rule along grid axis d for a batch of steps ``eps xi_d``.
-
-    Returns one row per step: the partners ``axis + step``, the probes at
-    which their membership is tested (``_snap_to_axis``), and the first
-    and stop index of the cells whose center and probe both pass the
-    region's axis-d factor (``0, 0`` when none does).  ``_Shift`` calls it
-    with one step, the closed-form kernel with a chunk of them.
-    """
+def _partners(axis: np.ndarray, h: float, steps):
+    """The region-free half of the pair rule along one grid axis, for a
+    batch of steps ``eps xi_d``: one row per step of the partners ``axis +
+    step`` and of the probes at which their membership is tested
+    (``_snap_to_axis``)."""
     steps = np.asarray(steps, dtype=float).reshape(-1, 1)
     partner = axis + steps
-    probe = _snap_to_axis(axis, h, partner, steps)
+    return partner, _snap_to_axis(axis, h, partner, steps)
+
+
+def _pair_axis(region: Region, d: int, axis: np.ndarray, probe: np.ndarray):
+    """The pair rule of a region along grid axis d: per row of ``probe``
+    (``_partners``), the first and stop index of the cells whose center
+    and probe both pass the region's axis-d factor (``0, 0`` when none
+    does).  The stencils and the closed-form kernel both call it with a
+    chunk of rows."""
     hits = _axis_inside(region, d, axis) & _axis_inside(region, d, probe)
     # a row without hits has argmax 0 both ways
     first = hits.argmax(axis=1)
     stop = (axis.size - hits[:, ::-1].argmax(axis=1)) * hits.any(axis=1)
-    return partner, probe, first, stop
+    return first, stop
 
 
 def _inside_terms(region: Region, coords) -> list[list[np.ndarray]]:
@@ -337,6 +351,13 @@ def _buffer(buffers: list, i: int, shape) -> np.ndarray:
     return buffers[i][:size].reshape(shape)
 
 
+def _components(u, grid: Grid) -> list[np.ndarray]:
+    """Each component of a sampled field's nodal values (a ``SampledField``
+    or an array with one row per cell) as its own C-ordered grid array."""
+    nodal = (u.values if isinstance(u, SampledField) else np.asarray(u)).reshape(grid.n_cells, -1)
+    return [np.ascontiguousarray(c).reshape(grid.shape) for c in nodal.T]
+
+
 class _Shift:
     """The pairs ``(x, x + eps xi)`` of one region on a regular grid.
 
@@ -350,58 +371,87 @@ class _Shift:
     mesh is formed; a shifted coordinate within roundoff of a grid
     coordinate is tested there, so a partner that lands on a center has
     its membership.  The shifted endpoint is multilinear in the nodal
-    values, with one row of cells and weights per axis.  Closed-form
-    fields do not visit the stencil's cells: ``_closed_form_sums`` counts
-    them with the same pair rule.
+    values, with one row of cells and weights per axis.
 
-    ``_Shift(grid, region, xi, eps)`` is ``each`` on the one row ``xi``.
+    Only ``(u(x + eps xi) - u(x)).xi`` enters an energy, and interpolation
+    is linear, so ``slopes`` interpolates the projected field ``U = u.xi``,
+    a scalar.  A cell's slope depends on the field, xi and eps, not on the
+    region, so ``_sampled_sums`` runs one slope pass per direction over the
+    union of several regions' range boxes (``over``) and each region sums
+    its own cells of it.  Closed-form fields do not visit the stencil's
+    cells: ``_closed_form_sums`` counts them with the same pair rule.
+
+    ``_Shift(grid, region, xi, eps)`` is ``each`` on one region and the
+    one row ``xi``.
     """
 
     def __new__(cls, grid: Grid, region: Region, xi: np.ndarray, eps: float):
-        (stencil,) = cls.each(grid, region, np.reshape(xi, (1, -1)), eps)
+        ((stencil,),) = cls.each(grid, (region,), np.reshape(xi, (1, -1)), eps)
         return stencil
 
     @classmethod
-    def each(cls, grid: Grid, region: Region, xis: np.ndarray, eps: float):
-        """The stencil of each row of ``xis`` in turn.  The per-axis set-up
-        is done for ``_CHUNK`` rows at once (the pair rule, the partners'
-        interpolation rows and the probes' ``_inside_terms``) and the
-        centers' membership once, so that a stencil only slices its row
-        out of each table.  A stencil does not depend on the other rows.
-        Their ``slopes`` run the axis passes in three shared buffers, so
-        that the process reuses memory it holds rather than mapping fresh
-        pages for each stencil; no two of them may run at once."""
-        centers = _folded_inside(region, _inside_terms(region, grid.axes))
-        buffers = [np.empty(0)] * 3
+    def each(cls, grid: Grid, regions, xis: np.ndarray, eps: float, kept: np.ndarray | None = None):
+        """Per row of ``xis``, a tuple of the stencil of each of ``regions``,
+        None where ``kept`` (one row of flags per region; all by default)
+        is False.
+
+        The region-free set-up is done for ``_CHUNK`` rows at once (the
+        partners, their probes and interpolation rows); each region adds
+        its range boxes (``_pair_axis``) and its probes' ``_inside_terms``
+        per chunk and folds its centers' membership once per call, so that
+        a stencil only slices its row out of each table.  A stencil does
+        not depend on the other rows or regions.  All stencils of one call
+        run their slopes' passes in four shared buffers, so that the
+        process reuses memory it holds rather than mapping fresh pages for
+        each stencil; no two of them may run at once."""
+        if kept is None:
+            kept = np.ones((len(regions), len(xis)), dtype=bool)
+        centers = [_folded_inside(region, _inside_terms(region, grid.axes)) for region in regions]
+        buffers = [np.empty(0)] * 4
         for at in range(0, len(xis), _CHUNK):
             X = xis[at : at + _CHUNK]
-            rules = [_pair_axis(region, d, axis, grid.h, eps * X[:, d]) for d, axis in enumerate(grid.axes)]
-            rows = [_interp_row(axis, grid.h, partner) for axis, (partner, _, _, _) in zip(grid.axes, rules)]
-            probes = _inside_terms(region, [probe for _, probe, _, _ in rules])
+            moved = [_partners(axis, grid.h, eps * X[:, d]) for d, axis in enumerate(grid.axes)]
+            probes = [probe for _, probe in moved]
+            rows = [_interp_row(axis, grid.h, partner) for axis, (partner, _) in zip(grid.axes, moved)]
+            ranges = [
+                [_pair_axis(region, d, axis, probe) for d, (axis, probe) in enumerate(zip(grid.axes, probes))]
+                for region in regions
+            ]
+            terms = [_inside_terms(region, probes) for region in regions]
             for k, xi in enumerate(X):
-                stencil = object.__new__(cls)
-                stencil._place(grid, region, xi, rules, rows, centers, probes, k)
-                stencil._buffers = buffers
-                yield stencil
+                line = [tuple(a[k] for a in row) for row in rows]
+                stencils = []
+                for region, inside, axes, probe_terms, flags in zip(regions, centers, ranges, terms, kept):
+                    if not flags[at + k]:
+                        stencils.append(None)
+                        continue
+                    box = tuple(slice(int(first[k]), int(stop[k])) for first, stop in axes)
+                    stencil = cls._place(grid, xi, line, box, buffers)
+                    if probe_terms:
+                        probe = _folded_inside(region, [[t[k, sl] for t, sl in zip(g, box)] for g in probe_terms])
+                        stencil.keep = np.logical_and(inside[box], probe).reshape(-1)
+                    stencils.append(stencil)
+                yield tuple(stencils)
 
-    def _place(self, grid: Grid, region: Region, xi: np.ndarray, rules, rows, centers, probes, k: int):
-        """Build from row k of each axis's pair rule, interpolation rows and
-        probe terms, and the grid's membership mask ``centers``."""
-        self.grid, self.xi = grid, xi
-        box, self.centers, self.rows = [], [], []
-        for d, (axis, (_, _, first, stop), row) in enumerate(zip(grid.axes, rules, rows)):
-            sl = slice(int(first[k]), int(stop[k]))
-            box.append(sl)
-            self.centers.append(axis[sl])
-            base, top, frac = (a[k, sl] for a in row)
-            col = (-1,) + (1,) * (grid.dim - d)  # broadcasts along axis d
-            self.rows.append((base, top, (1.0 - frac).reshape(col), frac.reshape(col)))
-        self.box = tuple(box)
+    @classmethod
+    def _place(cls, grid: Grid, xi: np.ndarray, line, box: tuple, buffers: list) -> "_Shift":
+        """The stencil of ``xi`` over ``box`` with every pair kept, from the
+        direction's ``(base, top, frac)`` interpolation row of each axis."""
+        self = object.__new__(cls)
+        self.grid, self.xi, self.box, self._line, self._buffers = grid, xi, box, line, buffers
+        self.centers = [axis[sl] for axis, sl in zip(grid.axes, box)]
         self.shape = tuple(c.size for c in self.centers)
+        self.rows = []
+        for d, ((base, top, frac), sl) in enumerate(zip(line, box)):
+            col = (-1,) + (1,) * (grid.dim - 1 - d)  # broadcasts along axis d
+            frac = frac[sl]
+            self.rows.append((base[sl], top[sl], (1.0 - frac).reshape(col), frac.reshape(col)))
         self.keep = slice(None)
-        if probes:
-            ends = centers[self.box], _folded_inside(region, [[t[k, sl] for t, sl in zip(g, box)] for g in probes])
-            self.keep = np.logical_and(*ends).reshape(-1)
+        return self
+
+    def over(self, box: tuple) -> "_Shift":
+        """This direction's stencil over another box of cells, every pair kept."""
+        return self._place(self.grid, self.xi, self._line, box, self._buffers)
 
     def pairs(self) -> tuple[np.ndarray, list]:
         """The kept pairs in C order: each center's flat grid index, and its
@@ -410,35 +460,80 @@ class _Shift:
         centers = np.ravel_multi_index([sl.start + i for sl, i in zip(self.box, at)], self.grid.shape)
         return centers, [(base[i], top[i], hi.reshape(-1)[i]) for (base, top, _, hi), i in zip(self.rows, at)]
 
-    def slopes(self, u) -> np.ndarray:
-        """``(u(x + eps xi) - u(x)).xi`` of nodal values ``u`` (a
-        ``SampledField`` or an array with one row per cell) over the range
-        box, flat in C order, interpolated at the shifted endpoint one
-        pass per axis."""
-        nodal = (u.values if isinstance(u, SampledField) else u).reshape(self.grid.shape + (-1,))
+    def slopes(self, comps) -> np.ndarray:
+        """``(u(x + eps xi) - u(x)).xi`` over the range box, flat in C
+        order, from the field's components ``comps`` (``_components``).
+
+        The field is projected first, ``U = u.xi`` with the components'
+        terms added left to right cell by cell as ``_dot_rows`` adds them,
+        so that a cell's value does not depend on the box.  ``U`` is then
+        interpolated at the shifted endpoint one pass per axis, and ``U``
+        at the centers subtracted.
+        """
+        if 0 in self.shape:
+            return np.zeros(0)
         # each axis pass reads only the partner columns of the later axes;
         # the rows' cells are nondecreasing, so those span base[0]..top[-1]
-        cols = [slice(base[0], top[-1] + 1) if base.size else slice(0, 0) for base, top, _, _ in self.rows]
-        end = nodal[tuple(cols)]
-        for d, ((base, top, lo_w, hi_w), sl) in enumerate(zip(self.rows, cols)):
-            if d == self.grid.dim - 1:  # per component too, so that one inner loop runs over both last axes
-                lo_w, hi_w = (np.repeat(w, nodal.shape[-1], axis=1) for w in (lo_w, hi_w))
-            # lo_w * end[base] + hi_w * end[top], in buffers other than end's
+        span = tuple(
+            slice(min(sl.start, base[0]), max(sl.stop, top[-1] + 1))
+            for sl, (base, top, _, _) in zip(self.box, self.rows)
+        )
+        shape = tuple(sl.stop - sl.start for sl in span)
+        U = np.multiply(comps[0][span], self.xi[0], out=_buffer(self._buffers, 3, shape))
+        for c, x in zip(comps[1:], self.xi[1:]):
+            U += np.multiply(c[span], x, out=_buffer(self._buffers, 2, shape))
+        end = U
+        for d, ((base, top, lo_w, hi_w), sl) in enumerate(zip(self.rows, span)):
+            # lo_w * end[base] + hi_w * end[top], in buffers other than end's and U's
             shape = end.shape[:d] + base.shape + end.shape[d + 1 :]
             lo = np.take(end, base - sl.start, axis=d, mode="clip", out=_buffer(self._buffers, d % 2, shape))
             hi = np.take(end, top - sl.start, axis=d, mode="clip", out=_buffer(self._buffers, 2, shape))
             lo *= lo_w
             hi *= hi_w
             end = np.add(lo, hi, out=lo)
-        end -= nodal[self.box]
-        return end.reshape(-1, nodal.shape[-1]) @ self.xi
+        end -= U[tuple(slice(b.start - s.start, b.stop - s.start) for b, s in zip(self.box, span))]
+        return end.reshape(-1)
 
-    def cell_sum(self, u, eps: float) -> float:
-        """Midpoint cell sum ``(h^n/eps) sum arctan(s^2/eps)`` over the pairs."""
-        s = self.slopes(u)[self.keep]
-        s *= s
+    def cell_sum(self, slopes: np.ndarray, eps: float) -> float:
+        """Midpoint cell sum ``(h^n/eps) sum arctan(s^2/eps)`` over the kept
+        pairs, from the slopes ``s`` over the range box (an array of the
+        box's shape, or flat), added in C order.  ``slopes`` is not changed."""
+        if isinstance(self.keep, slice):
+            s = slopes.reshape(-1)
+        else:
+            s = slopes.reshape(self.shape)[self.keep.reshape(self.shape)]
+        s = s * s
         s /= eps
         return float(self.grid.cell_volume / eps * np.sum(np.arctan(s, out=s)))
+
+
+def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Cell sums ``(h^n/eps) sum arctan(s^2/eps)`` of a sampled field, one
+    row per region and one column per row of ``xis``, where ``kept`` (the
+    same shape) holds; 0.0 elsewhere.
+
+    Per direction, one slope pass runs over the union of the regions'
+    range boxes (``_Shift.over``), and each region sums the kept pairs of
+    its own sub-box.  A cell's slope is formed elementwise, so it is the
+    same in any box, and each sum adds the same floats in the same order
+    as a pass over that region alone.
+    """
+    comps = _components(u, grid)
+    sums = np.zeros(kept.shape)
+    for k, stencils in enumerate(_Shift.each(grid, regions, xis, eps, kept)):
+        live = [(i, st) for i, st in enumerate(stencils) if st is not None and 0 not in st.shape]
+        if not live:
+            continue
+        box = tuple(
+            slice(min(st.box[d].start for _, st in live), max(st.box[d].stop for _, st in live))
+            for d in range(grid.dim)
+        )
+        whole = live[0][1].over(box)
+        s = whole.slopes(comps).reshape(whole.shape)
+        for i, st in live:
+            sub = tuple(slice(a.start - b.start, a.stop - b.start) for a, b in zip(st.box, box))
+            sums[i, k] = st.cell_sum(s[sub], eps)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +596,11 @@ class _Columns:
 
     def __init__(self, grid: Grid, region: Region, eps: float, xis: np.ndarray):
         self.grid, self.dim = grid, grid.dim
-        rules = [_pair_axis(region, d, axis, grid.h, eps * xis[:, d]) for d, axis in enumerate(grid.axes)]
-        self.partners, self.probes = [r[0] for r in rules], [r[1] for r in rules]
-        self.first = np.stack([r[2] for r in rules], axis=1)
-        self.stop = np.stack([r[3] for r in rules], axis=1)
+        moved = [_partners(axis, grid.h, eps * xis[:, d]) for d, axis in enumerate(grid.axes)]
+        self.partners, self.probes = [m[0] for m in moved], [m[1] for m in moved]
+        ranges = [_pair_axis(region, d, axis, probe) for d, (axis, probe) in enumerate(zip(grid.axes, self.probes))]
+        self.first = np.stack([r[0] for r in ranges], axis=1)
+        self.stop = np.stack([r[1] for r in ranges], axis=1)
         dirs, index = np.arange(len(xis)), []
         for d in range(self.dim - 1):
             owner, offset = _runs((self.stop - self.first)[dirs, d])
@@ -797,18 +893,25 @@ def directional_energy(
         raise ValueError(f"xi must have {g.dim} components, got shape {xi.shape}")
     if isinstance(u, AnalyticField):
         return float(_closed_form_sums(u, g, region, eps, xi[None, :])[0])
-    return _Shift(g, region, xi, eps).cell_sum(u, eps)
+    return float(_sampled_sums(u, g, (region,), eps, xi[None, :], np.ones((1, 1), dtype=bool))[0, 0])
 
 
 def _direction_values(
-    u: FieldLike, region: Region, eps: float, rule: DirectionRule, grid: Grid, support: BoxDomain
-) -> tuple[np.ndarray, list[float]]:
-    """Rule nodes inside ``support`` and their directional cell sums on the
-    region, both in ascending node order."""
-    nodes = np.flatnonzero(support.contains(rule.nodes))
+    u: FieldLike, regions, eps: float, rule: DirectionRule, grid: Grid, kept: np.ndarray
+) -> list[tuple[np.ndarray, list[float]]]:
+    """For each region, the rule nodes it keeps (``kept``, one row of flags
+    per region) and their directional cell sums on it, both in ascending
+    node order.  A sampled field takes one slope pass per direction over
+    all the regions (``_sampled_sums``); a closed-form field is counted
+    region by region (``_closed_form_sums``)."""
     if isinstance(u, AnalyticField):
-        return nodes, _closed_form_sums(u, grid, region, eps, rule.nodes[nodes]).tolist()
-    return nodes, [stencil.cell_sum(u, eps) for stencil in _Shift.each(grid, region, rule.nodes[nodes], eps)]
+        return [
+            (nodes, _closed_form_sums(u, grid, region, eps, rule.nodes[nodes]).tolist())
+            for region, nodes in zip(regions, map(np.flatnonzero, kept))
+        ]
+    nodes = np.flatnonzero(kept.any(axis=0))
+    sums = _sampled_sums(u, grid, regions, eps, rule.nodes[nodes], kept[:, nodes])
+    return [(nodes[flags], row[flags].tolist()) for row, flags in zip(sums, kept[:, nodes])]
 
 
 def _lp_norm(weights, values, p: float) -> float:
@@ -843,7 +946,7 @@ def averaged_energy(
         raise ValueError("rule dimension must match the field dimension")
     if support is None:
         support = _support_box(region, eps)
-    nodes, values = _direction_values(u, region, eps, rule, g, support)
+    ((nodes, values),) = _direction_values(u, (region,), eps, rule, g, support.contains(rule.nodes)[None, :])
     return EnergyReport(
         total=_lp_norm(rule.weights[nodes], values, 1.0),
         eps=eps,
@@ -901,18 +1004,23 @@ def family_energy(
     With ``per_ball_support`` the direction integral of each ball is
     truncated to that ball's own difference body instead of the domain's;
     for p = 1 and a single ball this reproduces the direction-averaged
-    energy of the ball exactly.
+    energy of the ball exactly.  On a sampled field the balls take their
+    cells from one slope pass per direction (``_sampled_sums``), so each
+    ``per_ball`` entry at p = 1 is the ball's ``averaged_energy`` on the
+    same support, bit for bit.
     """
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"p must be finite and at least 1, got {p}")
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)
     domain_support = _support_box(domain, eps)
-    per_ball: dict[int, float] = {}
-    for bi, ball in enumerate(family.balls):
-        support = _support_box(ball, eps) if per_ball_support else domain_support
-        nodes, values = _direction_values(u, ball, eps, rule, g, support)
-        per_ball[bi] = _lp_norm(rule.weights[nodes], values, p)
+    supports = [_support_box(ball, eps) if per_ball_support else domain_support for ball in family.balls]
+    kept = np.array([support.contains(rule.nodes) for support in supports], dtype=bool)
+    kept = kept.reshape(len(family), rule.n_nodes)
+    per_ball = {
+        bi: _lp_norm(rule.weights[nodes], values, p)
+        for bi, (nodes, values) in enumerate(_direction_values(u, family.balls, eps, rule, g, kept))
+    }
     return sum(per_ball.values()), per_ball
 
 

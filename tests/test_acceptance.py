@@ -165,6 +165,22 @@ def test_c03_bulk_plus_surface_2d(sweep2d_csv):
     _report("bulk-plus-surface-2d", failures, elapsed)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: sampled fields converge to the wrong limit at fixed h/eps; the sampled sweep "
+    "extrapolates to about 7.135 against 6.711 (+6.3%), outside c03's 5%",
+)
+def test_c03_sampled_bulk_plus_surface_2d():
+    # c03's sweep and 5% tolerance on the sampled field
+    t0 = time.perf_counter()
+    spec = SweepSpec(field_config=CONFIG_2D, eps_list=[0.08, 0.04, 0.02], h_over=6, sampled=True)
+    result = run_sweep(spec)
+    target = closed_form_bulk_p1(np.array(A_2D)) + np.pi**1.5 / 2
+    rel = abs(result.extrapolated - target) / target
+    failures = [f"extrapolated {result.extrapolated:.5f} vs {target:.5f} ({rel:.2%})"] if rel > 0.05 else []
+    _report("bulk-plus-surface-2d-sampled", failures, time.perf_counter() - t0)
+
+
 def test_c04_bulk_identity():
     t0 = time.perf_counter()
     failures = []

@@ -7,9 +7,9 @@ import pytest
 
 from nlgriffith import slicing
 from nlgriffith.cli import main
-from nlgriffith.domain import load_problem
-from nlgriffith.energy import BallStrategy, ball_candidates
-from nlgriffith.quad import build_sphere_rule
+from nlgriffith.domain import Grid, load_problem, sample
+from nlgriffith.energy import BallStrategy, ball_candidates, ball_supremum_energy
+from nlgriffith.quad import build_direction_rule, build_sphere_rule
 from nlgriffith.slicing import family_slice_measure
 
 
@@ -98,6 +98,27 @@ def test_energy_subcommand_with_strategy(tmp_path, field_json):
     assert rc == 0
     rows = read_rows(out)
     assert int(rows[0]["n_balls"]) >= 1
+
+
+def test_energy_subcommand_sampled_strategy_is_reproducible(tmp_path, field2d_json):
+    # two runs agree in every column but the informational wall time, and
+    # the total is the ball supremum of the sampled field
+    argv = ["energy", "--field", field2d_json, "--eps", "0.1", "--h", "0.025", "--p", "2",
+            "--strategy", "dyadic:1", "--sampled"]  # fmt: skip
+    rows = []
+    for name in ("first.csv", "second.csv"):
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        (row,) = read_rows(tmp_path / name)
+        del row["wall_ms"]
+        rows.append(row)
+    assert rows[0] == rows[1]
+    domain, field_, quad_cfg = load_problem(field2d_json)
+    grid = Grid(domain, 0.025)
+    rule = build_direction_rule(2, **quad_cfg)
+    strategy = BallStrategy.parse("dyadic:1")
+    report = ball_supremum_energy(sample(field_, grid), domain, 0.1, 2.0, strategy, rule, grid=grid)
+    assert float(rows[0]["total"]) == report.total
+    assert int(rows[0]["n_balls"]) == len(report.family)
 
 
 def test_minimize_subcommand(tmp_path):

@@ -10,6 +10,7 @@ from nlgriffith.domain import (
     PlaneSegment,
     SampledField,
     SumField,
+    difference_body,
     eval_nudged,
     sample,
 )
@@ -397,6 +398,14 @@ def test_ball_strategy_refuses_bad_counts(build, name):
         build()
 
 
+@pytest.mark.parametrize("text", ["dyadic:x", "dyadic:1.5", "dyadic:1:2", "dyadic:", "greedy:", "greedy:two"])
+def test_ball_strategy_parse_refuses_malformed_counts(text):
+    # the message names the text and the accepted form, not int()'s complaint
+    kind = text.partition(":")[0]
+    with pytest.raises(ValueError, match=f"{text!r} must have the form {kind} or {kind}:integer"):
+        BallStrategy.parse(text)
+
+
 def test_ball_strategy_parse_defaults_are_the_field_defaults():
     assert BallStrategy.parse("dyadic") == BallStrategy("dyadic")
     assert BallStrategy.parse("greedy") == BallStrategy("greedy")
@@ -506,6 +515,48 @@ def test_supremum_report_reproducible_from_per_ball(rule1):
     assert rep.total == pytest.approx(sum(rep.per_ball.values()), rel=1e-14)
     assert rep.family is not None
     assert all(dom.contains_ball(b) for b in rep.family.balls)
+
+
+def _sampled_cube(dim):
+    """A sampled affine-plus-jump field with noise on the unit cube, its eps,
+    and a small direction rule."""
+    eps = 0.1 if dim == 2 else 0.25
+    dom = BoxDomain(np.zeros(dim), np.ones(dim))
+    g = Grid(dom, eps / 4)
+    rng = np.random.default_rng(dim)
+    A = rng.normal(size=(dim, dim))
+    normal = rng.normal(size=dim)
+    jump = PlaneJump(normal / np.linalg.norm(normal), 0.55, np.zeros(dim), rng.normal(size=dim))
+    u = sample(SumField((Affine(A, np.zeros(dim)), jump)), g)
+    u = SampledField(g, u.values + 0.05 * rng.normal(size=u.values.shape))
+    return dom, u, eps, build_direction_rule(dim, radial_order=2, angular_order=8 if dim == 2 else 4)
+
+
+def _families(dom):
+    fine = ball_candidates(dom, BallStrategy.parse("dyadic:2"))[-1].balls
+    return {
+        "dyadic:1": ball_candidates(dom, BallStrategy.parse("dyadic:1"))[-1],
+        "dyadic:2": BallFamily(fine),
+        "greedy": ball_candidates(dom, BallStrategy.parse("greedy:5"))[0],
+        "reordered": BallFamily(fine[::-1]),
+        "partial": BallFamily(fine[1::3]),
+    }
+
+
+@pytest.mark.parametrize(
+    "dim, name", [(2, "dyadic:1"), (2, "dyadic:2"), (2, "greedy"), (2, "reordered"), (2, "partial"), (3, "dyadic:1")]
+)
+def test_sampled_family_per_ball_equals_averaged_energy_bit_for_bit(dim, name):
+    # the family's one slope pass per direction over all balls gives each
+    # ball the sums of a pass over that ball alone, in the same order
+    dom, u, eps, rule = _sampled_cube(dim)
+    family = _families(dom)[name]
+    for per_ball_support in (False, True):
+        support = None if per_ball_support else difference_body(dom, eps)
+        _, per_ball = family_energy(u, dom, family, eps, 1.0, rule, per_ball_support=per_ball_support)
+        assert len(per_ball) == len(family) and any(v > 0 for v in per_ball.values())
+        for i, ball in enumerate(family.balls):
+            assert per_ball[i].hex() == averaged_energy(u, ball, eps, rule, support=support).total.hex()
 
 
 @pytest.mark.parametrize("p", [np.nan, np.inf, 0.5])

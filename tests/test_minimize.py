@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlgriffith.domain import Affine, BoxDomain, Grid, PlaneSegment, SampledField, sample
-from nlgriffith.energy import GridCapabilityError, _Shift, averaged_energy
+from nlgriffith.energy import GridCapabilityError, _components, _Shift, averaged_energy
 from nlgriffith.minimize import (
     DescentTrace,
     DirichletProblem,
@@ -119,7 +119,8 @@ def test_descent_kernel_energy_matches_averaged_energy(rule_fast, rule2_fast):
         values = sample(datum, grid).values + 0.1 * rng.normal(size=(grid.n_cells, grid.dim))
         kernel = DescentKernel(grid, region, eps, rule)
         stencils = [_Shift(grid, region, xi, eps) for xi in rule.nodes]
-        slopes = np.concatenate([st.slopes(values)[st.keep] for st in stencils])
+        comps = _components(values, grid)
+        slopes = np.concatenate([st.slopes(comps)[st.keep] for st in stencils])
         assert np.allclose(kernel.D @ values.reshape(-1), slopes, rtol=0.0, atol=1e-12 * np.abs(slopes).max())
         e_avg = averaged_energy(SampledField(grid, values), region, eps, rule).total
         assert kernel.energy(values) == pytest.approx(e_avg, rel=1e-12, abs=0.0)

@@ -1,16 +1,17 @@
 """Property tests: the shift stencil's pair mask against point-mesh
 membership, each stencil of a batch against the stencil built alone, the
-descent operator built from the stencils against per-point assembly, and
-the sampled slopes and cell sums against a full-width pass."""
+descent operator built from the stencils against per-point assembly, the
+sampled slopes and cell sums against a full-width pass of the projected
+field, and those cell sums against the two-component form."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from nlgriffith.domain import Ball, BoxDomain, Grid, PlaneSegment, _mesh
-from nlgriffith.energy import _CHUNK, _Shift, _snap_to_axis
+from nlgriffith.domain import Ball, BoxDomain, Grid, PlaneSegment, _dot_rows, _mesh
+from nlgriffith.energy import _CHUNK, _components, _sampled_sums, _Shift, _snap_to_axis
 from nlgriffith.minimize import DescentKernel
 from nlgriffith.quad import DirectionRule
 
@@ -124,8 +125,8 @@ def test_each_stencil_equals_the_stencil_built_alone(case):
     # the set-up of a batch is shared by a chunk of rows; no stencil may
     # depend on the rows built with it, across a chunk boundary too
     grid, region, eps, xis = case
-    values = np.random.default_rng(0).normal(size=(grid.n_cells, grid.dim))
-    for xi, pairs in zip(xis, _Shift.each(grid, region, xis, eps)):
+    comps = _components(np.random.default_rng(0).normal(size=(grid.n_cells, grid.dim)), grid)
+    for xi, (pairs,) in zip(xis, _Shift.each(grid, (region,), xis, eps)):
         alone = _Shift(grid, region, xi, eps)
         assert pairs.box == alone.box
         for row, own in zip(pairs.rows, alone.rows):
@@ -135,8 +136,8 @@ def test_each_stencil_equals_the_stencil_built_alone(case):
             assert pairs.keep == alone.keep
         else:
             _assert_same_bits(pairs.keep, alone.keep)
-        _assert_same_bits(pairs.slopes(values), alone.slopes(values))
-        assert pairs.cell_sum(values, eps).hex() == alone.cell_sum(values, eps).hex()
+        _assert_same_bits(pairs.slopes(comps), alone.slopes(comps))
+        assert pairs.cell_sum(pairs.slopes(comps), eps).hex() == alone.cell_sum(alone.slopes(comps), eps).hex()
 
 
 def test_keep_drops_partners_landing_on_a_slit_through_centers():
@@ -219,10 +220,24 @@ def test_descent_operator_equals_per_point_assembly(case):
 
 
 def _full_width_slopes(pairs, values):
-    """The sampled slopes with every axis pass over all grid columns."""
+    """The sampled slopes with every axis pass over all grid columns: the
+    field projected onto xi cell by cell (``U = u.xi``, terms added left to
+    right), interpolated at the shifted endpoints, minus ``U`` at the
+    centers."""
+    U = _dot_rows(values, pairs.xi).reshape(pairs.grid.shape)
+    end = U
+    for d, (base, top, lo_w, hi_w) in enumerate(pairs.rows):
+        end = lo_w * np.take(end, base, axis=d) + hi_w * np.take(end, top, axis=d)
+    return (end - U[pairs.box]).reshape(-1)
+
+
+def _two_component_slopes(pairs, values):
+    """The slopes as ``(u(x + eps xi) - u(x)).xi``: both components
+    interpolated over all grid columns, then the difference projected."""
     nodal = values.reshape(pairs.grid.shape + (-1,))
     end = nodal
     for d, (base, top, lo_w, hi_w) in enumerate(pairs.rows):
+        lo_w, hi_w = lo_w[..., None], hi_w[..., None]
         end = lo_w * np.take(end, base, axis=d) + hi_w * np.take(end, top, axis=d)
     return (end - nodal[pairs.box]).reshape(-1, nodal.shape[-1]) @ pairs.xi
 
@@ -239,24 +254,28 @@ def _regions(dim):
     }
 
 
+def _grid(dim):
+    return Grid(BoxDomain(np.zeros(dim), np.ones(dim)), {1: 1 / 40, 2: 1 / 20, 3: 1 / 10}[dim])
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("kind", ["box", "ball", "slit", "small-ball"])
 def test_sampled_slopes_equal_the_full_width_pass(dim, kind):
-    grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), 1 / 20 if dim == 2 else 1 / 10)
+    grid = _grid(dim)
     region = _regions(dim)[kind]
     rng = np.random.default_rng(dim)
     values = rng.normal(size=(grid.n_cells, dim))
     eps = 0.2
     for xi in (rng.uniform(-1.5, 1.5, size=dim), np.eye(dim)[-1] * grid.h / eps, -np.ones(dim)):
         pairs = _Shift(grid, region, xi, eps)
-        _assert_same_bits(pairs.slopes(values), _full_width_slopes(pairs, values))
+        _assert_same_bits(pairs.slopes(_components(values, grid)), _full_width_slopes(pairs, values))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("kind", ["box", "ball", "slit", "small-ball"])
 def test_cell_sum_equals_the_mesh_masked_sum(dim, kind):
-    # the oracle forms every temporary anew; cell_sum writes into its own
-    grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), 1 / 20 if dim == 2 else 1 / 10)
+    # the oracle forms every temporary anew; the sum writes into its own
+    grid = _grid(dim)
     region = _regions(dim)[kind]
     rng = np.random.default_rng(dim)
     values = rng.normal(size=(grid.n_cells, dim))
@@ -266,4 +285,32 @@ def test_cell_sum_equals_the_mesh_masked_sum(dim, kind):
         partners = [a + eps * x for a, x in zip(grid.axes, xi)]
         s = _full_width_slopes(pairs, values)[_mesh_mask(grid, region, partners)[pairs.box].reshape(-1)]
         expected = float(grid.cell_volume / eps * np.sum(np.arctan(s * s / eps)))
-        assert pairs.cell_sum(values, eps).hex() == expected.hex()
+        actual = _sampled_sums(values, grid, (region,), eps, xi[None, :], np.ones((1, 1), dtype=bool))[0, 0]
+        assert float(actual).hex() == expected.hex()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sampled_from(["box", "ball", "slit", "small-ball"]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+)
+def test_projected_cell_sums_match_the_two_component_form(dim, kind, seed, components):
+    # projecting before interpolating reorders the float operations only;
+    # with random normal values and a shift of at least a quarter cell, a
+    # slope is of the size of the values, so the sums of positive terms
+    # agree to roundoff (a shift far below a cell leaves slopes that are
+    # roundoff in either form)
+    grid = _grid(dim)
+    region = _regions(dim)[kind]
+    values = np.random.default_rng(seed).normal(size=(grid.n_cells, dim))
+    eps = 0.2
+    xi = np.array(components[:dim])
+    assume(np.max(np.abs(eps * xi)) >= grid.h / 4)
+    pairs = _Shift(grid, region, xi, eps)
+    partners = [a + eps * x for a, x in zip(grid.axes, xi)]
+    s = _two_component_slopes(pairs, values)[_mesh_mask(grid, region, partners)[pairs.box].reshape(-1)]
+    expected = float(grid.cell_volume / eps * np.sum(np.arctan(s * s / eps)))
+    actual = _sampled_sums(values, grid, (region,), eps, xi[None, :], np.ones((1, 1), dtype=bool))[0, 0]
+    assert abs(actual - expected) <= 1e-12 * expected
