@@ -7,6 +7,7 @@ from .domain import (
     BoxDomain,
     Grid,
     HyperplaneEvalError,
+    InputError,
     PlaneJump,
     PlaneSegment,
     SampledField,

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .domain import Grid, load_problem, sample
+from .domain import Grid, InputError, load_problem, sample
 from .energy import (
     BallStrategy,
     averaged_energy,
@@ -169,7 +169,7 @@ def _cmd_minimize(args) -> int:
 def _pop_out_path(doc: dict):
     """Pop the spec's output path, keyed ``out`` (the CLI name) or ``out_path``."""
     if "out" in doc and "out_path" in doc:
-        raise ValueError("the spec gives both 'out' and 'out_path'; give one")
+        raise InputError("the spec gives both 'out' and 'out_path'; give one")
     return doc.pop("out", doc.pop("out_path", None))
 
 
@@ -266,12 +266,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="audit JSON document")
     p.set_defaults(func=_cmd_audit)
 
+    for p in sub.choices.values():
+        p.set_defaults(error=p.error)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  An input that a check of the library refuses
+    (an ``InputError``) ends as a usage error of that subcommand: its usage
+    line and the message on standard error, exit status 2.  Any other
+    error keeps its traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        args.error(str(exc))
 
 
 if __name__ == "__main__":

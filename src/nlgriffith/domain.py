@@ -26,6 +26,7 @@ __all__ = [
     "SumField",
     "SampledField",
     "HyperplaneEvalError",
+    "InputError",
     "difference_body",
     "eval_nudged",
     "sample",
@@ -37,10 +38,14 @@ __all__ = [
 _TOL = 1e-12
 
 
+class InputError(ValueError):
+    """An argument or configuration that a check of the library refuses."""
+
+
 def _require_finite(name: str, value) -> None:
     """Refuse nan or inf geometry, which would make membership silently empty."""
     if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
+        raise InputError(f"{name} must be finite, got {np.asarray(value).tolist()}")
 
 
 class HyperplaneEvalError(ValueError):
@@ -82,12 +87,12 @@ class PlaneSegment:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("segment bounds must be matching 1-d vectors")
+            raise InputError("segment bounds must be matching 1-d vectors")
         _require_finite("segment lower", lo)
         _require_finite("segment upper", hi)
         degenerate = np.isclose(hi - lo, 0.0, atol=_TOL)
         if degenerate.sum() != 1 or np.any(hi - lo < -_TOL):
-            raise ValueError("segment must be degenerate along exactly one axis")
+            raise InputError("segment must be degenerate along exactly one axis")
         object.__setattr__(self, "axis", int(np.argmax(degenerate)))
 
     @property
@@ -120,14 +125,14 @@ class BoxDomain:
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "precrack", tuple(self.precrack))
         if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("box bounds must be matching 1-d vectors")
+            raise InputError("box bounds must be matching 1-d vectors")
         _require_finite("box lower", lo)
         _require_finite("box upper", hi)
         if not np.all(lo < hi):
-            raise ValueError("box requires lower[i] < upper[i] for every axis")
+            raise InputError("box requires lower[i] < upper[i] for every axis")
         for seg in self.precrack:
             if np.any(seg.lower < lo - _TOL) or np.any(seg.upper > hi + _TOL):
-                raise ValueError("precrack segment must lie inside the closed box")
+                raise InputError("precrack segment must lie inside the closed box")
 
     @property
     def dim(self) -> int:
@@ -173,7 +178,7 @@ class Ball:
         _require_finite("ball center", self.center)
         _require_finite("ball radius", self.radius)
         if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+            raise InputError("ball radius must be positive")
 
     @property
     def dim(self) -> int:
@@ -192,7 +197,7 @@ def difference_body(domain: BoxDomain, eps: float) -> BoxDomain:
     interacting pair and are discarded by the quadrature.
     """
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InputError("eps must be positive")
     half = domain.sides / eps
     return BoxDomain(lower=-half, upper=half)
 
@@ -216,11 +221,11 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "h", float(self.h))
         if not (np.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"grid spacing must be positive and finite, got {self.h}")
+            raise InputError(f"grid spacing must be positive and finite, got {self.h}")
         sides = self.domain.sides
         counts = np.round(sides / self.h).astype(int)
         if np.any(counts < 1) or np.any(np.abs(counts * self.h - sides) > 1e-9 * np.max(sides)):
-            raise ValueError(
+            raise InputError(
                 f"grid spacing h={self.h} does not tile the bounding box with sides "
                 f"{sides.tolist()}: each side divided by h must be a whole number"
             )
@@ -324,7 +329,7 @@ class Affine(AnalyticField):
         A = np.asarray(self.matrix, dtype=float)
         b = np.asarray(self.offset, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
-            raise ValueError("affine field requires an n x n matrix and an n-vector")
+            raise InputError("affine field requires an n x n matrix and an n-vector")
         _require_finite("affine matrix", A)
         _require_finite("affine offset", b)
         object.__setattr__(self, "matrix", A)
@@ -376,7 +381,7 @@ class PlaneJump(AnalyticField):
         for name, value in (("normal", nu), ("offset", self.offset), ("value_minus", vm), ("value_plus", vp)):
             _require_finite(f"jump {name}", value)
         if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
-            raise ValueError("jump normal must be a unit vector")
+            raise InputError("jump normal must be a unit vector")
         object.__setattr__(self, "normal", nu)
         object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "value_minus", vm)
@@ -414,10 +419,10 @@ class SumField(AnalyticField):
     def __post_init__(self):
         parts = tuple(self.parts)
         if not parts:
-            raise ValueError("sum field needs at least one part")
+            raise InputError("sum field needs at least one part")
         dims = {p.dim for p in parts}
         if len(dims) != 1:
-            raise ValueError("all parts must share the same dimension")
+            raise InputError("all parts must share the same dimension")
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -467,16 +472,16 @@ class SampledField:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.n_cells, self.grid.dim):
-            raise ValueError("values must have shape (n_cells, dim)")
+            raise InputError("values must have shape (n_cells, dim)")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("sampled values must be finite")
+            raise InputError("sampled values must be finite")
         self.values = vals
         if self.dirichlet_mask is None:
             self.dirichlet_mask = np.zeros(self.grid.n_cells, dtype=bool)
         else:
             self.dirichlet_mask = np.asarray(self.dirichlet_mask, dtype=bool)
             if self.dirichlet_mask.shape != (self.grid.n_cells,):
-                raise ValueError("dirichlet mask must have one entry per cell")
+                raise InputError("dirichlet mask must have one entry per cell")
 
     @property
     def dim(self) -> int:
@@ -542,7 +547,7 @@ def field_from_config(cfg: dict) -> AnalyticField:
         )
     if kind == "sum":
         return SumField(tuple(field_from_config(part) for part in cfg["parts"]))
-    raise ValueError(f"unknown field kind {kind!r}")
+    raise InputError(f"unknown field kind {kind!r}")
 
 
 def load_problem(source) -> tuple[BoxDomain, AnalyticField, dict]:

@@ -28,14 +28,16 @@ each plane the pair crosses, so it takes one value per crossing pattern,
 and along a grid column every predicate of a cell (the side of a plane
 at either endpoint, ball membership, lying on a slit) holds on one
 interval of indices.  ``_closed_form_sums`` counts the cells of each
-pattern from the interval ends, a fixed-size chunk of directions at a
-time, and evaluates the field only at the few pairs with an endpoint
-exactly on a plane, in one batch per chunk.  The descent kernel of
-``nlgriffith.minimize`` assembles one sparse operator on the nodal
-values from the stencils' kept pairs and interpolation rows
-(``_Shift.pairs``), so the pair rule alone decides which pairs
-interact; the energies keep the matrix-free stencil, whose pair counts
-at sweep sizes would make that operator too large to hold.
+pattern from the interval ends, a chunk of directions at a time, and
+evaluates the field only at the few pairs with an endpoint exactly on a
+plane, in one batch per chunk.  A chunk of the counting or of the
+stencils' set-up holds as many directions as fill a budget of grid
+columns (``_chunk``), so its arrays are about the same size on every
+grid.  The descent kernel of ``nlgriffith.minimize`` assembles one
+sparse operator on the nodal values from the stencils' kept pairs and
+interpolation rows (``_Shift.pairs``), so the pair rule alone decides
+which pairs interact; the energies keep the matrix-free stencil, whose
+pair counts at sweep sizes would make that operator too large to hold.
 
 On top of these sits one ball-family functional, ``family_energy``:
 ``sum_B (sum_j w_j F_dir(u, B, xi_j)^p)^(1/p)`` over a finite family of
@@ -54,6 +56,7 @@ mechanism that exposes it energetically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -65,6 +68,7 @@ from .domain import (
     Ball,
     BoxDomain,
     Grid,
+    InputError,
     SampledField,
     _dot_rows,
     _interp_row,
@@ -93,16 +97,16 @@ FieldLike = Union[AnalyticField, SampledField]
 _ULP = np.finfo(float).eps
 
 
-class GridCapabilityError(ValueError):
+class GridCapabilityError(InputError):
     """The grid is too coarse to resolve the requested interaction range."""
 
 
 def check_resolution(h: float, eps: float) -> None:
     """Enforce the resolution contract h <= eps / 4."""
     if not (np.isfinite(h) and np.isfinite(eps)):
-        raise ValueError(f"h={h} and eps={eps} must be finite")
+        raise InputError(f"h={h} and eps={eps} must be finite")
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InputError("eps must be positive")
     if h > eps / 4.0 * (1.0 + 1e-9):
         raise GridCapabilityError(
             f"grid spacing h={h} cannot resolve eps={eps}; need h <= eps/4"
@@ -137,7 +141,7 @@ class BallFamily:
         for i, ball in enumerate(balls):
             hits = np.flatnonzero(_overlaps(balls[i + 1 :], ball))
             if hits.size:
-                raise ValueError(f"balls {i} and {i + 1 + hits[0]} overlap")
+                raise InputError(f"balls {i} and {i + 1 + hits[0]} overlap")
 
     def __len__(self) -> int:
         return len(self.balls)
@@ -160,11 +164,11 @@ class BallStrategy:
 
     def __post_init__(self):
         if self.kind not in ("dyadic", "greedy"):
-            raise ValueError("strategy kind must be 'dyadic' or 'greedy'")
+            raise InputError("strategy kind must be 'dyadic' or 'greedy'")
         for name, least in (("levels", 0), ("count", 1)):
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and value >= least):
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+                raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
 
     @classmethod
     def parse(cls, text: str) -> "BallStrategy":
@@ -173,13 +177,13 @@ class BallStrategy:
         kind, colon, arg = text.partition(":")
         name = {"dyadic": "levels", "greedy": "count"}.get(kind)
         if name is None:
-            raise ValueError(f"unknown ball strategy {text!r}")
+            raise InputError(f"unknown ball strategy {text!r}")
         if not colon:
             return cls(kind)
         try:
             value = int(arg)
         except ValueError:
-            raise ValueError(f"ball strategy {text!r} must have the form {kind} or {kind}:integer") from None
+            raise InputError(f"ball strategy {text!r} must have the form {kind} or {kind}:integer") from None
         return cls(kind, **{name: value})
 
 
@@ -201,7 +205,7 @@ def ball_candidates(domain: BoxDomain, strategy: BallStrategy) -> list[BallFamil
             if balls:
                 families.append(BallFamily(tuple(balls)))
         if not families:
-            raise ValueError("dyadic strategy produced no admissible family")
+            raise InputError("dyadic strategy produced no admissible family")
         return families
 
     # greedy: deterministic lattice scan, largest radius first
@@ -224,7 +228,7 @@ def ball_candidates(domain: BoxDomain, strategy: BallStrategy) -> list[BallFamil
                 continue
             accepted.append(ball)
     if not accepted:
-        raise ValueError("greedy strategy produced no admissible family")
+        raise InputError("greedy strategy produced no admissible family")
     return [BallFamily(tuple(accepted))]
 
 
@@ -255,7 +259,16 @@ class EnergyReport:
 # Shift stencil
 # ---------------------------------------------------------------------------
 
-_CHUNK = 16  # directions per set-up or kernel pass: bounds its arrays, never its values
+_COLUMNS = 4800  # grid columns per set-up or counting pass: bounds its arrays, never its values
+
+
+def _chunk(grid: Grid) -> int:
+    """Directions per set-up or counting pass on ``grid``: as many as fill
+    ``_COLUMNS`` grid columns (lines of cells along the last axis, one per
+    index on the earlier axes), and at least 16.  The budget is 16
+    directions on a grid with 300 rows, so a smaller grid takes more
+    directions per pass and none takes more columns, beyond the floor."""
+    return max(16, _COLUMNS // math.prod(grid.shape[:-1]))
 
 
 def _axis_inside(region: Region, d: int, x: np.ndarray) -> np.ndarray:
@@ -395,11 +408,12 @@ class _Shift:
         None where ``kept`` (one row of flags per region; all by default)
         is False.
 
-        The region-free set-up is done for ``_CHUNK`` rows at once (the
-        partners, their probes and interpolation rows); each region adds
-        its range boxes (``_pair_axis``) and its probes' ``_inside_terms``
-        per chunk and folds its centers' membership once per call, so that
-        a stencil only slices its row out of each table.  A stencil does
+        The region-free set-up (the partners, their probes and
+        interpolation rows) is done for one chunk of rows at once
+        (``_chunk``); each region adds its range boxes (``_pair_axis``)
+        and its probes' ``_inside_terms`` per chunk and folds its centers'
+        membership once per call, so that a stencil only slices its row
+        out of each table.  A stencil does
         not depend on the other rows or regions.  All stencils of one call
         run their slopes' passes in four shared buffers, so that the
         process reuses memory it holds rather than mapping fresh pages for
@@ -408,8 +422,9 @@ class _Shift:
             kept = np.ones((len(regions), len(xis)), dtype=bool)
         centers = [_folded_inside(region, _inside_terms(region, grid.axes)) for region in regions]
         buffers = [np.empty(0)] * 4
-        for at in range(0, len(xis), _CHUNK):
-            X = xis[at : at + _CHUNK]
+        size = _chunk(grid)
+        for at in range(0, len(xis), size):
+            X = xis[at : at + size]
             moved = [_partners(axis, grid.h, eps * X[:, d]) for d, axis in enumerate(grid.axes)]
             probes = [probe for _, probe in moved]
             rows = [_interp_row(axis, grid.h, partner) for axis, (partner, _) in zip(grid.axes, moved)]
@@ -716,6 +731,25 @@ def _slit_interval(cols: _Columns, seg, kind: str):
     return tuple(np.clip(np.where(hit, end[row], 0), cols.lo, cols.hi) for end in (first, stop))
 
 
+@functools.cache
+def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
+    """The compare-exchanges ``(a, b)``, ``a < b``, of Batcher's odd-even
+    merge sort of ``n`` keys, in order; comparators past the last key are
+    left out, as if the missing keys were larger than every key."""
+    pairs = []
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(min(k, n - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
 def _count_chunk(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: np.ndarray):
     """Count the pairs of a chunk of directions by the planes they cross.
 
@@ -756,27 +790,42 @@ def _count_chunk(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: 
         for lo, hi in outside:
             kept &= (j < lo[at]) | (hi[at] <= j)
         code = np.zeros(j.shape, dtype=np.int64)
-        for (cut0, above0), (cut1, above1) in zip(sides[::2], sides[1::2]):
-            code = 3 * code + 1 + ((j >= cut1[at]) == above1) - ((j >= cut0[at]) == above0).astype(np.int64)
+        for plane in zip(sides[::2], sides[1::2]):
+            # 3 code + 1, plus 1 where the partner lies on the plus side
+            # and minus 1 where the center does
+            center, moved = ((j >= cut[at]) if above else (j < cut[at]) for cut, above in plane)
+            code *= 3
+            code += 1
+            code += moved
+            code -= center
         return kept, code
 
-    # every interval end lies in its column's [lo, hi]
+    # every interval end lies in its column's [lo, hi]; the ends are
+    # integers, so sorting them elementwise cannot reorder ties visibly
     ends = [cols.lo, cols.hi] + [cut for cut, _ in sides] + [e for iv in inside + outside for e in iv]
-    ends = np.sort(np.column_stack(ends), axis=1)
-    start, length = ends[:, :-1], ends[:, 1:] - ends[:, :-1]
-    kept, code = classify(start, (slice(None), None))
-    kept &= length > 0
+    for a, b in _sorting_network(len(ends)):
+        ends[a], ends[b] = np.minimum(ends[a], ends[b]), np.maximum(ends[a], ends[b])
+    # one row per stretch between consecutive ends, one column per grid column
+    ends = np.stack(ends)
+    start, length = ends[:-1], ends[1:] - ends[:-1]
+    kept, code = classify(start, (None, slice(None)))
+    # an unkept or empty stretch counts with weight 0
+    weight = np.where(kept, length, 0).reshape(-1)
+    code = code.reshape(-1)
     col, j = _interval_cells(on_plane, grid.shape[-1])
     near_kept, near_code = classify(j, col)
     col, j, near_code = col[near_kept], j[near_kept], near_code[near_kept]
 
-    code = np.concatenate([code[kept], near_code])
-    patterns = np.flatnonzero(np.bincount(code, minlength=1))
-    which = np.zeros(patterns[-1] + 1 if patterns.size else 0, dtype=np.int64)
+    # a cell on a plane lies in a kept stretch of its own pattern, so the
+    # patterns are those of the kept stretches of positive length
+    patterns = np.flatnonzero(np.bincount(code, weight, minlength=1))
+    which = np.zeros(code.max(initial=0) + 1, dtype=np.int64)
     which[patterns] = np.arange(patterns.size)
-    dirs = np.concatenate([np.broadcast_to(cols.dirs[:, None], kept.shape)[kept], cols.dirs[col]])
-    weight = np.concatenate([length[kept], -np.ones(col.size)])
-    counts = np.bincount(dirs * patterns.size + which[code], weight, len(xis) * patterns.size)
+    size = len(xis) * patterns.size
+    at = (cols.dirs * patterns.size + which[code].reshape(start.shape)).reshape(-1)
+    near = cols.dirs[col] * patterns.size + which[near_code]
+    # integer counts in floats, exact in any order
+    counts = np.bincount(at, weight, size) - np.bincount(near, minlength=size)
     crossings = np.zeros((patterns.size, len(sides) // 2), dtype=np.int64)
     for p in reversed(range(crossings.shape[1])):
         crossings[:, p], patterns = patterns % 3 - 1, patterns // 3
@@ -787,19 +836,31 @@ def _count_chunk(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: 
 def _interval_cells(intervals, size: int):
     """The cells of the intervals, each once, as ``(column, index)``
     sorted by column and then index: columns are direction-major, so each
-    direction's cells come in C order.  ``size`` is the column length."""
-    run = np.concatenate([np.zeros(0, dtype=np.int64)] + [hi - lo for lo, hi in intervals])
-    if not run.any():
-        return run[:0], run[:0]
-    owner, offset = _runs(run)
-    col = np.tile(np.arange(intervals[0][0].size), len(intervals))[owner]
-    j = np.concatenate([lo for lo, _ in intervals])[owner] + offset
-    return np.divmod(np.unique(col * size + j), size)
+    direction's cells come in C order.  ``size`` is the column length.
+
+    The nonempty intervals are sorted by their first flat cell ``column *
+    size + lo`` and each starts past the cells the earlier ones reach, so
+    the cells come out sorted and distinct without sorting the cells."""
+    lo = np.concatenate([np.zeros(0, dtype=np.int64)] + [lo for lo, _ in intervals])
+    hi = np.concatenate([np.zeros(0, dtype=np.int64)] + [hi for _, hi in intervals])
+    live = np.flatnonzero(hi > lo)
+    if not live.size:
+        return live, live
+    col = live % intervals[0][0].size
+    first, stop = col * size + lo[live], col * size + hi[live]
+    order = np.argsort(first, kind="stable")
+    first, stop = first[order], stop[order]
+    # a flat cell of an earlier column never reaches a later column's cells
+    reach = np.maximum.accumulate(stop)
+    first[1:] = np.maximum(first[1:], reach[:-1])
+    owner, offset = _runs(np.maximum(stop - first, 0))
+    return np.divmod(first[owner] + offset, size)
 
 
 def _closed_form_sums(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: np.ndarray) -> np.ndarray:
     """Cell sums ``(h^n/eps) sum arctan(s^2/eps)`` of a closed-form field
-    for each row of ``xis``, ``_CHUNK`` directions per pass.
+    for each row of ``xis``, one chunk of directions per pass (``_chunk``:
+    as many as fill the budget of grid columns, at least 16).
 
     A pair's slope is ``eps xi.(A^T xi)`` for the affine part ``A``, plus
     ``J.xi`` for each plane it crosses to the plus side, minus that for each
@@ -815,8 +876,9 @@ def _closed_form_sums(u: AnalyticField, grid: Grid, region: Region, eps: float, 
     A = u.affine_part()[0]
     jumps = [plane.jump for plane in u.jump_planes()]
     out = np.empty(len(xis))
-    for at in range(0, len(xis), _CHUNK):
-        X = xis[at : at + _CHUNK]
+    size = _chunk(grid)
+    for at in range(0, len(xis), size):
+        X = xis[at : at + size]
         crossings, counts, owners, cells, cols = _count_chunk(u, grid, region, eps, X)
         # row by row, so that no direction's value depends on its chunk
         affine = 0
@@ -861,7 +923,7 @@ def _resolve_grid(u: FieldLike, grid: Grid | None) -> Grid:
     if isinstance(u, SampledField):
         return u.grid
     if grid is None:
-        raise ValueError("a grid is required to integrate a closed-form field")
+        raise InputError("a grid is required to integrate a closed-form field")
     return grid
 
 
@@ -886,11 +948,11 @@ def directional_energy(
     """
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
-        raise ValueError(f"xi must be finite, got {xi}")
+        raise InputError(f"xi must be finite, got {xi}")
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)
     if xi.shape != (g.dim,):
-        raise ValueError(f"xi must have {g.dim} components, got shape {xi.shape}")
+        raise InputError(f"xi must have {g.dim} components, got shape {xi.shape}")
     if isinstance(u, AnalyticField):
         return float(_closed_form_sums(u, g, region, eps, xi[None, :])[0])
     return float(_sampled_sums(u, g, (region,), eps, xi[None, :], np.ones((1, 1), dtype=bool))[0, 0])
@@ -943,7 +1005,7 @@ def averaged_energy(
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)
     if rule.dimension != g.dim:
-        raise ValueError("rule dimension must match the field dimension")
+        raise InputError("rule dimension must match the field dimension")
     if support is None:
         support = _support_box(region, eps)
     ((nodes, values),) = _direction_values(u, (region,), eps, rule, g, support.contains(rule.nodes)[None, :])
@@ -1010,7 +1072,7 @@ def family_energy(
     same support, bit for bit.
     """
     if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"p must be finite and at least 1, got {p}")
+        raise InputError(f"p must be finite and at least 1, got {p}")
     g = _resolve_grid(u, grid)
     check_resolution(g.h, eps)
     domain_support = _support_box(domain, eps)

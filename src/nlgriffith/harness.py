@@ -28,6 +28,7 @@ from .domain import (
     Affine,
     BoxDomain,
     Grid,
+    InputError,
     PlaneJump,
     SumField,
     eval_nudged,
@@ -91,15 +92,15 @@ class SweepSpec:
     def __post_init__(self):
         eps = list(self.eps_list)
         if not eps:
-            raise ValueError("eps_list must not be empty")
+            raise InputError("eps_list must not be empty")
         if not all(np.isfinite(e) and e > 0 for e in eps):
-            raise ValueError(f"every eps must be finite and positive, got {eps}")
+            raise InputError(f"every eps must be finite and positive, got {eps}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("eps_list must be strictly decreasing")
+            raise InputError("eps_list must be strictly decreasing")
         if not np.isfinite(self.p):
-            raise ValueError(f"p must be finite, got {self.p}")
+            raise InputError(f"p must be finite, got {self.p}")
         if not (np.isfinite(self.h_over) and self.h_over >= 4):
-            raise ValueError(f"the grid must resolve eps: need a finite h_over >= 4, got {self.h_over}")
+            raise InputError(f"the grid must resolve eps: need a finite h_over >= 4, got {self.h_over}")
 
 
 @dataclass
@@ -166,7 +167,7 @@ def run_sweep(spec: SweepSpec) -> ExtrapolationResult:
         h = eps / spec.h_over
         try:
             grid = Grid(domain, h)
-        except ValueError as err:
+        except InputError as err:
             raise GridCapabilityError(
                 f"eps={eps} with h=eps/{spec.h_over} cannot tile the domain: {err}"
             ) from None
@@ -316,7 +317,7 @@ def audit_inequalities(
     other two hold with an O(1e-9) roundoff allowance only.
     """
     if not (isinstance(n_fields, (int, np.integer)) and n_fields >= 2):
-        raise ValueError(
+        raise InputError(
             f"n_fields must be at least 2 (the last two fields are 2D) and an integer, got {n_fields!r}"
         )
     rng = np.random.default_rng(seed)
@@ -456,7 +457,7 @@ def write_csv(path: str, rows: list[dict]) -> None:
     """Write rows with repr-precision floats; field order is the first
     row's key order, so identical inputs give bit-identical files."""
     if not rows:
-        raise ValueError("refusing to write an empty CSV")
+        raise InputError("refusing to write an empty CSV")
     fieldnames = list(rows[0].keys())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AnalyticField, BoxDomain
+from .domain import AnalyticField, BoxDomain, InputError
 from .quad import DirectionRule, integrate
 
 __all__ = [
@@ -50,7 +50,7 @@ CONVENTIONS = ("calibrated", "xi-weighted")
 
 def _check_convention(convention: str) -> None:
     if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
+        raise InputError(f"convention must be one of {CONVENTIONS}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def bulk_density(
     """
     _check_convention(convention)
     if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"p must be finite and at least 1, got {p}")
+        raise InputError(f"p must be finite and at least 1, got {p}")
     A = np.asarray(A, dtype=float)
     S = 0.5 * (A + A.T)
     weighted = convention == "xi-weighted"
@@ -105,15 +105,15 @@ def surface_constant(
     """
     _check_convention(convention)
     if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"p must be finite and at least 1, got {p}")
+        raise InputError(f"p must be finite and at least 1, got {p}")
     if rule.dimension != dimension:
-        raise ValueError("rule dimension mismatch")
+        raise InputError("rule dimension mismatch")
     if normal is None:
         normal = np.zeros(dimension)
         normal[0] = 1.0
     nu = np.asarray(normal, dtype=float)
     if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
-        raise ValueError("normal must be a unit vector")
+        raise InputError("normal must be a unit vector")
     weighted = convention == "xi-weighted"
 
     def f(xi):

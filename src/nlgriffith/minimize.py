@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import Affine, AnalyticField, BoxDomain, Grid, SampledField, _corner_product, sample
+from .domain import Affine, AnalyticField, BoxDomain, Grid, InputError, SampledField, _corner_product, sample
 from .energy import _Shift, check_resolution
 from .quad import DirectionRule, build_direction_rule
 
@@ -79,9 +79,9 @@ class DirichletProblem:
                 or np.any(self.inner.upper < self.outer.upper)
             )
         ):
-            raise ValueError("inner domain must sit strictly inside the outer one")
+            raise InputError("inner domain must sit strictly inside the outer one")
         if not all(np.all(np.isfinite(part)) for part in self.datum.affine_part()):
-            raise ValueError("the datum's affine part must be finite")
+            raise InputError("the datum's affine part must be finite")
         check_resolution(self.grid.h, self.eps)
 
     @property
@@ -102,6 +102,8 @@ class DirichletProblem:
         crack, narrow enough that the padding's own elastic energy stays
         a few percent of the bar's.
         """
+        if not np.isfinite(load):
+            raise InputError(f"load must be finite, got {load}")
         check_resolution(h, eps)
         pad = max(1, int(round(1.5 * eps / h))) * h
         outer = BoxDomain(np.array([-pad]), np.array([1.0 + pad]))
@@ -134,11 +136,11 @@ class MinimizeOptions:
 
     def __post_init__(self):
         if not (np.isfinite(self.gtol) and self.gtol >= 0):
-            raise ValueError(f"gtol must be finite and non-negative, got {self.gtol}")
+            raise InputError(f"gtol must be finite and non-negative, got {self.gtol}")
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 0):
-            raise ValueError(f"max_iter must be a non-negative integer, got {self.max_iter}")
+            raise InputError(f"max_iter must be a non-negative integer, got {self.max_iter}")
         if not (np.isfinite(self.nucleation_amplitude) and self.nucleation_amplitude >= 0):
-            raise ValueError(
+            raise InputError(
                 f"nucleation_amplitude must be finite and non-negative, got {self.nucleation_amplitude}"
             )
 
@@ -198,7 +200,7 @@ class DescentKernel:
 
         check_resolution(grid.h, eps)
         if rule.dimension != grid.dim:
-            raise ValueError("rule dimension mismatch")
+            raise InputError("rule dimension mismatch")
         self.eps = eps
         dim = grid.dim
         cell, rows = zip(*(stencil.pairs() for (stencil,) in _Shift.each(grid, (region,), rule.nodes, eps)))
@@ -431,9 +433,9 @@ def minimize_dirichlet(
 
     schedule = list(opts.eps_schedule) if opts.eps_schedule else [prob.eps]
     if abs(schedule[-1] - prob.eps) > 1e-12:
-        raise ValueError("eps schedule must end at the problem's eps")
+        raise InputError("eps schedule must end at the problem's eps")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("eps schedule must be strictly decreasing")
+        raise InputError("eps schedule must be strictly decreasing")
     schedule[-1] = prob.eps
 
     trace = DescentTrace()

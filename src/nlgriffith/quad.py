@@ -21,6 +21,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .domain import InputError
+
 __all__ = [
     "DirectionRule",
     "RuleQualityError",
@@ -72,16 +74,16 @@ class DirectionRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 2 or nodes.shape[0] < 1 or nodes.shape[1] != self.dimension:
-            raise ValueError("nodes must have shape (m, dimension) with m >= 1")
+            raise InputError("nodes must have shape (m, dimension) with m >= 1")
         if weights.shape != (nodes.shape[0],):
-            raise ValueError("weights must match the node count")
+            raise InputError("weights must match the node count")
         # written to fail closed: a nan node, weight or radius fails its check
         if not np.all(np.isfinite(nodes)):
-            raise ValueError("nodes must be finite")
+            raise InputError("nodes must be finite")
         if not np.all(np.isfinite(weights) & (weights > 0)):
-            raise ValueError("weights must be finite and positive")
+            raise InputError("weights must be finite and positive")
         if not np.all(np.linalg.norm(nodes, axis=1) <= self.truncation_radius + 1e-12):
-            raise ValueError("all nodes must lie within the truncation radius")
+            raise InputError("all nodes must lie within the truncation radius")
 
     @property
     def n_nodes(self) -> int:
@@ -151,13 +153,13 @@ def gaussian_moment(dimension: int, exponent) -> float:
     if np.isscalar(exponent):
         k = float(exponent)
         if k < 0:
-            raise ValueError("radial exponent must be nonnegative")
+            raise InputError("radial exponent must be nonnegative")
         return _sphere_surface(dimension) * _gamma((k + dimension) / 2.0) / 2.0
     alpha = tuple(int(a) for a in exponent)
     if len(alpha) != dimension:
-        raise ValueError("tensor exponent must have one entry per dimension")
+        raise InputError("tensor exponent must have one entry per dimension")
     if any(a < 0 for a in alpha):
-        raise ValueError("tensor exponents must be nonnegative integers")
+        raise InputError("tensor exponents must be nonnegative integers")
     out = 1.0
     for a in alpha:
         out *= _gauss_1d_moment(a)
@@ -219,7 +221,7 @@ def build_sphere_rule(dimension: int, angular_order: int) -> tuple[np.ndarray, n
                 nodes.append([st * np.cos(p), st * np.sin(p), ci])
                 weights.append(wi * 2.0 * np.pi / m_phi)
         return np.asarray(nodes), np.asarray(weights)
-    raise ValueError("only dimensions 1, 2, 3 are supported")
+    raise InputError("only dimensions 1, 2, 3 are supported")
 
 
 def build_direction_rule(
@@ -252,11 +254,11 @@ def build_direction_rule(
         1e-6, or a verified moment misses the oracle.
     """
     if dimension not in (1, 2, 3):
-        raise ValueError("dimension must be 1, 2, or 3")
+        raise InputError("dimension must be 1, 2, or 3")
     if radial_order < 2 or angular_order < 2:
-        raise ValueError("orders must be at least 2")
+        raise InputError("orders must be at least 2")
     if not (np.isfinite(r_max) and r_max >= 3):
-        raise ValueError(f"truncation radius must be finite and at least 3, got {r_max}")
+        raise InputError(f"truncation radius must be finite and at least 3, got {r_max}")
 
     n_radial = max(radial_order + 12, 20)
     if dimension == 1:
@@ -291,13 +293,26 @@ def _verify_rule(rule: DirectionRule) -> None:
         raise RuleQualityError(
             f"total weight {rule.total_weight} misses the Gaussian normalization {norm}"
         )
+    moments = _tensor_moments(rule, rule.radial_order)
     for alpha in _monomials(rule.dimension, rule.radial_order):
-        approx = float(np.sum(rule.weights * np.prod(rule.nodes**alpha, axis=1)))
+        approx = float(moments[tuple(alpha)])
         exact = _truncated_tensor_moment(rule.dimension, alpha, rule.truncation_radius)
         if not abs(approx - exact) <= _MOMENT_RTOL * (1.0 + abs(exact)):
             raise RuleQualityError(
                 f"moment xi^{alpha} = {approx} misses the oracle value {exact}"
             )
+
+
+def _tensor_moments(rule: DirectionRule, order: int) -> np.ndarray:
+    """The rule's tensor moments ``sum_i w_i prod_d xi_{i,d}^{alpha_d}``
+    for every ``alpha`` with entries at most ``order``, indexed by
+    ``alpha``: a per-axis power table, its leading axes multiplied into the
+    weights and the last contracted in one matrix product."""
+    powers = rule.nodes.T[:, None, :] ** np.arange(order + 1)[:, None]
+    weighted = rule.weights
+    for table in powers[:-1]:
+        weighted = weighted[..., None, :] * table
+    return weighted @ powers[-1].T
 
 
 def _monomials(dimension: int, max_degree: int):

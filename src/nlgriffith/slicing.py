@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .domain import AnalyticField, BoxDomain, PlaneJump
+from .domain import AnalyticField, BoxDomain, InputError, PlaneJump
 from .energy import BallFamily, BallStrategy, Region, _lp_norm, ball_candidates
 from .limits import plane_area_in_box
 from .quad import _gamma
@@ -79,11 +79,11 @@ class Section1D:
         left_values = np.asarray(left_values, dtype=float)
         slopes = np.asarray(slopes, dtype=float)
         if knots.ndim != 1 or np.any(np.diff(knots) <= 0):
-            raise ValueError("knots must be strictly increasing")
+            raise InputError("knots must be strictly increasing")
         if left_values.shape != slopes.shape or left_values.size != knots.size - 1:
-            raise ValueError("need one (value, slope) pair per piece")
+            raise InputError("need one (value, slope) pair per piece")
         if not (np.all(np.isfinite(left_values)) and np.all(np.isfinite(slopes))):
-            raise ValueError("piece data must be finite")
+            raise InputError("piece data must be finite")
         return cls(knots, left_values, slopes, degenerate)
 
     @classmethod
@@ -110,7 +110,7 @@ class Section1D:
         """Pointwise value; exact jump locations must be perturbed by the caller."""
         lo, hi = self.domain
         if t < lo or t > hi:
-            raise ValueError(f"t={t} outside the section domain [{lo}, {hi}]")
+            raise InputError(f"t={t} outside the section domain [{lo}, {hi}]")
         i = int(np.searchsorted(self.knots, t, side="right") - 1)
         i = min(max(i, 0), self.left_values.size - 1)
         if self.knots[i] == t and 0 < i:
@@ -118,7 +118,7 @@ class Section1D:
                 self.knots[i] - self.knots[i - 1]
             )
             if left_limit != self.left_values[i]:
-                raise ValueError(f"t={t} sits exactly on a jump; perturb the query")
+                raise InputError(f"t={t} sits exactly on a jump; perturb the query")
         return float(self.left_values[i] + self.slopes[i] * (t - self.knots[i]))
 
 
@@ -218,9 +218,9 @@ def section(
 
 def _check_interval(a: float, b: float) -> None:
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"interval ({a}, {b}) must be finite")
+        raise InputError(f"interval ({a}, {b}) must be finite")
     if b < a:
-        raise ValueError(f"interval ({a}, {b}) is reversed")
+        raise InputError(f"interval ({a}, {b}) is reversed")
 
 
 def _arctan_sq_antiderivative(y: float, eps: float) -> float:
@@ -264,12 +264,12 @@ def nonlocal_energy_1d(v: Section1D, A: tuple[float, float], eps: float) -> floa
     through the antiderivative of ``arctan(y^2/eps)``.
     """
     if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+        raise InputError(f"eps must be finite and positive, got {eps}")
     a, b = float(A[0]), float(A[1])
     _check_interval(a, b)
     lo, hi = v.domain
     if a < lo - 1e-12 or b > hi - eps + 1e-12:
-        raise ValueError(
+        raise InputError(
             f"interval ({a}, {b}) not contained in Dom(v) and Dom(v) - eps"
         )
 
@@ -298,7 +298,7 @@ def mumford_shah_1d(v: Section1D, interval: tuple[float, float], gamma: float) -
     a, b = float(interval[0]), float(interval[1])
     _check_interval(a, b)
     if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
+        raise InputError(f"gamma must be finite, got {gamma}")
     grad2 = 0.0
     for i in range(v.slopes.size):
         seg = max(0.0, min(b, v.knots[i + 1]) - max(a, v.knots[i]))
@@ -318,12 +318,12 @@ def piecewise_project(v: Section1D, anchor: float, j: int) -> Section1D:
     exactly.
     """
     if j < 1:
-        raise ValueError("j must be a positive integer")
+        raise InputError("j must be a positive integer")
     lo, hi = v.domain
     z_min = int(np.ceil((lo - anchor) * j - 1e-12))
     z_max = int(np.floor((hi - anchor) * j + 1e-12)) - 1
     if z_max < z_min:
-        raise ValueError("domain too short for the requested grid")
+        raise InputError("domain too short for the requested grid")
     knots: list[float] = [anchor + z_min / j]
     left_values: list[float] = []
     slopes: list[float] = []
@@ -364,7 +364,7 @@ def endpoint_lower_bound(v: Section1D, a: float, b: float) -> float:
             prv = v.knots[v.knots < t][-1]
             b = t - (t - prv) / 7.0
     if b <= a:
-        raise ValueError("need a < b")
+        raise InputError("need a < b")
     return float(min(HALF_PI, (v.value(b) - v.value(a)) ** 2 / (b - a)))
 
 
@@ -441,7 +441,7 @@ def _jump_term(u: AnalyticField, xis: np.ndarray, region: Region) -> np.ndarray:
         for other in crossing:
             there = np.sign(plane.normal @ other.normal) * np.append(other.normal, other.offset)
             if np.allclose(here, there, rtol=0.0, atol=1e-12):
-                raise ValueError("coincident jump planes cross the region")
+                raise InputError("coincident jump planes cross the region")
         crossing.append(plane)
         total += np.abs(xis @ plane.normal) * area * np.minimum(np.abs(xis @ plane.jump), 1.0)
     return total
@@ -456,7 +456,7 @@ def directional_slice_measure(u: AnalyticField, xi: np.ndarray, region: Region) 
     """
     xi = np.asarray(xi, dtype=float)
     if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
+        raise InputError("direction must be a unit vector")
     A, _ = u.affine_part()
     return abs(float((A @ xi) @ xi)) * _volume(region) + float(_jump_term(u, xi, region)[0])
 
@@ -484,7 +484,7 @@ def _slice_measures(u: AnalyticField, family: BallFamily, nodes: np.ndarray) -> 
 def _family_norms(measures: list[list[float]], weights, p: float) -> tuple[float, dict[int, float]]:
     """``(total, per_ball)`` of per-ball L^p sphere norms of ``_slice_measures`` rows."""
     if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"p must be finite and at least 1, got {p}")
+        raise InputError(f"p must be finite and at least 1, got {p}")
     per_ball = {bi: _lp_norm(weights, mus, p) for bi, mus in enumerate(measures)}
     return sum(per_ball.values()), per_ball
 

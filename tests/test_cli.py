@@ -1,13 +1,14 @@
 import csv
 import filecmp
 import json
+import re
 
 import numpy as np
 import pytest
 
-from nlgriffith import slicing
+from nlgriffith import cli, slicing
 from nlgriffith.cli import main
-from nlgriffith.domain import Grid, load_problem, sample
+from nlgriffith.domain import Grid, InputError, load_problem, sample
 from nlgriffith.energy import BallStrategy, ball_candidates, ball_supremum_energy
 from nlgriffith.quad import build_direction_rule, build_sphere_rule
 from nlgriffith.slicing import family_slice_measure
@@ -52,6 +53,18 @@ def field2d_json(tmp_path):
     path = tmp_path / "field2d.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _usage_error(capsys, argv, match):
+    """Run ``argv``, which must end as a usage error of its subcommand whose
+    message matches ``match``: exit status 2, usage line and message on
+    standard error, no traceback."""
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: nlgriffith {argv[0]} ")
+    assert re.search(match, err.splitlines()[-1]) and "Traceback" not in err
 
 
 def read_rows(path):
@@ -213,13 +226,12 @@ def test_spec_accepts_library_out_path(tmp_path, field_json, command):
 
 
 @pytest.mark.parametrize("command", ["gamma-study", "audit"])
-def test_spec_refuses_both_out_keys(tmp_path, field_json, command):
+def test_spec_refuses_both_out_keys(tmp_path, field_json, command, capsys):
     out = tmp_path / "out.csv"
     doc = _spec_doc(command, field_json)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({**doc, "out": str(out), "out_path": str(out)}))
-    with pytest.raises(ValueError, match="'out' and 'out_path'"):
-        main([command, "--spec", str(spec)])
+    _usage_error(capsys, [command, "--spec", str(spec)], "'out' and 'out_path'")
     assert not out.exists()
 
 
@@ -285,15 +297,39 @@ def test_p1_explore_computes_each_slice_measure_once(tmp_path, field2d_json, mon
     assert len(calls) == 8 * sum(len(family.balls) for family in families)
 
 
-def test_p1_explore_refuses_nan_p(tmp_path, field2d_json):
+def test_p1_explore_refuses_nan_p(tmp_path, field2d_json, capsys):
     out = tmp_path / "p1.csv"
-    with pytest.raises(ValueError, match="p must be finite"):
-        main(["p1-explore", "--field", field2d_json, "--strategy", "dyadic:1", "--p", "nan", "--out", str(out)])
+    argv = ["p1-explore", "--field", field2d_json, "--strategy", "dyadic:1", "--p", "nan", "--out", str(out)]
+    _usage_error(capsys, argv, "p must be finite")
     assert not out.exists()
 
 
-def test_minimize_refuses_infinite_eps(tmp_path):
+def test_minimize_refuses_infinite_eps(tmp_path, capsys):
     trace, field = tmp_path / "trace.csv", tmp_path / "field.csv"
-    with pytest.raises(ValueError, match="finite"):
-        main(["minimize", "--load", "1", "--eps", "inf", "--out", str(trace), "--field-out", str(field)])
+    argv = ["minimize", "--load", "1", "--eps", "inf", "--out", str(trace), "--field-out", str(field)]
+    _usage_error(capsys, argv, "finite")
     assert not trace.exists() and not field.exists()
+
+
+@pytest.mark.parametrize("load", ["nan", "inf", "-inf"])
+def test_minimize_refuses_non_finite_load(tmp_path, capsys, load):
+    trace, field = tmp_path / "trace.csv", tmp_path / "field.csv"
+    argv = ["minimize", f"--load={load}", "--out", str(trace), "--field-out", str(field)]
+    _usage_error(capsys, argv, "load must be finite")
+    assert not trace.exists() and not field.exists()
+
+
+def test_energy_subcommand_reports_a_malformed_strategy_as_a_usage_error(tmp_path, field2d_json, capsys):
+    out = tmp_path / "report.csv"
+    argv = ["energy", "--field", field2d_json, "--eps", "0.1", "--h", "0.025", "--strategy", "dyadic:x"]
+    _usage_error(capsys, argv + ["--out", str(out)], "ball strategy 'dyadic:x' must have the form")
+    assert not out.exists()
+
+
+def test_a_value_error_from_inside_a_subcommand_keeps_its_traceback(tmp_path, field2d_json, monkeypatch):
+    # a shape mismatch inside numpy is a fault of the program, not a refused input
+    monkeypatch.setattr(cli, "averaged_energy", lambda *args, **kwargs: np.zeros(2) + np.zeros(3))
+    argv = ["energy", "--field", field2d_json, "--eps", "0.1", "--h", "0.025", "--out", str(tmp_path / "report.csv")]
+    with pytest.raises(ValueError, match="broadcast") as caught:
+        main(argv)
+    assert not isinstance(caught.value, InputError)

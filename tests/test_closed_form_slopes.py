@@ -2,11 +2,14 @@
 oracle) against endpoint evaluation, and the counting kernel against the
 per-cell path, cell class by cell class."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlgriffith import energy
 from nlgriffith.domain import (
     Affine,
     Ball,
@@ -20,7 +23,6 @@ from nlgriffith.domain import (
     eval_nudged,
 )
 from nlgriffith.energy import (
-    _CHUNK,
     _closed_form_sums,
     _count_chunk,
     _fold,
@@ -281,17 +283,73 @@ def test_directional_energy_is_its_entry_of_the_average(dim, kind):
     )
     rule = build_direction_rule(dim, radial_order=4, angular_order=8 if dim == 2 else 4)
     report = averaged_energy(u, region, eps, rule, grid=grid)
-    assert len(report.per_direction) > _CHUNK
     for i, value in report.per_direction.items():
         alone = directional_energy(u, region, eps, rule.nodes[i], grid=grid)
         assert np.float64(alone).tobytes() == np.float64(value).tobytes()
+    # at the floor of 16 directions per pass the average spans several chunks
+    with mock.patch.object(energy, "_COLUMNS", 1):
+        floor = averaged_energy(u, region, eps, rule, grid=grid)
+        assert len(floor.per_direction) > energy._chunk(grid)
+    assert floor.per_direction.keys() == report.per_direction.keys()
+    for i, value in report.per_direction.items():
+        assert np.float64(floor.per_direction[i]).tobytes() == np.float64(value).tobytes()
+
+
+# the default column budget, and one that forces the floor of 16 directions per pass
+BUDGETS = (energy._COLUMNS, 1)
+
+
+def _each_budget(grid, xis, length, seed, fill):
+    """Per column budget, while it is in force: a batch of ``chunks * K +
+    extra`` rows for chunks of K directions, ``xis`` and then the rows of
+    ``fill(rng, shape)`` for an rng seeded with ``seed``."""
+    chunks, extra = length
+    for columns in BUDGETS:
+        with mock.patch.object(energy, "_COLUMNS", columns):
+            count = chunks * energy._chunk(grid) + extra
+            rows = fill(np.random.default_rng(seed), (max(count - len(xis), 0), grid.dim))
+            yield np.concatenate([xis, rows])[:count]
+
+
+def _generic(rng, shape):
+    """Components as ``geometries`` draws them: at least 1e-3 and at most 1.5 in size."""
+    return rng.choice([-1.0, 1.0], shape) * rng.uniform(1e-3, 1.5, shape)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1,), (5,), (1, 4), (16, 3), (75, 2), (150, 2), (299, 2), (300, 2), (301, 2), (4, 8, 2), (40, 8, 2)]
+)
+def test_chunk_fills_the_column_budget_above_the_floor(shape):
+    grid = Grid(BoxDomain(np.zeros(len(shape)), np.array(shape, dtype=float)), 1.0)
+    columns = int(np.prod(shape[:-1]))
+    size = energy._chunk(grid)
+    assert size >= 16
+    assert size == 16 or size * columns <= energy._COLUMNS < (size + 1) * columns
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"radial_order": 6}], ids=["default", "radial6"])
+def test_a_1d_grid_counts_each_library_rule_in_one_chunk(kwargs, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[-1]))
+        return _count_chunk(*args)
+
+    monkeypatch.setattr(energy, "_count_chunk", counting)
+    grid = Grid(BoxDomain(np.zeros(1), np.ones(1)), 1 / 64)
+    rule = build_direction_rule(1, **kwargs)
+    u = SumField((Affine(np.eye(1), np.zeros(1)), PlaneJump(np.ones(1), 0.5, np.zeros(1), np.ones(1))))
+    report = averaged_energy(u, grid.domain, 4 * grid.h, rule, grid=grid)
+    assert calls == [len(report.per_direction)] and len(report.per_direction) > 16
 
 
 @st.composite
 def geometries(draw):
     """A grid of the unit cube with a power-of-two cell count, so that
-    shifting it by whole cells moves every coordinate exactly; eps; and a
-    box, ball or slit box region."""
+    shifting it by whole cells moves every coordinate exactly; eps; a box,
+    ball or slit box region; a few directions; a batch length for chunks
+    of K directions, from one row to 2K, and a seed for the rows that fill
+    it (``_each_budget``)."""
     dim = draw(st.integers(1, 3))
     m = draw(st.sampled_from([8, 16]) if dim < 3 else st.sampled_from([4, 8]))
     h = 1.0 / m
@@ -312,10 +370,11 @@ def geometries(draw):
     xis = np.array(
         [
             draw(st.lists(st.floats(-1.5, 1.5).filter(lambda x: abs(x) > 1e-3), min_size=dim, max_size=dim))
-            for _ in range(draw(st.integers(1, 2 * _CHUNK)))
+            for _ in range(draw(st.integers(1, 4)))
         ]
     )
-    return grid, region, eps, xis
+    length = draw(st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, -1), (2, 0)]))
+    return grid, region, eps, xis, length, draw(st.integers(0, 2**32 - 1))
 
 
 INVARIANTS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -324,12 +383,13 @@ INVARIANTS = settings(derandomize=True, max_examples=40, deadline=None)
 @INVARIANTS
 @given(geometries(), st.data())
 def test_rigid_motions_cost_nothing(geometry, data):
-    grid, region, eps, xis = geometry
+    grid, region, eps, xis, length, seed = geometry
     dim = grid.dim
     W = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
     b = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=dim, max_size=dim)))
-    values = _closed_form_sums(Affine(W - W.T, b), grid, region, eps, xis)
-    assert np.all(np.abs(values) <= 1e-12)
+    for batch in _each_budget(grid, xis, length, seed, _generic):
+        values = _closed_form_sums(Affine(W - W.T, b), grid, region, eps, batch)
+        assert np.all(np.abs(values) <= 1e-12)
 
 
 def _moved_by(region, shift):
@@ -342,7 +402,7 @@ def _moved_by(region, shift):
 @INVARIANTS
 @given(geometries(), st.data())
 def test_translation_by_whole_cells_keeps_the_energy(geometry, data):
-    grid, region, eps, xis = geometry
+    grid, region, eps, xis, length, seed = geometry
     dim, h = grid.dim, grid.h
     A = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
     b = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)))
@@ -358,12 +418,16 @@ def test_translation_by_whole_cells_keeps_the_energy(geometry, data):
     quarters = st.integers(-6, 5).map(lambda j: j + 0.25) | st.integers(-6, 5).map(lambda j: j + 0.75)
     xis = np.array([[data.draw(quarters) * h / eps for _ in range(dim)] for _ in range(len(xis))])
 
+    def quarter_cells(rng, shape):
+        return (rng.integers(-6, 6, shape) + rng.choice([0.25, 0.75], shape)) * h / eps
+
     def field(by):
         # u(x - by): the same field carried along with the domain
         jumps = [PlaneJump(nu, off + nu @ by, np.zeros(dim), jump) for nu, off, jump in planes]
         return SumField((Affine(A, b - A @ by),) + tuple(jumps))
 
     moved = Grid(BoxDomain(grid.domain.lower + shift, grid.domain.upper + shift), h)
-    here = np.sum(_closed_form_sums(field(np.zeros(dim)), grid, region, eps, xis))
-    there = np.sum(_closed_form_sums(field(shift), moved, _moved_by(region, shift), eps, xis))
-    assert abs(there - here) <= 1e-12 * abs(here)
+    for batch in _each_budget(grid, xis, length, seed, quarter_cells):
+        here = np.sum(_closed_form_sums(field(np.zeros(dim)), grid, region, eps, batch))
+        there = np.sum(_closed_form_sums(field(shift), moved, _moved_by(region, shift), eps, batch))
+        assert abs(there - here) <= 1e-12 * abs(here)

@@ -410,9 +410,9 @@ def test_eps_schedule_validation(rule_fast):
         )
 
 
-@pytest.mark.parametrize("load", [np.nan, np.inf])
+@pytest.mark.parametrize("load", [np.nan, np.inf, -np.inf])
 def test_problem_rejects_non_finite_datum(load):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=f"load must be finite, got {load}"):
         bar(load)
 
 

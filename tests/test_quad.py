@@ -203,6 +203,34 @@ def test_quality_error_on_tampered_rule(rule1):
         _verify_rule(bad)
 
 
+LIBRARY_ORDERS = [{}, {"radial_order": 6}]
+
+
+@pytest.mark.parametrize("kwargs", LIBRARY_ORDERS, ids=["default", "radial6"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tensor_moments_match_the_per_monomial_products(dim, kwargs):
+    # each moment from the power table equals the per-monomial product form
+    # within 1e-13 of the sum of its terms' magnitudes (odd moments are
+    # roundoff around an exact zero, so their own size is no scale)
+    rule = build_direction_rule(dim, **kwargs)
+    moments = quad._tensor_moments(rule, rule.radial_order)
+    for alpha in quad._monomials(dim, rule.radial_order):
+        terms = rule.weights * np.prod(rule.nodes**alpha, axis=1)
+        assert abs(moments[tuple(alpha)] - np.sum(terms)) <= 1e-13 * np.sum(np.abs(terms))
+
+
+@pytest.mark.parametrize("kwargs", LIBRARY_ORDERS, ids=["default", "radial6"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_quality_error_names_a_monomial_when_one_weight_moves(dim, kwargs):
+    from nlgriffith.quad import _verify_rule
+
+    rule = build_direction_rule(dim, **kwargs)
+    weights = rule.weights.copy()
+    weights[np.argmax(weights)] *= 1 + 1e-6
+    with pytest.raises(RuleQualityError, match=r"moment xi\^\[[\d ]+\] = .* misses the oracle"):
+        _verify_rule(dataclasses.replace(rule, weights=weights))
+
+
 def test_quality_check_fails_closed_on_nan(rule1):
     from nlgriffith.quad import _verify_rule
 

@@ -4,14 +4,17 @@ descent operator built from the stencils against per-point assembly, the
 sampled slopes and cell sums against a full-width pass of the projected
 field, and those cell sums against the two-component form."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from nlgriffith import energy
 from nlgriffith.domain import Ball, BoxDomain, Grid, PlaneSegment, _dot_rows, _mesh
-from nlgriffith.energy import _CHUNK, _components, _sampled_sums, _Shift, _snap_to_axis
+from nlgriffith.energy import _components, _sampled_sums, _Shift, _snap_to_axis
 from nlgriffith.minimize import DescentKernel
 from nlgriffith.quad import DirectionRule
 
@@ -112,32 +115,63 @@ def test_keep_equals_mesh_membership(case):
     np.testing.assert_array_equal(_stencil_mask(pairs), _mesh_mask(grid, region, partners))
 
 
+# the default column budget, and one that forces the floor of 16 directions per pass
+BUDGETS = (energy._COLUMNS, 1)
+
+
 @st.composite
 def batches(draw):
+    """A geometry, a few directions, a seed for the rows that fill the
+    batch, and a batch length of 1, K or K + 1 rows for chunks of K
+    directions, as ``(chunks, extra)``."""
     grid, region, eps = draw(geometries())
-    count = draw(st.sampled_from([1, _CHUNK, _CHUNK + 1]))
-    return grid, region, eps, np.array([_direction(draw, grid, eps) for _ in range(count)])
+    directions = np.array([_direction(draw, grid, eps) for _ in range(draw(st.integers(1, 4)))])
+    length = draw(st.sampled_from([(0, 1), (1, 0), (1, 1)]))
+    return grid, region, eps, directions, draw(st.integers(0, 2**32 - 1)), length
+
+
+def _each_budget(grid, eps, directions, seed, length):
+    """Per column budget, while it is in force: the chunk size K and a batch
+    of ``chunks * K + extra`` rows, the directions and then seeded rows
+    drawn as ``_direction`` draws its components."""
+    chunks, extra = length
+    half = grid.h / (2 * eps)
+    for columns in BUDGETS:
+        with mock.patch.object(energy, "_COLUMNS", columns):
+            size = energy._chunk(grid)
+            count = chunks * size + extra
+            rng = np.random.default_rng(seed)
+            shape = (max(count - len(directions), 0), grid.dim)
+            fill = np.where(rng.random(shape) < 0.5, rng.uniform(-1.5, 1.5, shape), rng.integers(-6, 7, shape) * half)
+            yield size, np.concatenate([directions, fill])[:count]
 
 
 @PROFILE
 @given(batches())
 def test_each_stencil_equals_the_stencil_built_alone(case):
     # the set-up of a batch is shared by a chunk of rows; no stencil may
-    # depend on the rows built with it, across a chunk boundary too
-    grid, region, eps, xis = case
+    # depend on the rows built with it, across a chunk boundary too.  At
+    # the floor of 16 directions every row is checked; in the larger chunks
+    # of the default budget, the drawn directions and the rows next to the
+    # boundary and at the end.
+    grid, region, eps, directions, seed, length = case
     comps = _components(np.random.default_rng(0).normal(size=(grid.n_cells, grid.dim)), grid)
-    for xi, (pairs,) in zip(xis, _Shift.each(grid, (region,), xis, eps)):
-        alone = _Shift(grid, region, xi, eps)
-        assert pairs.box == alone.box
-        for row, own in zip(pairs.rows, alone.rows):
-            for a, b in zip(row, own):
-                _assert_same_bits(a, b)
-        if isinstance(alone.keep, slice):
-            assert pairs.keep == alone.keep
-        else:
-            _assert_same_bits(pairs.keep, alone.keep)
-        _assert_same_bits(pairs.slopes(comps), alone.slopes(comps))
-        assert pairs.cell_sum(pairs.slopes(comps), eps).hex() == alone.cell_sum(alone.slopes(comps), eps).hex()
+    for size, xis in _each_budget(grid, eps, directions, seed, length):
+        checked = set(range(len(xis))) if size == 16 else {*range(len(directions)), size - 1, size, len(xis) - 1}
+        for k, (pairs,) in enumerate(_Shift.each(grid, (region,), xis, eps)):
+            if k not in checked:
+                continue
+            alone = _Shift(grid, region, xis[k], eps)
+            assert pairs.box == alone.box
+            for row, own in zip(pairs.rows, alone.rows):
+                for a, b in zip(row, own):
+                    _assert_same_bits(a, b)
+            if isinstance(alone.keep, slice):
+                assert pairs.keep == alone.keep
+            else:
+                _assert_same_bits(pairs.keep, alone.keep)
+            _assert_same_bits(pairs.slopes(comps), alone.slopes(comps))
+            assert pairs.cell_sum(pairs.slopes(comps), eps).hex() == alone.cell_sum(alone.slopes(comps), eps).hex()
 
 
 def test_keep_drops_partners_landing_on_a_slit_through_centers():
