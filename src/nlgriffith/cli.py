@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -275,7 +276,14 @@ def main(argv=None) -> int:
     """Run one subcommand.  An input that a check of the library refuses
     (an ``InputError``) ends as a usage error of that subcommand: its usage
     line and the message on standard error, exit status 2.  Any other
-    error keeps its traceback."""
+    error keeps its traceback.  argparse takes a word that starts with '-'
+    for an option unless it is a plain decimal, so a signed value such as
+    -inf or -1e3 is joined to the option before it (``--load=-inf``)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    signed = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[+-]?\d+)?)", re.IGNORECASE)
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1].startswith("--") and "=" not in argv[i - 1] and signed.fullmatch(argv[i]):
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -21,32 +21,34 @@ and the range of cells whose pair stays inside the region's bounding box
 ``_Shift``, with the ball or slit mask a broadcast sum of per-axis terms.
 Only ``(u(x+eps xi)-u(x)).xi`` enters, and interpolation is linear, so
 the field is projected onto xi before it is interpolated, and one slope
-pass per direction serves every region of a call (each ball of a family,
-``_sampled_sums``).  A closed-form field is counted, not visited: a
-pair's slope is the affine part's ``eps xi.(A^T xi)`` plus the jump of
-each plane the pair crosses, so it takes one value per crossing pattern,
-and along a grid column every predicate of a cell (the side of a plane
-at either endpoint, ball membership, lying on a slit) holds on one
-interval of indices.  ``_closed_form_sums`` counts the cells of each
-pattern from the interval ends, a chunk of directions at a time, and
-evaluates the field only at the few pairs with an endpoint exactly on a
-plane, in one batch per chunk.  A chunk of the counting or of the
-stencils' set-up holds as many directions as fill a budget of grid
-columns (``_chunk``), so its arrays are about the same size on every
-grid.  The descent kernel of ``nlgriffith.minimize`` assembles one
-sparse operator on the nodal values from the stencils' kept pairs and
-interpolation rows (``_Shift.pairs``), so the pair rule alone decides
-which pairs interact; the energies keep the matrix-free stencil, whose
-pair counts at sweep sizes would make that operator too large to hold.
+pass and one arctan per direction serve every region of a call (each
+ball of every candidate family, ``_sampled_sums``).  A closed-form field
+is counted, not visited: a pair's slope is the affine part's
+``eps xi.(A^T xi)`` plus the jump of each plane the pair crosses, so it
+takes one value per crossing pattern, and along a grid column every
+predicate of a cell (the side of a plane at either endpoint, ball
+membership, lying on a slit) holds on one interval of indices.
+``_closed_form_sums`` counts the cells of each pattern from the interval
+ends, a chunk of directions at a time, and evaluates the field only at
+the few pairs with an endpoint exactly on a plane, in one batch per
+chunk.  A chunk of the counting or of the stencils' set-up holds as
+many directions as fill a budget of grid columns (``_chunk``), so its
+arrays are about the same size on every grid.  The descent kernel of
+``nlgriffith.minimize`` assembles one sparse operator on the nodal
+values from the stencils' kept pairs and interpolation rows
+(``_Shift.pairs``), so the pair rule alone decides which pairs interact;
+the energies keep the matrix-free stencil, whose pair counts at sweep
+sizes would make that operator too large to hold.
 
 On top of these sits one ball-family functional, ``family_energy``:
 ``sum_B (sum_j w_j F_dir(u, B, xi_j)^p)^(1/p)`` over a finite family of
 pairwise disjoint open balls.  The averaged energy is its p = 1 value on
 one region, and ``slicing.family_slice_measure`` is the same functional
 of the slice measure.  ``ball_supremum_energy`` maximizes it over
-candidate families.  The true supremum over all finite families is not
-computable; the returned value is a certified lower bound achieved by the
-reported family, and it improves monotonically under family refinement.
+candidate families, evaluated together.  The true supremum over all
+finite families is not computable; the returned value is a certified
+lower bound achieved by the reported family, and it improves
+monotonically under family refinement.
 
 Only pairs whose endpoints both lie in the region interact.  A precrack
 slit is removed from the membership test pointwise, so interactions may
@@ -390,9 +392,10 @@ class _Shift:
     is linear, so ``slopes`` interpolates the projected field ``U = u.xi``,
     a scalar.  A cell's slope depends on the field, xi and eps, not on the
     region, so ``_sampled_sums`` runs one slope pass per direction over the
-    union of several regions' range boxes (``over``) and each region sums
-    its own cells of it.  Closed-form fields do not visit the stencil's
-    cells: ``_closed_form_sums`` counts them with the same pair rule.
+    union of several regions' range boxes (``over``), takes the arctan once
+    over it, and each region sums its own kept terms (``cell_sum``).
+    Closed-form fields do not visit the stencil's cells:
+    ``_closed_form_sums`` counts them with the same pair rule.
 
     ``_Shift(grid, region, xi, eps)`` is ``each`` on one region and the
     one row ``xi``.
@@ -509,17 +512,13 @@ class _Shift:
         end -= U[tuple(slice(b.start - s.start, b.stop - s.start) for b, s in zip(self.box, span))]
         return end.reshape(-1)
 
-    def cell_sum(self, slopes: np.ndarray, eps: float) -> float:
+    def cell_sum(self, terms: np.ndarray, eps: float) -> float:
         """Midpoint cell sum ``(h^n/eps) sum arctan(s^2/eps)`` over the kept
-        pairs, from the slopes ``s`` over the range box (an array of the
-        box's shape, or flat), added in C order.  ``slopes`` is not changed."""
-        if isinstance(self.keep, slice):
-            s = slopes.reshape(-1)
-        else:
-            s = slopes.reshape(self.shape)[self.keep.reshape(self.shape)]
-        s = s * s
-        s /= eps
-        return float(self.grid.cell_volume / eps * np.sum(np.arctan(s, out=s)))
+        pairs, from the terms ``arctan(s^2/eps)`` over the range box (an
+        array of the box's shape), added in C order: a slice ``keep`` sums
+        the box copied to one contiguous row, a mask its masked gather."""
+        kept = terms.reshape(-1) if isinstance(self.keep, slice) else terms[self.keep.reshape(self.shape)]
+        return float(self.grid.cell_volume / eps * np.sum(kept))
 
 
 def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -528,10 +527,11 @@ def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.
     same shape) holds; 0.0 elsewhere.
 
     Per direction, one slope pass runs over the union of the regions'
-    range boxes (``_Shift.over``), and each region sums the kept pairs of
-    its own sub-box.  A cell's slope is formed elementwise, so it is the
-    same in any box, and each sum adds the same floats in the same order
-    as a pass over that region alone.
+    range boxes (``_Shift.over``) and the terms ``arctan(s^2/eps)`` are
+    formed once over it, in place; each region then sums the kept terms of
+    its own sub-box (``_Shift.cell_sum``).  A cell's term is formed
+    elementwise, so it is the same in any box, and each sum adds the same
+    floats in the same order as a pass over that region alone.
     """
     comps = _components(u, grid)
     sums = np.zeros(kept.shape)
@@ -544,10 +544,13 @@ def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.
             for d in range(grid.dim)
         )
         whole = live[0][1].over(box)
-        s = whole.slopes(comps).reshape(whole.shape)
+        s = whole.slopes(comps)
+        s *= s
+        s /= eps
+        terms = np.arctan(s, out=s).reshape(whole.shape)
         for i, st in live:
             sub = tuple(slice(a.start - b.start, a.stop - b.start) for a, b in zip(st.box, box))
-            sums[i, k] = st.cell_sum(s[sub], eps)
+            sums[i, k] = st.cell_sum(terms[sub], eps)
     return sums
 
 
@@ -1048,6 +1051,25 @@ def pairwise_energy(
     return float(averaged_energy(u, domain, eps, lattice, grid=g).total)
 
 
+def _family_values(u: FieldLike, domain: BoxDomain, families, eps: float, p: float, rule, grid, per_ball_support):
+    """``(total, per_ball)`` of each of ``families`` (``family_energy``), from
+    one ``_direction_values`` call over the balls of all of them: on a
+    sampled field, one slope pass per direction serves every family."""
+    if not (np.isfinite(p) and p >= 1):
+        raise InputError(f"p must be finite and at least 1, got {p}")
+    g = _resolve_grid(u, grid)
+    check_resolution(g.h, eps)
+    balls = [ball for family in families for ball in family.balls]
+    domain_support = _support_box(domain, eps)
+    supports = [_support_box(ball, eps) if per_ball_support else domain_support for ball in balls]
+    kept = np.array([support.contains(rule.nodes) for support in supports], dtype=bool)
+    values = _direction_values(u, balls, eps, rule, g, kept.reshape(len(balls), rule.n_nodes))
+    norms = (_lp_norm(rule.weights[nodes], row, p) for nodes, row in values)
+    # zip takes the next len(family) norms: it stops at the range first
+    per_ball = [dict(zip(range(len(family)), norms)) for family in families]
+    return [(sum(balls.values()), balls) for balls in per_ball]
+
+
 def family_energy(
     u: FieldLike,
     domain: BoxDomain,
@@ -1071,19 +1093,7 @@ def family_energy(
     ``per_ball`` entry at p = 1 is the ball's ``averaged_energy`` on the
     same support, bit for bit.
     """
-    if not (np.isfinite(p) and p >= 1):
-        raise InputError(f"p must be finite and at least 1, got {p}")
-    g = _resolve_grid(u, grid)
-    check_resolution(g.h, eps)
-    domain_support = _support_box(domain, eps)
-    supports = [_support_box(ball, eps) if per_ball_support else domain_support for ball in family.balls]
-    kept = np.array([support.contains(rule.nodes) for support in supports], dtype=bool)
-    kept = kept.reshape(len(family), rule.n_nodes)
-    per_ball = {
-        bi: _lp_norm(rule.weights[nodes], values, p)
-        for bi, (nodes, values) in enumerate(_direction_values(u, family.balls, eps, rule, g, kept))
-    }
-    return sum(per_ball.values()), per_ball
+    return _family_values(u, domain, (family,), eps, p, rule, grid, per_ball_support)[0]
 
 
 def ball_supremum_energy(
@@ -1102,11 +1112,12 @@ def ball_supremum_energy(
     lower bound for the supremum over all finite families; the first
     family that attains it is returned so results are reproducible and
     refinable (adding candidate families can only increase the value).
+    The families are evaluated together, so on a sampled field one slope
+    pass per direction serves all their balls; each family's value is what
+    ``family_energy`` gives it alone, bit for bit.
     """
-    g = _resolve_grid(u, grid)
-    check_resolution(g.h, eps)
     families = ball_candidates(domain, strategy)
-    results = [family_energy(u, domain, family, eps, p, rule, grid=g) for family in families]
+    results = _family_values(u, domain, families, eps, p, rule, grid, per_ball_support=False)
     best = max(range(len(families)), key=lambda k: results[k][0])
     total, per_ball = results[best]
     return EnergyReport(

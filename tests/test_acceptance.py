@@ -167,7 +167,7 @@ def test_c03_bulk_plus_surface_2d(sweep2d_csv):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 4: sampled fields converge to the wrong limit at fixed h/eps; the sampled sweep "
+    reason="ROADMAP item 2: sampled fields converge to the wrong limit at fixed h/eps; the sampled sweep "
     "extrapolates to about 7.135 against 6.711 (+6.3%), outside c03's 5%",
 )
 def test_c03_sampled_bulk_plus_surface_2d():

@@ -319,6 +319,22 @@ def test_minimize_refuses_non_finite_load(tmp_path, capsys, load):
     assert not trace.exists() and not field.exists()
 
 
+@pytest.mark.parametrize("load", ["-inf", "-nan", "-Infinity"])
+def test_minimize_refuses_a_space_separated_negative_non_finite_load(tmp_path, capsys, load):
+    # argparse alone would take -inf for an option and never call the load check
+    trace, field = tmp_path / "trace.csv", tmp_path / "field.csv"
+    argv = ["minimize", "--load", load, "--out", str(trace), "--field-out", str(field)]
+    _usage_error(capsys, argv, "load must be finite")
+    assert not trace.exists() and not field.exists()
+
+
+def test_a_space_separated_value_with_an_exponent_reaches_its_check(tmp_path, field2d_json, capsys):
+    out = tmp_path / "report.csv"
+    argv = ["energy", "--field", field2d_json, "--eps", "0.1", "--h", "0.025", "--strategy", "dyadic:1", "--p", "-1e3"]
+    _usage_error(capsys, argv + ["--out", str(out)], "p must be finite and at least 1, got -1000.0")
+    assert not out.exists()
+
+
 def test_energy_subcommand_reports_a_malformed_strategy_as_a_usage_error(tmp_path, field2d_json, capsys):
     out = tmp_path / "report.csv"
     argv = ["energy", "--field", field2d_json, "--eps", "0.1", "--h", "0.025", "--strategy", "dyadic:x"]

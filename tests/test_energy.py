@@ -559,6 +559,71 @@ def test_sampled_family_per_ball_equals_averaged_energy_bit_for_bit(dim, name):
             assert per_ball[i].hex() == averaged_energy(u, ball, eps, rule, support=support).total.hex()
 
 
+def _candidate_case(dim, field, seed):
+    """The unit cube, a closed-form field, its eps, grid, a small direction
+    rule and an rng.  ``random``: an affine field with one jump plane drawn
+    from ``seed``; ``corner``: a jump across a corner that the inscribed
+    ball misses and the balls of the next level cut, so that a later
+    family is the best; ``zero``: every family ties at zero."""
+    rng = np.random.default_rng(seed)
+    dom = BoxDomain(np.zeros(dim), np.ones(dim))
+    eps = {1: 0.04, 2: 0.1, 3: 0.25}[dim]
+    g = Grid(dom, eps / 4)
+    nu = rng.normal(size=dim)
+    nu /= np.linalg.norm(nu)
+    if field == "random":
+        jump = PlaneJump(nu, 0.5, np.zeros(dim), rng.normal(size=dim))
+        parts = (Affine(rng.normal(size=(dim, dim)), np.zeros(dim)), jump)
+    elif field == "corner":
+        nu = np.ones(dim) / np.sqrt(dim)
+        jump = PlaneJump(nu, 0.1 if dim == 1 else 0.25 / np.sqrt(dim), np.zeros(dim), 3 * nu)
+        parts = (Affine(0.1 * np.eye(dim), np.zeros(dim)), jump)
+    else:
+        parts = (Affine(np.zeros((dim, dim)), np.zeros(dim)),)
+    orders = {1: {}, 2: {"radial_order": 2, "angular_order": 8}, 3: {"radial_order": 2, "angular_order": 4}}
+    rule = build_direction_rule(dim, **orders[dim])
+    return dom, SumField(parts), eps, g, rule, rng
+
+
+def _first_best_alone(u, dom, eps, p, strategy, rule, g):
+    """``ball_supremum_energy`` against the first best family of separate
+    ``family_energy`` calls, bit for bit."""
+    families = ball_candidates(dom, BallStrategy.parse(strategy))
+    alone = [family_energy(u, dom, family, eps, p, rule, grid=g) for family in families]
+    best = max(range(len(families)), key=lambda k: alone[k][0])
+    report = ball_supremum_energy(u, dom, eps, p, BallStrategy.parse(strategy), rule, grid=g)
+    assert [(b.center.tolist(), b.radius) for b in report.family.balls] == [
+        (b.center.tolist(), b.radius) for b in families[best].balls
+    ]
+    assert report.total.hex() == alone[best][0].hex()
+    assert {k: v.hex() for k, v in report.per_ball.items()} == {k: v.hex() for k, v in alone[best][1].items()}
+    return best
+
+
+@pytest.mark.parametrize(
+    "dim, field, seed, strategy, p, best",
+    [(2, "random", seed, text, 2.0, 0) for seed in (0, 1, 2) for text in ("dyadic:1", "dyadic:2", "greedy:5")]
+    + [(2, "random", 3, "dyadic:2", 1.0, 0), (2, "random", 4, "dyadic:2", 1.5, 0), (3, "random", 5, "dyadic:1", 2.0, 0)]
+    + [(2, "corner", 6, "dyadic:2", 2.0, 1), (1, "corner", 7, "dyadic:3", 2.0, 1), (2, "zero", 8, "dyadic:2", 2.0, 0)],
+)
+def test_sampled_ball_supremum_is_the_first_best_family_evaluated_alone(dim, field, seed, strategy, p, best):
+    # every candidate family shares one slope pass per direction; each
+    # family's value is still the one it has alone, bit for bit (random
+    # fields carry noise on the nodes)
+    dom, u, eps, g, rule, rng = _candidate_case(dim, field, seed)
+    u = sample(u, g)
+    if field == "random":
+        u = SampledField(g, u.values + 0.05 * rng.normal(size=u.values.shape))
+    assert _first_best_alone(u, dom, eps, p, strategy, rule, g) == best
+
+
+@pytest.mark.parametrize("field, best", [("random", 0), ("corner", 1)])
+@pytest.mark.parametrize("strategy", ["dyadic:1", "dyadic:2", "dyadic:3"])
+def test_closed_form_ball_supremum_is_the_first_best_family_evaluated_alone(field, strategy, best):
+    dom, u, eps, g, rule, _ = _candidate_case(2, field, 0)
+    assert _first_best_alone(u, dom, eps, 2.0, strategy, rule, g) == best
+
+
 @pytest.mark.parametrize("p", [np.nan, np.inf, 0.5])
 def test_ball_functionals_reject_bad_p(rule1, p):
     dom = interval()

@@ -14,9 +14,17 @@ from scipy import sparse
 
 from nlgriffith import energy
 from nlgriffith.domain import Ball, BoxDomain, Grid, PlaneSegment, _dot_rows, _mesh
-from nlgriffith.energy import _components, _sampled_sums, _Shift, _snap_to_axis
+from nlgriffith.energy import (
+    BallStrategy,
+    _components,
+    _sampled_sums,
+    _Shift,
+    _snap_to_axis,
+    _support_box,
+    ball_candidates,
+)
 from nlgriffith.minimize import DescentKernel
-from nlgriffith.quad import DirectionRule
+from nlgriffith.quad import DirectionRule, build_direction_rule
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -171,7 +179,8 @@ def test_each_stencil_equals_the_stencil_built_alone(case):
             else:
                 _assert_same_bits(pairs.keep, alone.keep)
             _assert_same_bits(pairs.slopes(comps), alone.slopes(comps))
-            assert pairs.cell_sum(pairs.slopes(comps), eps).hex() == alone.cell_sum(alone.slopes(comps), eps).hex()
+            terms = [np.arctan(one.slopes(comps) ** 2 / eps).reshape(one.shape) for one in (pairs, alone)]
+            assert pairs.cell_sum(terms[0], eps).hex() == alone.cell_sum(terms[1], eps).hex()
 
 
 def test_keep_drops_partners_landing_on_a_slit_through_centers():
@@ -348,3 +357,59 @@ def test_projected_cell_sums_match_the_two_component_form(dim, kind, seed, compo
     expected = float(grid.cell_volume / eps * np.sum(np.arctan(s * s / eps)))
     actual = _sampled_sums(values, grid, (region,), eps, xi[None, :], np.ones((1, 1), dtype=bool))[0, 0]
     assert abs(actual - expected) <= 1e-12 * expected
+
+
+def _several_regions(dim):
+    """Overlapping balls, a sub-box (a slice ``keep``), a precracked box
+    with two slits and a ball whose range boxes are a cell or two, or empty."""
+    lower, upper = np.full(dim, 0.2), np.full(dim, 0.6)
+    lower[0] = upper[0] = 0.45
+    start, end = np.full(dim, 0.3), np.full(dim, 0.5)
+    start[-1] = end[-1] = 0.7
+    return (
+        Ball(np.full(dim, 0.55), 0.3),
+        Ball(np.full(dim, 0.4), 0.25),
+        BoxDomain(np.full(dim, 0.05), np.full(dim, 0.9)),
+        BoxDomain(np.zeros(dim), np.ones(dim), (PlaneSegment(lower, upper), PlaneSegment(start, end))),
+        Ball(np.full(dim, 0.5), 0.08),
+    )
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 40), (2, 20), (3, 10), (2, 128)])
+@pytest.mark.parametrize("columns", BUDGETS, ids=["default", "floor"])
+def test_sampled_sums_of_several_regions_equal_each_region_alone(dim, cells, columns):
+    # one slope pass and one arctan per direction over the union of the
+    # range boxes; each region sums the same floats in the same order as a
+    # pass over that region alone, across a chunk boundary at the floor
+    # too.  On 128 x 128 cells a sub-box holds more terms than numpy's
+    # 8192-element reduction buffer, so summing its strided view in place
+    # of a contiguous copy would add them in another order.
+    grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), 1 / cells)
+    regions = _several_regions(dim)
+    rng = np.random.default_rng(dim)
+    values = rng.normal(size=(grid.n_cells, dim))
+    eps = min(0.2, 8 / cells)
+    xis = np.concatenate([rng.uniform(-1.5, 1.5, size=(17, dim)), np.eye(dim)[-1:] * grid.h / eps, -np.ones((1, dim))])
+    kept = rng.random((len(regions), len(xis))) < 0.8
+    with mock.patch.object(energy, "_COLUMNS", columns):
+        sums = _sampled_sums(values, grid, regions, eps, xis, kept)
+        for region, row, flags in zip(regions, sums, kept):
+            alone = _sampled_sums(values, grid, (region,), eps, xis[flags], np.ones((1, flags.sum()), dtype=bool))
+            _assert_same_bits(row[flags], alone[0])
+            assert np.all(row[~flags] == 0.0)
+    assert np.count_nonzero(sums) > kept.sum() // 2
+
+
+def test_balls_2d_families_keep_the_pinned_number_of_pairs():
+    # the ball-family geometry of the balls-2d benchmark: every ball of both
+    # dyadic:1 families of the unit square, eps 0.04, h = eps/6, and the
+    # default 2D rule's nodes in the domain's difference body
+    domain = BoxDomain(np.zeros(2), np.ones(2))
+    eps = 0.04
+    grid = Grid(domain, eps / 6.0)
+    rule = build_direction_rule(2)
+    balls = [ball for family in ball_candidates(domain, BallStrategy.parse("dyadic:1")) for ball in family.balls]
+    assert len(balls) == 5
+    xis = rule.nodes[_support_box(domain, eps).contains(rule.nodes)]
+    pairs = sum(int(np.count_nonzero(one.keep)) for stencils in _Shift.each(grid, balls, xis, eps) for one in stencils)
+    assert pairs == 15_785_464
