@@ -18,16 +18,17 @@ the partner coordinates ``x + eps xi`` and the probes at which their
 membership is tested (``_partners``, which do not depend on the region),
 and the range of cells whose pair stays inside the region's bounding box
 (``_pair_axis``).  A sampled field is summed over the shift stencil
-``_Shift``, with the ball or slit mask a broadcast sum of per-axis terms.
+``_Shift``, whose kept pairs are runs of cells along each grid column.
 Only ``(u(x+eps xi)-u(x)).xi`` enters, and interpolation is linear, so
 the field is projected onto xi before it is interpolated, and one slope
-pass and one arctan per direction serve every region of a call (each
-ball of every candidate family, ``_sampled_sums``).  A closed-form field
-is counted, not visited: a pair's slope is the affine part's
-``eps xi.(A^T xi)`` plus the jump of each plane the pair crosses, so it
-takes one value per crossing pattern, and along a grid column every
-predicate of a cell (the side of a plane at either endpoint, ball
-membership, lying on a slit) holds on one interval of indices.
+pass, one arctan and one run sum per direction serve every region of a
+call (each ball of every candidate family, ``_sampled_sums``).  A
+closed-form field is counted, not visited: a pair's slope is the affine
+part's ``eps xi.(A^T xi)`` plus the jump of each plane the pair crosses,
+so it takes one value per crossing pattern, and along a grid column
+every predicate of a cell (the side of a plane at either endpoint, ball
+membership, lying on a slit) holds on one interval of indices; the
+stencils' runs come from the same intervals (``_region_runs``).
 ``_closed_form_sums`` counts the cells of each pattern from the interval
 ends, a chunk of directions at a time, and evaluates the field only at
 the few pairs with an endpoint exactly on a plane, in one batch per
@@ -280,17 +281,6 @@ def _axis_inside(region: Region, d: int, x: np.ndarray) -> np.ndarray:
     return (x > region.lower[d]) & (x < region.upper[d])
 
 
-def _fold(terms) -> np.ndarray:
-    """Sum of per-axis arrays over the range box, term d broadcast along
-    axis d, added left to right as ``np.sum(..., axis=1)`` adds the
-    coordinates of one point."""
-    terms = list(terms)
-    total = 0
-    for d, t in enumerate(terms):
-        total = total + t.reshape((-1,) + (1,) * (len(terms) - 1 - d))
-    return total
-
-
 def _snap_to_axis(axis: np.ndarray, h: float, x: np.ndarray, step) -> np.ndarray:
     """``x = axis + step`` with each coordinate within roundoff of a grid
     coordinate moved onto it, so that a shifted center landing on a center
@@ -308,14 +298,13 @@ def _snap_to_axis(axis: np.ndarray, h: float, x: np.ndarray, step) -> np.ndarray
     return np.where(lattice & (np.abs(x - near) <= tol), near, x)
 
 
-def _partners(axis: np.ndarray, h: float, steps):
-    """The region-free half of the pair rule along one grid axis, for a
-    batch of steps ``eps xi_d``: one row per step of the partners ``axis +
-    step`` and of the probes at which their membership is tested
-    (``_snap_to_axis``)."""
-    steps = np.asarray(steps, dtype=float).reshape(-1, 1)
-    partner = axis + steps
-    return partner, _snap_to_axis(axis, h, partner, steps)
+def _partners(grid: Grid, eps: float, xis: np.ndarray) -> list:
+    """The region-free half of the pair rule for a chunk of directions: per
+    grid axis, one row per direction of the partners ``axis + eps xi_d``
+    and of the probes at which their membership is tested
+    (``_snap_to_axis``).  Both kernels build it once per chunk."""
+    steps = eps * xis.T[:, :, None]
+    return [(p := axis + step, _snap_to_axis(axis, grid.h, p, step)) for axis, step in zip(grid.axes, steps)]
 
 
 def _pair_axis(region: Region, d: int, axis: np.ndarray, probe: np.ndarray):
@@ -329,27 +318,6 @@ def _pair_axis(region: Region, d: int, axis: np.ndarray, probe: np.ndarray):
     first = hits.argmax(axis=1)
     stop = (axis.size - hits[:, ::-1].argmax(axis=1)) * hits.any(axis=1)
     return first, stop
-
-
-def _inside_terms(region: Region, coords) -> list[list[np.ndarray]]:
-    """The per-axis terms of ``region.contains`` that its bounding-box
-    factors leave out, same float ops, at per-axis ``coords`` (rows or
-    tables): a ball's squared distances, or each slit's squared excesses;
-    none for a box without slits."""
-    if isinstance(region, Ball):
-        return [[(c - region.center[d]) ** 2 for d, c in enumerate(coords)]]
-    return [[e**2 for e in _slit_excess(seg, coords)] for seg in region.precrack]
-
-
-def _folded_inside(region: Region, terms) -> np.ndarray | bool:
-    """``region.contains`` where every bounding-box factor holds, from its
-    ``_inside_terms`` folded over their product (``_fold``); True for a box
-    without slits."""
-    inside = True
-    for group in terms:
-        total = _fold(group)
-        inside = inside & (total < region.radius**2 if isinstance(region, Ball) else np.sqrt(total) > 0.0)
-    return inside
 
 
 def _slit_excess(seg, coords):
@@ -379,104 +347,95 @@ class _Shift:
     A pair interacts when both points lie in the region.  Grid centers
     and their shifts are products of per-axis coordinates, so the cells
     whose pair stays inside the region's bounding box form one index
-    range per axis, the range box (``_pair_axis``); ``keep`` selects the
-    interacting pairs in it (a residual mask for balls and precrack
-    slits, folded from per-axis ``_inside_terms`` at the centers and the
-    probes).  Both are built from the per-axis coordinates, so no point
-    mesh is formed; a shifted coordinate within roundoff of a grid
-    coordinate is tested there, so a partner that lands on a center has
-    its membership.  The shifted endpoint is multilinear in the nodal
-    values, with one row of cells and weights per axis.
+    range per axis, the range box (``_pair_axis``).  Along each column of
+    the range box (one index on the earlier axes, ``index``) the
+    interacting pairs are runs of last-axis indices ``[lo, hi)``, from
+    the interval rules the closed-form kernel counts with
+    (``_region_runs``), so no point mesh or mask is formed; a shifted
+    coordinate within roundoff of a grid coordinate is tested there, so a
+    partner that lands on a center has its membership.  The shifted
+    endpoint is multilinear in the nodal values, with one row of cells and
+    weights per axis.
 
     Only ``(u(x + eps xi) - u(x)).xi`` enters an energy, and interpolation
     is linear, so ``slopes`` interpolates the projected field ``U = u.xi``,
     a scalar.  A cell's slope depends on the field, xi and eps, not on the
     region, so ``_sampled_sums`` runs one slope pass per direction over the
-    union of several regions' range boxes (``over``), takes the arctan once
-    over it, and each region sums its own kept terms (``cell_sum``).
-    Closed-form fields do not visit the stencil's cells:
-    ``_closed_form_sums`` counts them with the same pair rule.
+    union of several regions' range boxes, takes the arctan once over it
+    and sums every region's runs from it.  Closed-form fields do not visit
+    the stencil's cells: ``_closed_form_sums`` counts them with the same
+    pair rule.
 
-    ``_Shift(grid, region, xi, eps)`` is ``each`` on one region and the
-    one row ``xi``.
+    ``_Shift(grid, region, xi, eps)`` is ``each`` on the one row ``xi``.
     """
 
     def __new__(cls, grid: Grid, region: Region, xi: np.ndarray, eps: float):
-        ((stencil,),) = cls.each(grid, (region,), np.reshape(xi, (1, -1)), eps)
+        (stencil,) = cls.each(grid, region, np.reshape(xi, (1, -1)), eps)
         return stencil
 
-    @classmethod
-    def each(cls, grid: Grid, regions, xis: np.ndarray, eps: float, kept: np.ndarray | None = None):
-        """Per row of ``xis``, a tuple of the stencil of each of ``regions``,
-        None where ``kept`` (one row of flags per region; all by default)
-        is False.
-
-        The region-free set-up (the partners, their probes and
-        interpolation rows) is done for one chunk of rows at once
-        (``_chunk``); each region adds its range boxes (``_pair_axis``)
-        and its probes' ``_inside_terms`` per chunk and folds its centers'
-        membership once per call, so that a stencil only slices its row
-        out of each table.  A stencil does
-        not depend on the other rows or regions.  All stencils of one call
-        run their slopes' passes in four shared buffers, so that the
-        process reuses memory it holds rather than mapping fresh pages for
-        each stencil; no two of them may run at once."""
-        if kept is None:
-            kept = np.ones((len(regions), len(xis)), dtype=bool)
-        centers = [_folded_inside(region, _inside_terms(region, grid.axes)) for region in regions]
-        buffers = [np.empty(0)] * 4
+    @staticmethod
+    def chunks(grid: Grid, regions, xis: np.ndarray, eps: float):
+        """Per chunk of rows of ``xis`` (``_chunk``): its first row, the
+        partners' ``(base, top, frac)`` rows per axis, and each region's
+        columns narrowed to runs (``_region_runs``), as many per column as
+        the region with the most slits needs.  The region-free set-up is
+        done once per chunk, a ball's centers' stretches once per call."""
+        # every grid column: the range box of the grid's own domain at no shift
+        whole = _Columns(grid, grid.domain, _partners(grid, 0.0, np.zeros((1, grid.dim))))
+        centers = [_ball_interval(whole, region, "center") if isinstance(region, Ball) else None for region in regions]
+        width = max(1 + 2 * len(getattr(region, "precrack", ())) for region in regions)
         size = _chunk(grid)
         for at in range(0, len(xis), size):
-            X = xis[at : at + size]
-            moved = [_partners(axis, grid.h, eps * X[:, d]) for d, axis in enumerate(grid.axes)]
-            probes = [probe for _, probe in moved]
+            moved = _partners(grid, eps, xis[at : at + size])
             rows = [_interp_row(axis, grid.h, partner) for axis, (partner, _) in zip(grid.axes, moved)]
-            ranges = [
-                [_pair_axis(region, d, axis, probe) for d, (axis, probe) in enumerate(zip(grid.axes, probes))]
-                for region in regions
-            ]
-            terms = [_inside_terms(region, probes) for region in regions]
-            for k, xi in enumerate(X):
-                line = [tuple(a[k] for a in row) for row in rows]
-                stencils = []
-                for region, inside, axes, probe_terms, flags in zip(regions, centers, ranges, terms, kept):
-                    if not flags[at + k]:
-                        stencils.append(None)
-                        continue
-                    box = tuple(slice(int(first[k]), int(stop[k])) for first, stop in axes)
-                    stencil = cls._place(grid, xi, line, box, buffers)
-                    if probe_terms:
-                        probe = _folded_inside(region, [[t[k, sl] for t, sl in zip(g, box)] for g in probe_terms])
-                        stencil.keep = np.logical_and(inside[box], probe).reshape(-1)
-                    stencils.append(stencil)
-                yield tuple(stencils)
+            yield at, rows, [_region_runs(_Columns(grid, r, moved), r, c, width) for r, c in zip(regions, centers)]
 
     @classmethod
-    def _place(cls, grid: Grid, xi: np.ndarray, line, box: tuple, buffers: list) -> "_Shift":
-        """The stencil of ``xi`` over ``box`` with every pair kept, from the
-        direction's ``(base, top, frac)`` interpolation row of each axis."""
+    def each(cls, grid: Grid, region: Region, xis: np.ndarray, eps: float):
+        """The stencil of ``region`` for each row of ``xis``, sliced out of
+        its chunk's tables (``chunks``), so that it does not depend on the
+        other rows.  All stencils of one call run their slopes' passes in
+        four shared buffers, so that the process reuses memory it holds
+        rather than mapping fresh pages for each; no two may run at once."""
+        buffers = [np.empty(0)] * 4
+        for at, rows, (cols,) in cls.chunks(grid, (region,), xis, eps):
+            ends = np.searchsorted(cols.dirs, np.arange(len(cols.first) + 1)).tolist()
+            for k, c in enumerate(map(slice, ends, ends[1:])):
+                line = [tuple(a[k] for a in row) for row in rows]
+                box = tuple(map(slice, cols.first[k].tolist(), cols.stop[k].tolist()))
+                yield cls._at(grid, xis[at + k], line, box, buffers, [i[c] for i in cols.index], cols.lo[c], cols.hi[c])
+
+    @classmethod
+    def _at(cls, grid: Grid, xi: np.ndarray, line, box: tuple, buffers: list, index=(), lo=None, hi=None) -> "_Shift":
+        """The stencil of ``xi`` over ``box`` (``line``: its rows per axis), runs ``lo``, ``hi`` on ``index``."""
         self = object.__new__(cls)
         self.grid, self.xi, self.box, self._line, self._buffers = grid, xi, box, line, buffers
-        self.centers = [axis[sl] for axis, sl in zip(grid.axes, box)]
-        self.shape = tuple(c.size for c in self.centers)
-        self.rows = []
-        for d, ((base, top, frac), sl) in enumerate(zip(line, box)):
-            col = (-1,) + (1,) * (grid.dim - 1 - d)  # broadcasts along axis d
-            frac = frac[sl]
-            self.rows.append((base[sl], top[sl], (1.0 - frac).reshape(col), frac.reshape(col)))
-        self.keep = slice(None)
+        self.index, self.lo, self.hi = index, lo, hi
         return self
 
-    def over(self, box: tuple) -> "_Shift":
-        """This direction's stencil over another box of cells, every pair kept."""
-        return self._place(self.grid, self.xi, self._line, box, self._buffers)
+    @property
+    def shape(self) -> tuple:
+        return tuple(sl.stop - sl.start for sl in self.box)
+
+    @property
+    def rows(self) -> list:
+        """Per axis, the partners' ``(base, top, 1 - frac, frac)`` over the box, weights broadcast along it."""
+        rows = []
+        for d, ((base, top, frac), sl) in enumerate(zip(self._line, self.box)):
+            col = (-1,) + (1,) * (self.grid.dim - 1 - d)
+            frac = frac[sl]
+            rows.append((base[sl], top[sl], (1.0 - frac).reshape(col), frac.reshape(col)))
+        return rows
 
     def pairs(self) -> tuple[np.ndarray, list]:
-        """The kept pairs in C order: each center's flat grid index, and its
-        partner's ``(base, top, frac)`` interpolation row per axis."""
-        at = [i[self.keep] for i in np.indices(self.shape).reshape(self.grid.dim, -1)]
-        centers = np.ravel_multi_index([sl.start + i for sl, i in zip(self.box, at)], self.grid.shape)
-        return centers, [(base[i], top[i], hi.reshape(-1)[i]) for (base, top, _, hi), i in zip(self.rows, at)]
+        """The kept pairs in C order, run by run: each center's flat grid
+        index, and its partner's ``(base, top, frac)`` interpolation row per
+        axis."""
+        lengths = (self.hi - self.lo).reshape(-1)
+        owner, offset = _runs(lengths)
+        at = [i[owner // self.lo.shape[1]] for i in self.index] + [self.lo.reshape(-1)[owner] + offset]
+        centers = np.ravel_multi_index(at, self.grid.shape)
+        return centers, [(base[i], top[i], frac[i]) for (base, top, frac), i in zip(self._line, at)]
 
     def slopes(self, comps) -> np.ndarray:
         """``(u(x + eps xi) - u(x)).xi`` over the range box, flat in C
@@ -490,18 +449,18 @@ class _Shift:
         """
         if 0 in self.shape:
             return np.zeros(0)
+        rows = self.rows
         # each axis pass reads only the partner columns of the later axes;
         # the rows' cells are nondecreasing, so those span base[0]..top[-1]
         span = tuple(
-            slice(min(sl.start, base[0]), max(sl.stop, top[-1] + 1))
-            for sl, (base, top, _, _) in zip(self.box, self.rows)
+            slice(min(sl.start, base[0]), max(sl.stop, top[-1] + 1)) for sl, (base, top, _, _) in zip(self.box, rows)
         )
         shape = tuple(sl.stop - sl.start for sl in span)
         U = np.multiply(comps[0][span], self.xi[0], out=_buffer(self._buffers, 3, shape))
         for c, x in zip(comps[1:], self.xi[1:]):
             U += np.multiply(c[span], x, out=_buffer(self._buffers, 2, shape))
         end = U
-        for d, ((base, top, lo_w, hi_w), sl) in enumerate(zip(self.rows, span)):
+        for d, ((base, top, lo_w, hi_w), sl) in enumerate(zip(rows, span)):
             # lo_w * end[base] + hi_w * end[top], in buffers other than end's and U's
             shape = end.shape[:d] + base.shape + end.shape[d + 1 :]
             lo = np.take(end, base - sl.start, axis=d, mode="clip", out=_buffer(self._buffers, d % 2, shape))
@@ -512,45 +471,71 @@ class _Shift:
         end -= U[tuple(slice(b.start - s.start, b.stop - s.start) for b, s in zip(self.box, span))]
         return end.reshape(-1)
 
-    def cell_sum(self, terms: np.ndarray, eps: float) -> float:
-        """Midpoint cell sum ``(h^n/eps) sum arctan(s^2/eps)`` over the kept
-        pairs, from the terms ``arctan(s^2/eps)`` over the range box (an
-        array of the box's shape), added in C order: a slice ``keep`` sums
-        the box copied to one contiguous row, a mask its masked gather."""
-        kept = terms.reshape(-1) if isinstance(self.keep, slice) else terms[self.keep.reshape(self.shape)]
-        return float(self.grid.cell_volume / eps * np.sum(kept))
-
 
 def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Cell sums ``(h^n/eps) sum arctan(s^2/eps)`` of a sampled field, one
     row per region and one column per row of ``xis``, where ``kept`` (the
     same shape) holds; 0.0 elsewhere.
 
-    Per direction, one slope pass runs over the union of the regions'
-    range boxes (``_Shift.over``) and the terms ``arctan(s^2/eps)`` are
-    formed once over it, in place; each region then sums the kept terms of
-    its own sub-box (``_Shift.cell_sum``).  A cell's term is formed
-    elementwise, so it is the same in any box, and each sum adds the same
-    floats in the same order as a pass over that region alone.
+    Per direction, one slope pass runs over the union of the live regions'
+    range boxes and the terms ``arctan(s^2/eps)`` are formed once over
+    it; one ``np.add.reduceat`` then sums every run of every region.  A
+    region's value adds its runs' sums column by column, left to right,
+    with 0.0 for an empty run, and then its columns in C order as one
+    ``reduceat`` segment.  A cell's term is formed elementwise and each
+    segment's sum depends on its own terms alone, so a region's value does
+    not depend on the other regions or rows.
     """
     comps = _components(u, grid)
     sums = np.zeros(kept.shape)
-    for k, stencils in enumerate(_Shift.each(grid, regions, xis, eps, kept)):
-        live = [(i, st) for i, st in enumerate(stencils) if st is not None and 0 not in st.shape]
-        if not live:
-            continue
-        box = tuple(
-            slice(min(st.box[d].start for _, st in live), max(st.box[d].stop for _, st in live))
-            for d in range(grid.dim)
-        )
-        whole = live[0][1].over(box)
-        s = whole.slopes(comps)
-        s *= s
-        s /= eps
-        terms = np.arctan(s, out=s).reshape(whole.shape)
-        for i, st in live:
-            sub = tuple(slice(a.start - b.start, a.stop - b.start) for a, b in zip(st.box, box))
-            sums[i, k] = st.cell_sum(terms[sub], eps)
+    buffers, n = [np.empty(0)] * 4, len(regions)
+    for at, rows, cols in _Shift.chunks(grid, regions, xis, eps):
+        first, stop = np.stack([c.first for c in cols]), np.stack([c.stop for c in cols])
+        live = kept[:, at : at + first.shape[1]] & np.all(stop > first, axis=2)
+        # per direction, the union of the live range boxes
+        low = np.where(live[..., None], first, grid.shape).min(axis=0)
+        high = np.where(live[..., None], stop, 0).max(axis=0)
+        # the live columns, by direction and then region (group k n + r), each region's in C order
+        blocks = np.stack([np.searchsorted(c.dirs, np.arange(first.shape[1] + 1)) for c in cols])
+        blocks += np.cumsum([0] + [c.dirs.size for c in cols[:-1]])[:, None]
+        group, offset = _runs(np.where(live, np.diff(blocks, axis=1), 0).T.reshape(-1))
+        order = blocks[:, :-1].T.reshape(-1)[group] + offset
+        ends = np.empty((order.size, cols[0].lo.shape[1], 2), dtype=np.int64)
+        for j, end in enumerate(("lo", "hi")):
+            ends[..., j] = np.concatenate([getattr(c, end) for c in cols])[order]
+        index = [np.concatenate([c.index[d] for c in cols])[order] for d in range(grid.dim - 1)]
+        dirs = group // n
+        # tables and arrays go once read, so that no two chunks' are held at once
+        del cols, order
+        # each run's first and stop cell, flat in its direction's union box
+        at_box = 0
+        for d, i in enumerate(index):
+            at_box = (at_box + i - low[dirs, d]) * (high - low)[dirs, d + 1]
+        ends -= np.reshape(low[dirs, -1] - at_box, (-1, 1, 1))
+        empty = ends[..., 0] == ends[..., 1]
+        ends = ends.reshape(-1, 2 * empty.shape[1])
+        del index, at_box
+        runs = np.empty(empty.shape)
+        bounds = np.searchsorted(dirs, np.arange(first.shape[1] + 1)).tolist()
+        for k in np.flatnonzero(np.diff(bounds)).tolist():
+            line = [tuple(a[k] for a in row) for row in rows]
+            box = tuple(map(slice, low[k].tolist(), high[k].tolist()))
+            s = _Shift._at(grid, xis[at + k], line, box, buffers).slopes(comps)
+            s *= s
+            s /= eps
+            # buffer 2 holds only slope temporaries; a spare term lets a run end at the last cell
+            terms = _buffer(buffers, 2, (s.size + 1,))
+            np.arctan(s, out=terms[:-1])
+            part = slice(bounds[k], bounds[k + 1])
+            runs[part] = np.add.reduceat(terms, ends[part].reshape(-1))[::2].reshape(-1, empty.shape[1])
+        # reduceat gives an empty run its first term
+        runs[empty] = 0.0
+        columns = runs[:, 0]
+        for run in runs.T[1:]:
+            columns = columns + run
+        starts = np.flatnonzero(np.diff(group, prepend=-1))
+        sums[group[starts] % n, at + dirs[starts]] = grid.cell_volume / eps * np.add.reduceat(columns, starts)
+        del rows, group, dirs, ends, empty, runs, columns
     return sums
 
 
@@ -603,8 +588,9 @@ def _guess(target: np.ndarray, start: np.ndarray, h: float, lo: np.ndarray, hi: 
 
 
 class _Columns:
-    """The range boxes of a chunk of directions as grid columns along the
-    last axis, in C order per direction (direction-major).
+    """A region's range boxes (``_pair_axis``) for a chunk of directions,
+    whose partners and probes are ``moved`` (``_partners``), as grid
+    columns along the last axis, in C order per direction (direction-major).
 
     A column holds its direction (``dirs``), its grid index on each earlier
     axis (``index``) and its stretch ``[lo, hi)`` of last-axis indices.
@@ -612,14 +598,13 @@ class _Columns:
     xi`` and the probes at which the partners' membership is tested.
     """
 
-    def __init__(self, grid: Grid, region: Region, eps: float, xis: np.ndarray):
+    def __init__(self, grid: Grid, region: Region, moved):
         self.grid, self.dim = grid, grid.dim
-        moved = [_partners(axis, grid.h, eps * xis[:, d]) for d, axis in enumerate(grid.axes)]
         self.partners, self.probes = [m[0] for m in moved], [m[1] for m in moved]
         ranges = [_pair_axis(region, d, axis, probe) for d, (axis, probe) in enumerate(zip(grid.axes, self.probes))]
         self.first = np.stack([r[0] for r in ranges], axis=1)
         self.stop = np.stack([r[1] for r in ranges], axis=1)
-        dirs, index = np.arange(len(xis)), []
+        dirs, index = np.arange(len(self.first)), []
         for d in range(self.dim - 1):
             owner, offset = _runs((self.stop - self.first)[dirs, d])
             index = [i[owner] for i in index] + [self.first[dirs[owner], d] + offset]
@@ -692,9 +677,11 @@ def _plane_intervals(cols: _Columns, plane, kind: str):
 
 def _ball_interval(cols: _Columns, ball: Ball, kind: str):
     """Per column, the stretch of cells whose ``kind`` endpoint (centers or
-    probes) lies in the ball, ``fold((x - c)^2) < r^2`` as ``_Shift``
-    forms it from ``_inside_terms``; the squared distance falls and then
-    rises along the column, so the stretch is one interval."""
+    probes) lies in the ball, ``(x_0 - c_0)^2 + ... < r^2`` with the axes'
+    terms added left to right as ``Ball.contains`` adds them; the squared
+    distance falls and then rises along the column, so the stretch is one
+    interval.  Its two ends are searched one after the other, so that the
+    search's arrays stay the size of the columns."""
     rest = np.zeros(cols.dirs.size)
     for d, c in enumerate(cols.coords(kind)):
         rest = rest + (c - ball.center[d]) ** 2
@@ -702,20 +689,19 @@ def _ball_interval(cols: _Columns, ball: Ball, kind: str):
     ctr, r2 = ball.center[-1], ball.radius**2
     # the last-axis term falls up to the first coordinate at or past the center
     bottom = np.clip(np.sum(table - ctr < 0, axis=1)[row], cols.lo, cols.hi)
-    lo, hi = np.concatenate([cols.lo, bottom]), np.concatenate([bottom, cols.hi])
-    rest2, row2 = np.tile(rest, 2), np.tile(row, 2)
-    leaving = np.arange(lo.size) >= rest.size
-
-    def test(sel, j):
-        return ((rest2[sel] + (table[row2[sel], j] - ctr) ** 2) < r2) != leaving[sel]
-
     with np.errstate(invalid="ignore"):
-        half = np.sqrt(r2 - rest2)
-    target = np.where(leaving, ctr + half, ctr - half)
-    guess = _guess(target, table[row2, 0], cols.grid.h, lo, hi)
-    # a column that misses the ball settles at its first try
-    guess = np.where(np.isnan(half), np.where(leaving, lo, hi), guess)
-    return tuple(np.split(_first_true(test, lo, hi, guess), 2))
+        half = np.sqrt(r2 - rest)
+    ends = []
+    # the first cell in the ball, before the center, and the first past it
+    for lo, hi, sign in ((cols.lo, bottom, -1.0), (bottom, cols.hi, 1.0)):
+
+        def test(sel, j, leaving=sign > 0):
+            return ((rest[sel] + (table[row[sel], j] - ctr) ** 2) < r2) != leaving
+
+        guess = _guess(ctr + sign * half, table[row, 0], cols.grid.h, lo, hi)
+        # a column that misses the ball settles at its first try
+        ends.append(_first_true(test, lo, hi, np.where(np.isnan(half), hi if sign < 0 else lo, guess)))
+    return tuple(ends)
 
 
 def _slit_interval(cols: _Columns, seg, kind: str):
@@ -732,6 +718,42 @@ def _slit_interval(cols: _Columns, seg, kind: str):
     stop = (on.shape[1] - on[:, ::-1].argmax(axis=1)) * on.any(axis=1)
     hit = rest == 0.0
     return tuple(np.clip(np.where(hit, end[row], 0), cols.lo, cols.hi) for end in (first, stop))
+
+
+def _region_runs(cols: _Columns, region: Region, centers, width: int) -> _Columns:
+    """``cols`` with each column's stretch narrowed to ``width`` runs ``[lo,
+    hi)`` of last-axis indices, in order (``lo`` and ``hi`` of shape
+    ``(columns, width)``): the stretches of kept cells, each ended by an
+    unkept cell or the column's end, and empty runs.
+
+    A box keeps its columns' whole stretches.  A ball keeps the cells whose
+    center (``centers``, the stretch of each grid column) and probe lie in
+    it (``_ball_interval``).  A precracked box cuts out the cells whose
+    center or probe lies on a slit (``_slit_interval``), and its runs are
+    the gaps between the cuts taken in order of their first cell."""
+    lo, hi, cuts = cols.lo, cols.hi, []
+    if isinstance(region, Ball):
+        flat = np.ravel_multi_index(cols.index, cols.grid.shape[:-1]) if cols.index else 0
+        for a, b in ((end[flat] for end in centers), _ball_interval(cols, region, "probe")):
+            lo, hi = np.maximum(lo, a), np.minimum(hi, b)
+        # an empty run too lies in the column's stretch
+        lo = np.minimum(lo, cols.hi)
+        hi = np.maximum(lo, hi)
+    else:
+        cuts = [_slit_interval(cols, seg, kind) for seg in region.precrack for kind in ("center", "probe")]
+    # an empty cut, and each cut that pads the runs to ``width``, sits at the
+    # column's end, where it splits no run
+    cuts = [np.where(b > a, (a, b), hi) for a, b in cuts] + [np.stack([hi, hi])] * (width - 1 - len(cuts))
+    reach, starts, stops = lo, [], []
+    if cuts:
+        cuts = np.stack(cuts, axis=2)
+        cuts = np.take_along_axis(cuts, np.argsort(cuts[0], axis=1, kind="stable")[None], axis=2)
+        for a, b in zip(cuts[0].T, cuts[1].T):
+            starts.append(reach)
+            stops.append(np.maximum(reach, a))
+            reach = np.maximum(reach, b)
+    cols.lo, cols.hi = np.stack(starts + [reach], axis=1), np.stack(stops + [hi], axis=1)
+    return cols
 
 
 @functools.cache
@@ -772,7 +794,7 @@ def _count_chunk(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: 
     a stretch of cells shares one pattern and is counted by its length; the
     few cells on a plane are then taken out of those counts one by one.
     """
-    cols = _Columns(grid, region, eps, xis)
+    cols = _Columns(grid, region, _partners(grid, eps, xis))
     sides, on_plane = [], []
     for plane in u.jump_planes():
         for kind in ("center", "moved"):
@@ -922,11 +944,18 @@ def _support_box(region: Region, eps: float) -> BoxDomain:
     return BoxDomain(-half, half)
 
 
-def _resolve_grid(u: FieldLike, grid: Grid | None) -> Grid:
+def _resolve_grid(u: FieldLike, grid: Grid | None, eps: float, regions, rule: DirectionRule | None = None) -> Grid:
+    """The grid every energy sums on, once it resolves ``eps`` and has each region's and the rule's dimension."""
     if isinstance(u, SampledField):
-        return u.grid
-    if grid is None:
+        grid = u.grid
+    elif grid is None:
         raise InputError("a grid is required to integrate a closed-form field")
+    check_resolution(grid.h, eps)
+    for region in regions:
+        if region.dim != grid.dim:
+            raise InputError(f"a region of dimension {region.dim} does not fit a field of dimension {grid.dim}")
+    if rule is not None and rule.dimension != grid.dim:
+        raise InputError("rule dimension must match the field dimension")
     return grid
 
 
@@ -952,8 +981,7 @@ def directional_energy(
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
         raise InputError(f"xi must be finite, got {xi}")
-    g = _resolve_grid(u, grid)
-    check_resolution(g.h, eps)
+    g = _resolve_grid(u, grid, eps, (region,))
     if xi.shape != (g.dim,):
         raise InputError(f"xi must have {g.dim} components, got shape {xi.shape}")
     if isinstance(u, AnalyticField):
@@ -1005,10 +1033,7 @@ def averaged_energy(
     weighted sum over retained nodes, accumulated in ascending node order:
     the p = 1 value of the ball-family functional on the one region.
     """
-    g = _resolve_grid(u, grid)
-    check_resolution(g.h, eps)
-    if rule.dimension != g.dim:
-        raise InputError("rule dimension must match the field dimension")
+    g = _resolve_grid(u, grid, eps, (region,), rule)
     if support is None:
         support = _support_box(region, eps)
     ((nodes, values),) = _direction_values(u, (region,), eps, rule, g, support.contains(rule.nodes)[None, :])
@@ -1040,8 +1065,7 @@ def pairwise_energy(
     Each pair is formed as ``x + eps xi``, as in every other direction,
     and its partner is tested for membership at the center it lands on.
     """
-    g = _resolve_grid(u, grid)
-    check_resolution(g.h, eps)
+    g = _resolve_grid(u, grid, eps, (domain,))
     cells = int(np.floor(6.0 * eps / g.h))
     k = np.indices((2 * cells + 1,) * g.dim).reshape(g.dim, -1).T - cells
     delta = k * g.h
@@ -1057,9 +1081,8 @@ def _family_values(u: FieldLike, domain: BoxDomain, families, eps: float, p: flo
     sampled field, one slope pass per direction serves every family."""
     if not (np.isfinite(p) and p >= 1):
         raise InputError(f"p must be finite and at least 1, got {p}")
-    g = _resolve_grid(u, grid)
-    check_resolution(g.h, eps)
     balls = [ball for family in families for ball in family.balls]
+    g = _resolve_grid(u, grid, eps, [domain] + balls, rule)
     domain_support = _support_box(domain, eps)
     supports = [_support_box(ball, eps) if per_ball_support else domain_support for ball in balls]
     kept = np.array([support.contains(rule.nodes) for support in supports], dtype=bool)

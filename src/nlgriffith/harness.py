@@ -31,6 +31,7 @@ from .domain import (
     InputError,
     PlaneJump,
     SumField,
+    _dot_rows,
     eval_nudged,
     load_problem,
     sample,
@@ -297,8 +298,8 @@ def _translation_discrepancy(
     pts = centers[mask]
     nudge = grid.h / 7.0
     lhs = np.abs(
-        np.arctan(eval_nudged(u, pts + delta * xi, nudge) @ xi)
-        - np.arctan(eval_nudged(u, pts, nudge) @ xi)
+        np.arctan(_dot_rows(eval_nudged(u, pts + delta * xi, nudge), xi))
+        - np.arctan(_dot_rows(eval_nudged(u, pts, nudge), xi))
     )
     return float(grid.cell_volume * np.sum(lhs))
 

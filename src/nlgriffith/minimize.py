@@ -203,7 +203,7 @@ class DescentKernel:
             raise InputError("rule dimension mismatch")
         self.eps = eps
         dim = grid.dim
-        cell, rows = zip(*(stencil.pairs() for (stencil,) in _Shift.each(grid, (region,), rule.nodes, eps)))
+        cell, rows = zip(*(stencil.pairs() for stencil in _Shift.each(grid, region, rule.nodes, eps)))
         node = np.repeat(np.arange(rule.n_nodes), [c.size for c in cell])
         cell = np.concatenate(cell)
         # per axis, each of base, top and frac joined over the nodes

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .domain import AnalyticField, BoxDomain, InputError, PlaneJump
+from .domain import AnalyticField, BoxDomain, InputError, PlaneJump, _dot_rows
 from .energy import BallFamily, BallStrategy, Region, _lp_norm, ball_candidates
 from .limits import plane_area_in_box
 from .quad import _gamma
@@ -443,7 +443,7 @@ def _jump_term(u: AnalyticField, xis: np.ndarray, region: Region) -> np.ndarray:
             if np.allclose(here, there, rtol=0.0, atol=1e-12):
                 raise InputError("coincident jump planes cross the region")
         crossing.append(plane)
-        total += np.abs(xis @ plane.normal) * area * np.minimum(np.abs(xis @ plane.jump), 1.0)
+        total += np.abs(_dot_rows(xis, plane.normal)) * area * np.minimum(np.abs(_dot_rows(xis, plane.jump)), 1.0)
     return total
 
 

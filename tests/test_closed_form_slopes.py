@@ -26,7 +26,6 @@ from nlgriffith.domain import (
 from nlgriffith.energy import (
     _closed_form_sums,
     _count_chunk,
-    _fold,
     _sampled_sums,
     _Shift,
     averaged_energy,
@@ -37,9 +36,25 @@ from nlgriffith.quad import build_direction_rule
 PROFILE = settings(derandomize=True, max_examples=50, deadline=None)
 
 
+def _fold(terms):
+    """Sum of per-axis arrays over the range box, term d broadcast along
+    axis d, added left to right as ``np.sum(..., axis=1)`` adds the
+    coordinates of one point."""
+    terms = list(terms)
+    total = 0
+    for d, t in enumerate(terms):
+        total = total + t.reshape((-1,) + (1,) * (len(terms) - 1 - d))
+    return total
+
+
+def _centers(pairs):
+    """The centers of the range box, per axis."""
+    return [axis[sl] for axis, sl in zip(pairs.grid.axes, pairs.box)]
+
+
 def _moved(pairs, eps):
     """The partners ``x + eps xi`` of the range box, per axis."""
-    return [c + eps * x for c, x in zip(pairs.centers, pairs.xi)]
+    return [c + eps * x for c, x in zip(_centers(pairs), pairs.xi)]
 
 
 def _per_cell(pairs, u, eps):
@@ -54,14 +69,14 @@ def _per_cell(pairs, u, eps):
     """
     xi = pairs.xi
     moved = _moved(pairs, eps)
-    steps = [m - c for m, c in zip(moved, pairs.centers)]
+    steps = [m - c for m, c in zip(moved, _centers(pairs))]
     a_xi = u.affine_part()[0].T @ xi
     s = _fold(t * a_xi[d] for d, t in enumerate(steps))
     near = np.zeros(pairs.shape, dtype=bool)
     crossings = []
     for plane in u.jump_planes():
         up = []
-        for coords in (pairs.centers, moved):
+        for coords in (_centers(pairs), moved):
             side = _fold(c * plane.normal[d] for d, c in enumerate(coords))
             side -= plane.offset
             up.append(side > 0)
@@ -73,7 +88,7 @@ def _per_cell(pairs, u, eps):
     cells = np.flatnonzero(near)
     if cells.size:
         at = np.unravel_index(cells, pairs.shape)
-        ends = (np.stack([c[i] for c, i in zip(cs, at)], axis=1) for cs in (moved, pairs.centers))
+        ends = (np.stack([c[i] for c, i in zip(cs, at)], axis=1) for cs in (moved, _centers(pairs)))
         ends_u = [eval_nudged(u, x, pairs.grid.h / 7.0) for x in ends]
         s[cells] = (ends_u[0] - ends_u[1]) @ xi
     crossing = np.stack(crossings, axis=1) if crossings else np.zeros((s.size, 0), dtype=np.int8)
@@ -81,16 +96,20 @@ def _per_cell(pairs, u, eps):
 
 
 def _kept(pairs):
-    kept = np.zeros(int(np.prod(pairs.shape)), dtype=bool)
-    kept[pairs.keep] = True
-    return kept
+    """The stencil's kept pairs, its runs on the columns of its range box, as a flat mask over the box."""
+    kept = np.zeros(pairs.shape, dtype=bool)
+    for c, (lo, hi) in enumerate(zip(pairs.lo, pairs.hi)):
+        column = tuple(int(i[c]) - sl.start for i, sl in zip(pairs.index, pairs.box))
+        for a, b in zip(lo, hi):
+            kept[column + (slice(a - pairs.box[-1].start, b - pairs.box[-1].start),)] = True
+    return kept.reshape(-1)
 
 
 def _two_endpoint_slopes(pairs, u, eps):
     """Slopes from both endpoints evaluated exactly, nudged off the jump
     planes by h/7, and the largest ``|u| |xi|`` among those endpoints."""
     nudge = pairs.grid.h / 7.0
-    ends = eval_nudged(u, _mesh(_moved(pairs, eps)), nudge), eval_nudged(u, _mesh(pairs.centers), nudge)
+    ends = eval_nudged(u, _mesh(_moved(pairs, eps)), nudge), eval_nudged(u, _mesh(_centers(pairs)), nudge)
     size = max(np.max(np.abs(e), initial=0.0) for e in ends) * np.linalg.norm(pairs.xi)
     return (ends[0] - ends[1]) @ pairs.xi, size
 

@@ -6,6 +6,7 @@ from nlgriffith.domain import (
     Ball,
     BoxDomain,
     Grid,
+    InputError,
     PlaneJump,
     PlaneSegment,
     SampledField,
@@ -107,6 +108,33 @@ def test_directional_energy_refuses_xi_of_another_dimension(size):
     # one component per grid axis: a 4-vector on a 2D grid is not two directions
     with pytest.raises(ValueError, match="xi must have 2 components"):
         directional_energy(Affine(np.eye(2), np.zeros(2)), square(), 0.2, np.ones(size), grid=Grid(square(), 0.05))
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["closed-form", "sampled"])
+def test_every_energy_refuses_a_region_of_another_dimension(sampled):
+    # a 3D ball on a 2D field once gave a number from its first two center
+    # coordinates; every public entry now refuses any region, ball or
+    # domain whose dimension is not the grid's
+    grid = Grid(square(), 0.05)
+    u = Affine(np.array([[1.0, 0.3], [-0.2, 0.6]]), np.zeros(2))
+    u = sample(u, grid) if sampled else u
+    rule = build_direction_rule(2, radial_order=4, angular_order=4)
+    ball2, ball3 = Ball(np.full(2, 0.5), 0.3), Ball(np.full(3, 0.5), 0.3)
+    line, cube = interval(), BoxDomain(np.zeros(3), np.ones(3))
+    calls = [
+        lambda: directional_energy(u, ball3, 0.2, np.array([1.0, 0.0]), grid=grid),
+        lambda: directional_energy(u, line, 0.2, np.array([1.0, 0.0]), grid=grid),
+        lambda: averaged_energy(u, ball3, 0.2, rule, grid=grid),
+        lambda: averaged_energy(u, cube, 0.2, rule, grid=grid),
+        lambda: pairwise_energy(u, line, 0.2, grid=grid),
+        lambda: family_energy(u, square(), BallFamily((ball3,)), 0.2, 2.0, rule, grid=grid),
+        lambda: family_energy(u, cube, BallFamily((ball2,)), 0.2, 2.0, rule, grid=grid),
+        lambda: ball_supremum_energy(u, cube, 0.2, 2.0, BallStrategy("dyadic", 1), rule, grid=grid),
+        lambda: ball_supremum_energy(u, line, 0.2, 1.0, BallStrategy("greedy", 2), rule, grid=grid),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="does not fit a field of dimension 2"):
+            call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -2,8 +2,10 @@ import filecmp
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlgriffith.energy import BallStrategy, GridCapabilityError, averaged_energy, directional_energy
+from nlgriffith.energy import BallStrategy, GridCapabilityError, _Shift, averaged_energy, directional_energy
 from nlgriffith.harness import (
     ExtrapolationResult,
     SweepSpec,
@@ -14,8 +16,9 @@ from nlgriffith.harness import (
     richardson,
     run_sweep,
     write_csv,
+    _translation_discrepancy,
 )
-from nlgriffith.domain import Affine, BoxDomain, Grid, load_problem
+from nlgriffith.domain import Affine, BoxDomain, Grid, PlaneJump, SumField, _dot_rows, eval_nudged, load_problem
 from nlgriffith.quad import DirectionRule, build_direction_rule
 
 SQRT_PI = np.sqrt(np.pi)
@@ -254,3 +257,68 @@ def test_csv_bit_identical_for_identical_runs(tmp_path):
 def test_write_csv_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         write_csv(str(tmp_path / "x.csv"), [])
+
+
+def test_translation_discrepancy_is_its_points_summed_in_any_batch():
+    # each center's term is formed row by row, so the cell sum equals the
+    # terms computed in sub-batches of 1, 3 and 17 centers, bit for bit (a
+    # matrix product over the whole batch rounds some rows differently,
+    # which moves the sum at the second direction)
+    u = random_field(np.random.default_rng(5), 2)
+    grid = Grid(BoxDomain(np.zeros(2), np.ones(2)), 1 / 80)
+    E = BoxDomain(np.full(2, 0.15), np.full(2, 0.85))
+    delta, nudge = 0.1, grid.h / 7.0
+    pts = grid.centers[E.contains(grid.centers)]
+    for xi in (np.array([0.6, -0.8]), np.array([0.3, -0.7])):
+        whole = _translation_discrepancy(u, E, delta, xi, grid)
+        for size in (1, 3, 17):
+            terms = []
+            for at in range(0, len(pts), size):
+                part = pts[at : at + size]
+                ends = [np.arctan(_dot_rows(eval_nudged(u, x, nudge), xi)) for x in (part + delta * xi, part)]
+                terms.append(np.abs(ends[0] - ends[1]))
+            assert float(grid.cell_volume * np.sum(np.concatenate(terms))).hex() == whole.hex()
+
+
+@st.composite
+def translation_cases(draw):
+    """A field from ``random_field``'s parameter box (affine part with
+    entries in [-2, 2] and an offset in [-3, 3]; one or two planes with an
+    offset in [0.35, 0.65] and a jump in [-3, 3] per component), a shift
+    delta of the audit and a direction with components in [-1, 1]."""
+    dim = draw(st.integers(1, 2))
+
+    def vector(lo, hi, size=dim):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    parts = [Affine(vector(-2.0, 2.0, dim * dim).reshape(dim, dim), vector(-3.0, 3.0))]
+    for _ in range(draw(st.integers(1, 2))):
+        nu = vector(-1.0, 1.0)
+        nu = nu / np.linalg.norm(nu) if np.linalg.norm(nu) > 0.1 else np.eye(dim)[0]
+        parts.append(PlaneJump(nu, draw(st.floats(0.35, 0.65)), np.zeros(dim), vector(-3.0, 3.0)))
+    xi = vector(-1.0, 1.0)
+    if np.linalg.norm(xi) < 0.1:
+        xi[0] = 1.0
+    return SumField(tuple(parts)), draw(st.sampled_from([0.05, 0.1])), xi
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(translation_cases())
+def test_translation_estimate_obeys_its_proven_bound(case):
+    # pointwise |arctan a - arctan b| <= min(|t|, pi) <= 4 (delta + arctan(t^2/delta))
+    # with t = a - b: past t^2 = delta the arctan is at least pi/4, and below
+    # it arctan(t^2/delta) >= (pi/4) t^2/delta, while |t| <= 4 delta + pi t^2/delta
+    # for every t.  So the cells of E whose pair the energy keeps add at most
+    # delta (4 |E| + 4 F_dir) over E's cells, and every other cell of E at most
+    # pi h^n.  The audit's translation check is this left side.
+    u, delta, xi = case
+    dim = xi.size
+    grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), delta / 8.0)
+    E = BoxDomain(np.full(dim, 0.15), np.full(dim, 0.85))
+    lhs = _translation_discrepancy(u, E, delta, xi, grid)
+    f_dir = directional_energy(u, E, delta, xi, grid=grid)
+    cells = int(np.count_nonzero(E.contains(grid.centers)))
+    stencil = _Shift(grid, E, xi, delta)
+    leaving = cells - int(np.sum(stencil.hi - stencil.lo))
+    assert leaving >= 0
+    assert lhs <= delta * (4.0 * cells * grid.cell_volume + 4.0 * f_dir) + np.pi * leaving * grid.cell_volume

@@ -2,6 +2,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlgriffith.domain import Affine, BoxDomain, Grid, PlaneSegment, SampledField, sample
 from nlgriffith.energy import GridCapabilityError, _components, _Shift, averaged_energy
@@ -89,6 +91,62 @@ def test_gradient_matches_central_differences(rule_fast, rule2_fast):
             assert abs(an - fd) <= 1e-5 * (1 + abs(an))
 
 
+# max over sigma of |d^3/dsigma^3 arctan(sigma^2)| = |24 sigma^7 - 40 sigma^3| / (1 + sigma^4)^3,
+# about 6.158 near sigma = 0.70, and of |d/dsigma arctan(sigma^2)| = 2 sigma / (1 + sigma^4), about 1.140
+ARCTAN_THIRD, ARCTAN_SLOPE = 6.2, 1.2
+
+
+@st.composite
+def gradient_cases(draw):
+    """A small grid of 1D or 2D cells, a region on it (the whole box, a
+    sub-box or the box with a slit), eps of 4-6 cells, a seed and a scale
+    of the nodal values: slopes well below, near or well above sqrt(eps)."""
+    dim = draw(st.integers(1, 2))
+    cells = draw(st.integers(8, 16) if dim == 1 else st.integers(6, 10))
+    box = BoxDomain(np.zeros(dim), np.ones(dim))
+    grid = Grid(box, 1.0 / cells)
+    kind = draw(st.sampled_from(["box", "sub-box", "slit"]))
+    if kind == "sub-box":
+        box = BoxDomain(np.full(dim, 0.1), np.full(dim, 0.8))
+    elif kind == "slit":
+        lower, upper = np.full(dim, 0.2), np.full(dim, 0.7)
+        lower[0] = upper[0] = draw(st.sampled_from([0.5, 0.43]))
+        box = BoxDomain(box.lower, box.upper, (PlaneSegment(lower, upper),))
+    eps = draw(st.sampled_from([4, 5, 6])) * grid.h
+    return grid, box, eps, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.01, 0.3, 3.0]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=gradient_cases())
+def test_analytic_gradient_matches_central_differences_within_the_step_bound(rule_fast, rule2_fast, case):
+    # E(x + t v) = sum W arctan(s^2/eps) with s = D (x + t v) is smooth in t.
+    # A central difference at step t is off E'(0) by at most t^2/6 max|E'''|,
+    # and E''' = sum W phi'''(s) (D v)^3 with |phi'''| <= 6.2 eps^-3/2.  Each
+    # of its two energies rounds by at most R, which adds R/t: R bounds the
+    # sum of n terms below W pi/2 (n + 4 ulps of its bound) and the rounding
+    # of s (a few ulps of |D| |x| per pair, times |phi'| <= 1.2 eps^-1/2).
+    grid, region, eps, seed, scale = case
+    rule = rule_fast if grid.dim == 1 else rule2_fast
+    rng = np.random.default_rng(seed)
+    frozen = rng.random(grid.n_cells) < 0.25
+    u = SampledField(grid, scale * rng.normal(size=(grid.n_cells, grid.dim)), frozen)
+    kernel = DescentKernel(grid, region, eps, rule)
+    _, grad = kernel.energy_and_grad(u.values, frozen)
+    np.testing.assert_array_equal(energy_gradient(u, eps, rule, region), grad)
+    assert np.all(grad[frozen] == 0.0)
+    v = rng.normal(size=u.values.shape)
+    v[frozen] = 0.0
+    t = 1e-5
+    fd = (kernel.energy(u.values + t * v) - kernel.energy(u.values - t * v)) / (2 * t)
+    analytic = float(np.sum(grad * v))
+    truncation = t**2 / 6 * ARCTAN_THIRD * eps**-1.5 * np.sum(kernel.W * np.abs(kernel.D @ v.reshape(-1)) ** 3)
+    reach = abs(kernel.D) @ (np.abs(u.values) + t * np.abs(v)).reshape(-1)
+    ulp = np.finfo(float).eps
+    R = ulp * (kernel.W.size + 4) * np.sum(kernel.W) * np.pi / 2
+    R += ulp * (2 * grid.dim * 2**grid.dim + 4) * ARCTAN_SLOPE / np.sqrt(eps) * np.sum(kernel.W * reach)
+    assert abs(analytic - fd) <= truncation + R / t
+
+
 def _kernel_cases(rule_fast, rule2_fast):
     """(grid, region, eps, rule, datum) of a bar, a plate and a slit domain."""
     outer = BoxDomain(np.array([-0.1, -0.1]), np.array([1.1, 1.1]))
@@ -110,6 +168,12 @@ def _kernel_cases(rule_fast, rule2_fast):
     ]
 
 
+def _kept(stencil):
+    """The stencil's kept pairs in C order, as flat indices into its range box."""
+    at = np.unravel_index(stencil.pairs()[0], stencil.grid.shape)
+    return np.ravel_multi_index([i - sl.start for i, sl in zip(at, stencil.box)], stencil.shape)
+
+
 def test_descent_kernel_energy_matches_averaged_energy(rule_fast, rule2_fast):
     # the assembled operator and the per-direction stencils of
     # averaged_energy are two evaluations of the same discrete energy, and
@@ -120,7 +184,7 @@ def test_descent_kernel_energy_matches_averaged_energy(rule_fast, rule2_fast):
         kernel = DescentKernel(grid, region, eps, rule)
         stencils = [_Shift(grid, region, xi, eps) for xi in rule.nodes]
         comps = _components(values, grid)
-        slopes = np.concatenate([st.slopes(comps)[st.keep] for st in stencils])
+        slopes = np.concatenate([st.slopes(comps)[_kept(st)] for st in stencils])
         assert np.allclose(kernel.D @ values.reshape(-1), slopes, rtol=0.0, atol=1e-12 * np.abs(slopes).max())
         e_avg = averaged_energy(SampledField(grid, values), region, eps, rule).total
         assert kernel.energy(values) == pytest.approx(e_avg, rel=1e-12, abs=0.0)

@@ -1,8 +1,9 @@
-"""Property tests: the shift stencil's pair mask against point-mesh
-membership, each stencil of a batch against the stencil built alone, the
-descent operator built from the stencils against per-point assembly, the
-sampled slopes and cell sums against a full-width pass of the projected
-field, and those cell sums against the two-component form."""
+"""Property tests: the shift stencil's runs of kept pairs against
+point-mesh membership, each stencil of a batch against the stencil built
+alone, the descent operator built from the stencils against per-point
+assembly, the sampled slopes and cell sums against a full-width pass of the
+projected field summed run by run, and those cell sums against the
+two-component form."""
 
 from unittest import mock
 
@@ -44,13 +45,40 @@ def _mesh_mask(grid, region, partners):
     return inside.reshape(grid.shape)
 
 
+def _columns(pairs):
+    """Each column of the stencil's runs as a tuple of grid indices on the earlier axes."""
+    return [tuple(int(i[c]) for i in pairs.index) for c in range(len(pairs.lo))]
+
+
 def _stencil_mask(pairs):
-    """The stencil's interacting pairs, its range box and ``keep``, placed on the whole grid."""
+    """The stencil's interacting pairs, its runs on the columns of its range box, placed on the whole grid."""
     full = np.zeros(pairs.grid.shape, dtype=bool)
-    kept = np.zeros(int(np.prod(pairs.shape)), dtype=bool)
-    kept[pairs.keep] = True
-    full[pairs.box] = kept.reshape(pairs.shape)
+    for column, lo, hi in zip(_columns(pairs), pairs.lo, pairs.hi):
+        for a, b in zip(lo, hi):
+            full[column + (slice(a, b),)] = True
     return full
+
+
+def _stretches(row):
+    """The maximal stretches ``(first, stop)`` of True along a boolean row."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], row.astype(np.int8), [0]])))
+    return [tuple(e) for e in edges.reshape(-1, 2).tolist()]
+
+
+def _run_order_sum(terms, mask):
+    """The masked terms of a box summed as the sampled sums sum a region's
+    runs: each maximal stretch of masked cells along the last axis as one
+    ``np.add.reduceat`` segment, a column's stretches left to right, and the
+    box's columns in C order as one segment; 0.0 for an empty box."""
+    if 0 in terms.shape:
+        return 0.0
+    columns = []
+    for t, m in zip(terms.reshape(-1, terms.shape[-1]), mask.reshape(-1, mask.shape[-1])):
+        total = 0.0
+        for a, b in _stretches(m):
+            total = total + np.add.reduceat(t[a:b], [0])[0]
+        columns.append(total)
+    return np.add.reduceat(np.array(columns), [0])[0]
 
 
 def _lattice(draw, m, lo, hi):
@@ -120,7 +148,14 @@ def cases(draw):
 @given(cases())
 def test_keep_equals_mesh_membership(case):
     grid, region, pairs, partners = case
-    np.testing.assert_array_equal(_stencil_mask(pairs), _mesh_mask(grid, region, partners))
+    mesh = _mesh_mask(grid, region, partners)
+    np.testing.assert_array_equal(_stencil_mask(pairs), mesh)
+    # the runs lie on the range box's columns in C order, and each column's
+    # nonempty runs are its maximal stretches of kept cells, in order
+    box = [tuple(sl.start + i for sl, i in zip(pairs.box, at)) for at in np.ndindex(*pairs.shape[:-1])]
+    assert _columns(pairs) == box
+    for column, lo, hi in zip(_columns(pairs), pairs.lo, pairs.hi):
+        assert [(a, b) for a, b in zip(lo.tolist(), hi.tolist()) if b > a] == _stretches(mesh[column])
 
 
 # the default column budget, and one that forces the floor of 16 directions per pass
@@ -163,10 +198,12 @@ def test_each_stencil_equals_the_stencil_built_alone(case):
     # of the default budget, the drawn directions and the rows next to the
     # boundary and at the end.
     grid, region, eps, directions, seed, length = case
-    comps = _components(np.random.default_rng(0).normal(size=(grid.n_cells, grid.dim)), grid)
+    values = np.random.default_rng(0).normal(size=(grid.n_cells, grid.dim))
+    comps = _components(values, grid)
     for size, xis in _each_budget(grid, eps, directions, seed, length):
         checked = set(range(len(xis))) if size == 16 else {*range(len(directions)), size - 1, size, len(xis) - 1}
-        for k, (pairs,) in enumerate(_Shift.each(grid, (region,), xis, eps)):
+        sums = _sampled_sums(values, grid, (region,), eps, xis, np.ones((1, len(xis)), dtype=bool))[0]
+        for k, pairs in enumerate(_Shift.each(grid, region, xis, eps)):
             if k not in checked:
                 continue
             alone = _Shift(grid, region, xis[k], eps)
@@ -174,13 +211,11 @@ def test_each_stencil_equals_the_stencil_built_alone(case):
             for row, own in zip(pairs.rows, alone.rows):
                 for a, b in zip(row, own):
                     _assert_same_bits(a, b)
-            if isinstance(alone.keep, slice):
-                assert pairs.keep == alone.keep
-            else:
-                _assert_same_bits(pairs.keep, alone.keep)
+            for a, b in zip([*pairs.index, pairs.lo, pairs.hi], [*alone.index, alone.lo, alone.hi]):
+                _assert_same_bits(a, b)
             _assert_same_bits(pairs.slopes(comps), alone.slopes(comps))
-            terms = [np.arctan(one.slopes(comps) ** 2 / eps).reshape(one.shape) for one in (pairs, alone)]
-            assert pairs.cell_sum(terms[0], eps).hex() == alone.cell_sum(terms[1], eps).hex()
+            one = _sampled_sums(values, grid, (region,), eps, xis[k : k + 1], np.ones((1, 1), dtype=bool))[0, 0]
+            assert sums[k].hex() == one.hex()
 
 
 def test_keep_drops_partners_landing_on_a_slit_through_centers():
@@ -317,7 +352,9 @@ def test_sampled_slopes_equal_the_full_width_pass(dim, kind):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("kind", ["box", "ball", "slit", "small-ball"])
 def test_cell_sum_equals_the_mesh_masked_sum(dim, kind):
-    # the oracle forms every temporary anew; the sum writes into its own
+    # the oracle forms every temporary anew and takes the kept cells from
+    # mesh membership; it sums them in the run order bit for bit, and
+    # within 1e-13 of one flat sum
     grid = _grid(dim)
     region = _regions(dim)[kind]
     rng = np.random.default_rng(dim)
@@ -326,10 +363,13 @@ def test_cell_sum_equals_the_mesh_masked_sum(dim, kind):
     for xi in (rng.uniform(-1.5, 1.5, size=dim), np.eye(dim)[-1] * grid.h / eps, -np.ones(dim)):
         pairs = _Shift(grid, region, xi, eps)
         partners = [a + eps * x for a, x in zip(grid.axes, xi)]
-        s = _full_width_slopes(pairs, values)[_mesh_mask(grid, region, partners)[pairs.box].reshape(-1)]
-        expected = float(grid.cell_volume / eps * np.sum(np.arctan(s * s / eps)))
+        s = _full_width_slopes(pairs, values).reshape(pairs.shape)
+        mask = _mesh_mask(grid, region, partners)[pairs.box]
+        expected = float(grid.cell_volume / eps * _run_order_sum(np.arctan(s * s / eps), mask))
         actual = _sampled_sums(values, grid, (region,), eps, xi[None, :], np.ones((1, 1), dtype=bool))[0, 0]
         assert float(actual).hex() == expected.hex()
+        flat = float(grid.cell_volume / eps * np.sum(np.arctan(s[mask] ** 2 / eps)))
+        assert abs(actual - flat) <= 1e-13 * flat
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -411,5 +451,5 @@ def test_balls_2d_families_keep_the_pinned_number_of_pairs():
     balls = [ball for family in ball_candidates(domain, BallStrategy.parse("dyadic:1")) for ball in family.balls]
     assert len(balls) == 5
     xis = rule.nodes[_support_box(domain, eps).contains(rule.nodes)]
-    pairs = sum(int(np.count_nonzero(one.keep)) for stencils in _Shift.each(grid, balls, xis, eps) for one in stencils)
+    pairs = sum(int(np.sum(one.hi - one.lo)) for ball in balls for one in _Shift.each(grid, ball, xis, eps))
     assert pairs == 15_785_464

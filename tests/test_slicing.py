@@ -22,7 +22,7 @@ from nlgriffith.slicing import (
     section,
     slice_measure,
 )
-from nlgriffith.slicing import _sloped_piece_integral
+from nlgriffith.slicing import _jump_term, _sloped_piece_integral
 
 HALF_PI = np.pi / 2
 
@@ -588,6 +588,25 @@ def test_averaged_jump_measure_is_weighted_jump_part():
     nodes, weights = build_sphere_rule(3, 8)
     direct = sum(w * directional_slice_measure(u, xi, ball) for xi, w in zip(nodes, weights))
     assert averaged_jump_measure(u, ball, (nodes, weights)) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_jump_term_of_a_direction_does_not_depend_on_its_batch(dim):
+    # each direction's products with the planes' normals and jumps are
+    # formed row by row, so its entry is the same in the whole batch and in
+    # sub-batches of 1, 3 and 17 rows, bit for bit
+    rng = np.random.default_rng(dim)
+    planes = tuple(
+        PlaneJump(unit(rng.normal(size=dim)), float(rng.uniform(0.35, 0.65)), np.zeros(dim), rng.uniform(-3, 3, dim))
+        for _ in range(2)
+    )
+    u = SumField((Affine(rng.uniform(-2, 2, (dim, dim)), np.zeros(dim)),) + planes)
+    ball = Ball(np.full(dim, 0.5), 0.4)
+    xis = np.concatenate([build_sphere_rule(dim, 64 if dim == 2 else 16)[0], rng.normal(size=(300, dim))])
+    whole = _jump_term(u, xis, ball)
+    for size in (1, 3, 17):
+        parts = np.concatenate([_jump_term(u, xis[at : at + size], ball) for at in range(0, len(xis), size)])
+        assert parts.tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------
