@@ -17,24 +17,25 @@ Every energy and the ball families follow one pair rule: per grid axis,
 the partner coordinates ``x + eps xi`` and the probes at which their
 membership is tested (``_partners``, which do not depend on the region),
 and the range of cells whose pair stays inside the region's bounding box
-(``_pair_axis``).  A sampled field is summed over the shift stencil
-``_Shift``, whose kept pairs are runs of cells along each grid column.
-Only ``(u(x+eps xi)-u(x)).xi`` enters, and interpolation is linear, so
-the field is projected onto xi before it is interpolated, and one slope
-pass, one arctan and one run sum per direction serve every region of a
-call (each ball of every candidate family, ``_sampled_sums``).  A
-closed-form field is counted, not visited: a pair's slope is the affine
-part's ``eps xi.(A^T xi)`` plus the jump of each plane the pair crosses,
-so it takes one value per crossing pattern, and along a grid column
-every predicate of a cell (the side of a plane at either endpoint, ball
-membership, lying on a slit) holds on one interval of indices; the
-stencils' runs come from the same intervals (``_region_runs``).
-``_closed_form_sums`` counts the cells of each pattern from the interval
-ends, a chunk of directions at a time, and evaluates the field only at
-the few pairs with an endpoint exactly on a plane, in one batch per
-chunk.  A chunk of the counting or of the stencils' set-up holds as
-many directions as fill a budget of grid columns (``_chunk``), so its
-arrays are about the same size on every grid.  The descent kernel of
+(``_pair_axis``).  And one membership rule: along each grid column a
+region keeps its pairs as runs of cells (``_region_runs``), because ball
+membership and lying on a slit each hold on one interval of indices.
+Both kernels take every region's runs from one pass over the directions,
+a chunk at a time, whose partners the regions share (``_Shift.chunks``);
+``_direction_values`` picks the kernel by the field's type.  A sampled
+field is summed over the runs: only ``(u(x+eps xi)-u(x)).xi`` enters,
+and interpolation is linear, so the field is projected onto xi before it
+is interpolated, and one slope pass, one arctan and one run sum per
+direction serve every region (``_sampled_sums``).  A closed-form field
+is counted, not visited: a pair's slope is the affine part's
+``eps xi.(A^T xi)`` plus the jump of each plane the pair crosses, so it
+takes one value per crossing pattern, and along a grid column the side
+of a plane at either endpoint holds on one interval of indices.
+``_closed_form_sums`` counts each pattern's cells from the ends of the
+runs and of those intervals, and evaluates the field only at the few
+pairs with an endpoint exactly on a plane.  A chunk holds as many
+directions as fill a budget of grid columns (``_chunk``), so its arrays
+are about the same size on every grid.  The descent kernel of
 ``nlgriffith.minimize`` assembles one sparse operator on the nodal
 values from the stencils' kept pairs and interpolation rows
 (``_Shift.pairs``), so the pair rule alone decides which pairs interact;
@@ -363,8 +364,8 @@ class _Shift:
     region, so ``_sampled_sums`` runs one slope pass per direction over the
     union of several regions' range boxes, takes the arctan once over it
     and sums every region's runs from it.  Closed-form fields do not visit
-    the stencil's cells: ``_closed_form_sums`` counts them with the same
-    pair rule.
+    the stencil's cells: ``_closed_form_sums`` counts the cells of the same
+    runs (``chunks``).
 
     ``_Shift(grid, region, xi, eps)`` is ``each`` on the one row ``xi``.
     """
@@ -375,20 +376,22 @@ class _Shift:
 
     @staticmethod
     def chunks(grid: Grid, regions, xis: np.ndarray, eps: float):
-        """Per chunk of rows of ``xis`` (``_chunk``): its first row, the
-        partners' ``(base, top, frac)`` rows per axis, and each region's
-        columns narrowed to runs (``_region_runs``), as many per column as
-        the region with the most slits needs.  The region-free set-up is
-        done once per chunk, a ball's centers' stretches once per call."""
-        # every grid column: the range box of the grid's own domain at no shift
-        whole = _Columns(grid, grid.domain, _partners(grid, 0.0, np.zeros((1, grid.dim))))
+        """Per chunk of rows of ``xis`` (``_chunk``): its slice of the rows,
+        and each region's columns narrowed to runs (``_region_runs``), as
+        many per column as the region with the most slits needs.  Both
+        kernels sum over these runs.  The regions share the chunk's partners
+        and probes, and a ball's centers' stretches are found once per call."""
+        # every grid column, if a ball needs them: the range box of the grid's own domain at no shift
+        balls = any(isinstance(region, Ball) for region in regions)
+        whole = balls and _Columns(grid, grid.domain, _partners(grid, 0.0, np.zeros((1, grid.dim))))
         centers = [_ball_interval(whole, region, "center") if isinstance(region, Ball) else None for region in regions]
-        width = max(1 + 2 * len(getattr(region, "precrack", ())) for region in regions)
+        width = max([1 + 2 * len(getattr(region, "precrack", ())) for region in regions], default=1)
         size = _chunk(grid)
         for at in range(0, len(xis), size):
             moved = _partners(grid, eps, xis[at : at + size])
-            rows = [_interp_row(axis, grid.h, partner) for axis, (partner, _) in zip(grid.axes, moved)]
-            yield at, rows, [_region_runs(_Columns(grid, r, moved), r, c, width) for r, c in zip(regions, centers)]
+            yield slice(at, at + size), [
+                _region_runs(_Columns(grid, r, moved), r, c, width) for r, c in zip(regions, centers)
+            ]
 
     @classmethod
     def each(cls, grid: Grid, region: Region, xis: np.ndarray, eps: float):
@@ -398,12 +401,13 @@ class _Shift:
         four shared buffers, so that the process reuses memory it holds
         rather than mapping fresh pages for each; no two may run at once."""
         buffers = [np.empty(0)] * 4
-        for at, rows, (cols,) in cls.chunks(grid, (region,), xis, eps):
+        for chunk, (cols,) in cls.chunks(grid, (region,), xis, eps):
+            rows = [_interp_row(axis, grid.h, partner) for axis, partner in zip(grid.axes, cols.partners)]
             ends = np.searchsorted(cols.dirs, np.arange(len(cols.first) + 1)).tolist()
-            for k, c in enumerate(map(slice, ends, ends[1:])):
+            for k, (c, xi) in enumerate(zip(map(slice, ends, ends[1:]), xis[chunk])):
                 line = [tuple(a[k] for a in row) for row in rows]
                 box = tuple(map(slice, cols.first[k].tolist(), cols.stop[k].tolist()))
-                yield cls._at(grid, xis[at + k], line, box, buffers, [i[c] for i in cols.index], cols.lo[c], cols.hi[c])
+                yield cls._at(grid, xi, line, box, buffers, [i[c] for i in cols.index], cols.lo[c], cols.hi[c])
 
     @classmethod
     def _at(cls, grid: Grid, xi: np.ndarray, line, box: tuple, buffers: list, index=(), lo=None, hi=None) -> "_Shift":
@@ -489,9 +493,10 @@ def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.
     comps = _components(u, grid)
     sums = np.zeros(kept.shape)
     buffers, n = [np.empty(0)] * 4, len(regions)
-    for at, rows, cols in _Shift.chunks(grid, regions, xis, eps):
+    for chunk, cols in _Shift.chunks(grid, regions, xis, eps):
+        rows = [_interp_row(axis, grid.h, partner) for axis, partner in zip(grid.axes, cols[0].partners)]
         first, stop = np.stack([c.first for c in cols]), np.stack([c.stop for c in cols])
-        live = kept[:, at : at + first.shape[1]] & np.all(stop > first, axis=2)
+        live = kept[:, chunk] & np.all(stop > first, axis=2)
         # per direction, the union of the live range boxes
         low = np.where(live[..., None], first, grid.shape).min(axis=0)
         high = np.where(live[..., None], stop, 0).max(axis=0)
@@ -520,7 +525,7 @@ def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.
         for k in np.flatnonzero(np.diff(bounds)).tolist():
             line = [tuple(a[k] for a in row) for row in rows]
             box = tuple(map(slice, low[k].tolist(), high[k].tolist()))
-            s = _Shift._at(grid, xis[at + k], line, box, buffers).slopes(comps)
+            s = _Shift._at(grid, xis[chunk][k], line, box, buffers).slopes(comps)
             s *= s
             s /= eps
             # buffer 2 holds only slope temporaries; a spare term lets a run end at the last cell
@@ -534,7 +539,7 @@ def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.
         for run in runs.T[1:]:
             columns = columns + run
         starts = np.flatnonzero(np.diff(group, prepend=-1))
-        sums[group[starts] % n, at + dirs[starts]] = grid.cell_volume / eps * np.add.reduceat(columns, starts)
+        sums[group[starts] % n, chunk.start + dirs[starts]] = grid.cell_volume / eps * np.add.reduceat(columns, starts)
         del rows, group, dirs, ends, empty, runs, columns
     return sums
 
@@ -630,8 +635,9 @@ class _Columns:
 
 
 def _plane_intervals(cols: _Columns, plane, kind: str):
-    """Per column, where the ``kind`` endpoints (centers or partners) lie on
-    the plus side of the plane, and the stretch where they lie on it.
+    """Per column, between its first run's start and last run's stop, where
+    the ``kind`` endpoints (centers or partners) lie on the plus side of the
+    plane, and the stretch where they lie on it.
 
     The plus side is given as ``(cut, above)``: the cells at or past the
     cut when ``above``, else the cells before it.
@@ -649,7 +655,7 @@ def _plane_intervals(cols: _Columns, plane, kind: str):
     rest = np.zeros(cols.dirs.size)
     for c, w in zip(cols.coords(kind), nu[:-1]):
         rest = rest + c * w
-    lo, hi, nu_l = cols.lo, cols.hi, nu[-1]
+    lo, hi, nu_l = cols.lo[:, 0], cols.hi[:, -1], nu[-1]
     if nu_l == 0:
         # x_l * 0 adds a zero: the side is the same along the column
         side = rest - off
@@ -743,16 +749,17 @@ def _region_runs(cols: _Columns, region: Region, centers, width: int) -> _Column
         cuts = [_slit_interval(cols, seg, kind) for seg in region.precrack for kind in ("center", "probe")]
     # an empty cut, and each cut that pads the runs to ``width``, sits at the
     # column's end, where it splits no run
-    cuts = [np.where(b > a, (a, b), hi) for a, b in cuts] + [np.stack([hi, hi])] * (width - 1 - len(cuts))
-    reach, starts, stops = lo, [], []
+    cuts = [np.where(b > a, (a, b), hi) for a, b in cuts] + [(hi, hi)] * (width - 1 - len(cuts))
+    cols.lo, cols.hi = lo[:, None], hi[:, None]
     if cuts:
         cuts = np.stack(cuts, axis=2)
         cuts = np.take_along_axis(cuts, np.argsort(cuts[0], axis=1, kind="stable")[None], axis=2)
+        reach, starts, stops = lo, [], []
         for a, b in zip(cuts[0].T, cuts[1].T):
             starts.append(reach)
             stops.append(np.maximum(reach, a))
             reach = np.maximum(reach, b)
-    cols.lo, cols.hi = np.stack(starts + [reach], axis=1), np.stack(stops + [hi], axis=1)
+        cols.lo, cols.hi = np.stack(starts + [reach], axis=1), np.stack(stops + [hi], axis=1)
     return cols
 
 
@@ -775,45 +782,39 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _count_chunk(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: np.ndarray):
-    """Count the pairs of a chunk of directions by the planes they cross.
+def _count_chunk(u: AnalyticField, cols: _Columns):
+    """Count the kept pairs of a chunk of directions by the planes they cross.
 
-    Returns ``(crossings, counts, owners, cells, cols)``: the distinct
-    crossing patterns, one row each with one entry per jump plane (+1 where
-    the pair crosses to the plus side, -1 where it crosses back, 0 where it
-    does not cross); ``counts[k, i]``, the kept pairs of direction k with
-    pattern i and both endpoints off every plane; the kept pairs with an
-    endpoint exactly on a plane (the exceptions), as the direction and grid
-    index of each center, direction-major and in C order; and the chunk's
-    ``_Columns``.
+    ``cols`` is one region's columns narrowed to runs (``_Shift.chunks``).
+    Returns ``(crossings, counts, owners, cells)``: the distinct crossing
+    patterns, one row each with one entry per jump plane (+1 where the pair
+    crosses to the plus side, -1 where it crosses back, 0 where it does not
+    cross); ``counts[k, i]``, the kept pairs of direction k with pattern i
+    and both endpoints off every plane; and the kept pairs with an endpoint
+    exactly on a plane (the exceptions), as the direction and grid index of
+    each center, direction-major and in C order.
 
-    Along a column every predicate of a cell (the plus side of a plane at
-    the center and at the partner, lying on each plane, ball membership at
-    the center and at the probe, lying on a slit) holds on one interval of
-    indices.  Between the sorted ends of the side and membership intervals
-    a stretch of cells shares one pattern and is counted by its length; the
-    few cells on a plane are then taken out of those counts one by one.
+    Along a column the plus side of a plane at the center and at the
+    partner, and lying on the plane, each hold on one interval of indices.
+    A stretch between the sorted ends of the runs and of the side intervals
+    lies in a run or in none and has one pattern, and counts by its length;
+    the few cells on a plane are then taken out of those counts one by one.
     """
-    cols = _Columns(grid, region, _partners(grid, eps, xis))
     sides, on_plane = [], []
     for plane in u.jump_planes():
         for kind in ("center", "moved"):
             side, on = _plane_intervals(cols, plane, kind)
             sides.append(side)
             on_plane.append(on)
-    inside, outside = [], []
-    if isinstance(region, Ball):
-        inside = [_ball_interval(cols, region, kind) for kind in ("center", "probe")]
-    else:
-        outside = [_slit_interval(cols, seg, kind) for seg in region.precrack for kind in ("center", "probe")]
+
+    gaps = list(zip(cols.hi.T[:-1], cols.lo.T[1:]))
 
     def classify(j, at):
-        """Whether the cells ``j`` of columns ``at`` are kept, and their pattern code."""
+        """Whether the cells ``j`` of columns ``at``, which lie from the first run's start to the
+        last run's stop, lie in a run (in no gap between two), and their pattern code."""
         kept = np.ones(j.shape, dtype=bool)
-        for lo, hi in inside:
-            kept &= (lo[at] <= j) & (j < hi[at])
-        for lo, hi in outside:
-            kept &= (j < lo[at]) | (hi[at] <= j)
+        for hi, lo in gaps:
+            kept &= (j < hi[at]) | (lo[at] <= j)
         code = np.zeros(j.shape, dtype=np.int64)
         for plane in zip(sides[::2], sides[1::2]):
             # 3 code + 1, plus 1 where the partner lies on the plus side
@@ -825,9 +826,9 @@ def _count_chunk(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: 
             code -= center
         return kept, code
 
-    # every interval end lies in its column's [lo, hi]; the ends are
-    # integers, so sorting them elementwise cannot reorder ties visibly
-    ends = [cols.lo, cols.hi] + [cut for cut, _ in sides] + [e for iv in inside + outside for e in iv]
+    # every end lies between its column's first run start and last run stop; the
+    # ends are integers, so sorting them elementwise cannot reorder ties visibly
+    ends = [*cols.lo.T, *cols.hi.T] + [cut for cut, _ in sides]
     for a, b in _sorting_network(len(ends)):
         ends[a], ends[b] = np.minimum(ends[a], ends[b]), np.maximum(ends[a], ends[b])
     # one row per stretch between consecutive ends, one column per grid column
@@ -837,7 +838,7 @@ def _count_chunk(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: 
     # an unkept or empty stretch counts with weight 0
     weight = np.where(kept, length, 0).reshape(-1)
     code = code.reshape(-1)
-    col, j = _interval_cells(on_plane, grid.shape[-1])
+    col, j = _interval_cells(on_plane, cols.grid.shape[-1])
     near_kept, near_code = classify(j, col)
     col, j, near_code = col[near_kept], j[near_kept], near_code[near_kept]
 
@@ -846,7 +847,7 @@ def _count_chunk(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: 
     patterns = np.flatnonzero(np.bincount(code, weight, minlength=1))
     which = np.zeros(code.max(initial=0) + 1, dtype=np.int64)
     which[patterns] = np.arange(patterns.size)
-    size = len(xis) * patterns.size
+    size = len(cols.first) * patterns.size
     at = (cols.dirs * patterns.size + which[code].reshape(start.shape)).reshape(-1)
     near = cols.dirs[col] * patterns.size + which[near_code]
     # integer counts in floats, exact in any order
@@ -855,7 +856,7 @@ def _count_chunk(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: 
     for p in reversed(range(crossings.shape[1])):
         crossings[:, p], patterns = patterns % 3 - 1, patterns // 3
     cells = np.column_stack([i[col] for i in cols.index] + [j])
-    return crossings, counts.reshape(len(xis), -1), cols.dirs[col], cells, cols
+    return crossings, counts.reshape(len(cols.first), -1), cols.dirs[col], cells
 
 
 def _interval_cells(intervals, size: int):
@@ -882,54 +883,52 @@ def _interval_cells(intervals, size: int):
     return np.divmod(first[owner] + offset, size)
 
 
-def _closed_form_sums(u: AnalyticField, grid: Grid, region: Region, eps: float, xis: np.ndarray) -> np.ndarray:
-    """Cell sums ``(h^n/eps) sum arctan(s^2/eps)`` of a closed-form field
-    for each row of ``xis``, one chunk of directions per pass (``_chunk``:
-    as many as fill the budget of grid columns, at least 16).
+def _closed_form_sums(u: AnalyticField, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.ndarray):
+    """Cell sums ``(h^n/eps) sum arctan(s^2/eps)`` of a closed-form field,
+    one row per region and one column per row of ``xis``, where ``kept``
+    (the same shape) holds; 0.0 elsewhere.  The pairs are those of the
+    stencils' runs (``_Shift.chunks``), counted a chunk of directions at a
+    time.
 
     A pair's slope is ``eps xi.(A^T xi)`` for the affine part ``A``, plus
     ``J.xi`` for each plane it crosses to the plus side, minus that for each
     it crosses back, so each crossing pattern's cells share one value and
     are counted (``_count_chunk``).  The exceptions, pairs with an endpoint
     exactly on a plane, are nudged off it by h/7 there, so they are
-    evaluated at both endpoints with ``eval_nudged``, one batch per chunk.
-    Every point's value, its slope (``_dot_rows``) and its direction's sum
-    (``np.bincount``, in order) are formed row by row, so a direction's
-    value depends on that direction alone, not on its chunk.
+    evaluated at both endpoints with ``eval_nudged``, one batch per region
+    and chunk.  Every point's value, its slope (``_dot_rows``) and its
+    direction's sum (``np.bincount``, in order) are formed row by row, so a
+    direction's value depends on that direction and region alone.
     """
-    xis = np.asarray(xis, dtype=float).reshape(-1, grid.dim)
     A = u.affine_part()[0]
     jumps = [plane.jump for plane in u.jump_planes()]
-    out = np.empty(len(xis))
-    size = _chunk(grid)
-    for at in range(0, len(xis), size):
-        X = xis[at : at + size]
-        crossings, counts, owners, cells, cols = _count_chunk(u, grid, region, eps, X)
+    sums = np.zeros(kept.shape)
+    for chunk, cols in _Shift.chunks(grid, regions, xis, eps):
+        X = xis[chunk]
         # row by row, so that no direction's value depends on its chunk
         affine = 0
         for d in range(grid.dim):
             affine = affine + (eps * X[:, d]) * _dot_rows(X, A[:, d])
         jump_xi = [_dot_rows(X, J) for J in jumps]
-        total = np.zeros(len(X))
-        for crossing, count in zip(crossings, counts.T):
-            s = affine
-            for j_xi, c in zip(jump_xi, crossing):
-                s = s + c * j_xi
-            total = total + count * np.arctan(s * s / eps)
-        if owners.size:
-            # one evaluation per chunk, of the exceptions' partners and then their centers
-            ends = np.concatenate(
-                [
-                    np.stack([rows[owners, i] for rows, i in zip(cols.partners, cells.T)], axis=1),
-                    np.stack([axis[i] for axis, i in zip(grid.axes, cells.T)], axis=1),
-                ]
-            )
-            moved, centers = np.split(eval_nudged(u, ends, grid.h / 7.0), 2)
-            s = _dot_rows(moved - centers, X[owners].T)
-            # summed in order per direction
-            total = total + np.bincount(owners, np.arctan(s * s / eps), len(X))
-        out[at : at + len(X)] = grid.cell_volume / eps * total
-    return out
+        for r, runs in enumerate(cols):
+            crossings, counts, owners, cells = _count_chunk(u, runs)
+            total = np.zeros(len(X))
+            for crossing, count in zip(crossings, counts.T):
+                s = affine
+                for j_xi, c in zip(jump_xi, crossing):
+                    s = s + c * j_xi
+                total = total + count * np.arctan(s * s / eps)
+            if owners.size:
+                moved = np.stack([rows[owners, i] for rows, i in zip(runs.partners, cells.T)], axis=1)
+                centers = np.stack([axis[i] for axis, i in zip(grid.axes, cells.T)], axis=1)
+                # one evaluation, of the exceptions' partners and then their centers
+                moved, centers = np.split(eval_nudged(u, np.concatenate([moved, centers]), grid.h / 7.0), 2)
+                s = _dot_rows(moved - centers, X[owners].T)
+                # summed in order per direction
+                total = total + np.bincount(owners, np.arctan(s * s / eps), len(X))
+            sums[r, chunk] = grid.cell_volume / eps * total
+    sums[~kept] = 0.0
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -945,8 +944,12 @@ def _support_box(region: Region, eps: float) -> BoxDomain:
 
 
 def _resolve_grid(u: FieldLike, grid: Grid | None, eps: float, regions, rule: DirectionRule | None = None) -> Grid:
-    """The grid every energy sums on, once it resolves ``eps`` and has each region's and the rule's dimension."""
+    """The grid every energy sums on, once it resolves ``eps`` and has each region's and the rule's
+    dimension: a sampled field's own, which a given ``grid`` must equal in spacing, shape and box."""
     if isinstance(u, SampledField):
+        box = [(g.h, g.shape, g.domain.lower.tolist(), g.domain.upper.tolist()) for g in (grid or u.grid, u.grid)]
+        if box[0] != box[1]:
+            raise InputError(f"grid (h, shape, box) {box[0]} is not the sampled field's {box[1]}")
         grid = u.grid
     elif grid is None:
         raise InputError("a grid is required to integrate a closed-form field")
@@ -984,27 +987,21 @@ def directional_energy(
     g = _resolve_grid(u, grid, eps, (region,))
     if xi.shape != (g.dim,):
         raise InputError(f"xi must have {g.dim} components, got shape {xi.shape}")
-    if isinstance(u, AnalyticField):
-        return float(_closed_form_sums(u, g, region, eps, xi[None, :])[0])
-    return float(_sampled_sums(u, g, (region,), eps, xi[None, :], np.ones((1, 1), dtype=bool))[0, 0])
+    return _direction_values(u, (region,), eps, xi[None, :], g, np.ones((1, 1), dtype=bool))[0][1][0]
 
 
 def _direction_values(
-    u: FieldLike, regions, eps: float, rule: DirectionRule, grid: Grid, kept: np.ndarray
+    u: FieldLike, regions, eps: float, xis: np.ndarray, grid: Grid, kept: np.ndarray
 ) -> list[tuple[np.ndarray, list[float]]]:
-    """For each region, the rule nodes it keeps (``kept``, one row of flags
-    per region) and their directional cell sums on it, both in ascending
-    node order.  A sampled field takes one slope pass per direction over
-    all the regions (``_sampled_sums``); a closed-form field is counted
-    region by region (``_closed_form_sums``)."""
-    if isinstance(u, AnalyticField):
-        return [
-            (nodes, _closed_form_sums(u, grid, region, eps, rule.nodes[nodes]).tolist())
-            for region, nodes in zip(regions, map(np.flatnonzero, kept))
-        ]
+    """For each region, the rows of ``xis`` it keeps (``kept``, one row of
+    flags per region) and their directional cell sums on it, both in
+    ascending order, from one call of the field type's kernel
+    (``_closed_form_sums`` or ``_sampled_sums``) over all the regions."""
     nodes = np.flatnonzero(kept.any(axis=0))
-    sums = _sampled_sums(u, grid, regions, eps, rule.nodes[nodes], kept[:, nodes])
-    return [(nodes[flags], row[flags].tolist()) for row, flags in zip(sums, kept[:, nodes])]
+    kept = kept[:, nodes]
+    kernel = _closed_form_sums if isinstance(u, AnalyticField) else _sampled_sums
+    sums = kernel(u, grid, regions, eps, xis[nodes], kept)
+    return [(nodes[flags], row[flags].tolist()) for row, flags in zip(sums, kept)]
 
 
 def _lp_norm(weights, values, p: float) -> float:
@@ -1033,10 +1030,10 @@ def averaged_energy(
     weighted sum over retained nodes, accumulated in ascending node order:
     the p = 1 value of the ball-family functional on the one region.
     """
-    g = _resolve_grid(u, grid, eps, (region,), rule)
+    g = _resolve_grid(u, grid, eps, (region,) if support is None else (region, support), rule)
     if support is None:
         support = _support_box(region, eps)
-    ((nodes, values),) = _direction_values(u, (region,), eps, rule, g, support.contains(rule.nodes)[None, :])
+    ((nodes, values),) = _direction_values(u, (region,), eps, rule.nodes, g, support.contains(rule.nodes)[None, :])
     return EnergyReport(
         total=_lp_norm(rule.weights[nodes], values, 1.0),
         eps=eps,
@@ -1086,11 +1083,11 @@ def _family_values(u: FieldLike, domain: BoxDomain, families, eps: float, p: flo
     domain_support = _support_box(domain, eps)
     supports = [_support_box(ball, eps) if per_ball_support else domain_support for ball in balls]
     kept = np.array([support.contains(rule.nodes) for support in supports], dtype=bool)
-    values = _direction_values(u, balls, eps, rule, g, kept.reshape(len(balls), rule.n_nodes))
+    values = _direction_values(u, balls, eps, rule.nodes, g, kept.reshape(len(balls), rule.n_nodes))
     norms = (_lp_norm(rule.weights[nodes], row, p) for nodes, row in values)
     # zip takes the next len(family) norms: it stops at the range first
     per_ball = [dict(zip(range(len(family)), norms)) for family in families]
-    return [(sum(balls.values()), balls) for balls in per_ball]
+    return [(sum(balls.values(), 0.0), balls) for balls in per_ball]
 
 
 def family_energy(

@@ -47,6 +47,11 @@ def _fold(terms):
     return total
 
 
+def _counted(u, grid, region, eps, xis):
+    """The closed-form cell sums of one region, one per row of ``xis``."""
+    return _closed_form_sums(u, grid, (region,), eps, xis, np.ones((1, len(xis)), dtype=bool))[0]
+
+
 def _centers(pairs):
     """The centers of the range box, per axis."""
     return [axis[sl] for axis, sl in zip(pairs.grid.axes, pairs.box)]
@@ -251,7 +256,8 @@ def test_counting_kernel_matches_the_per_cell_path(case):
     pairs = _Shift(grid, region, xis[at], eps)
     s, crossing, near = _per_cell(pairs, u, eps)
     kept = _kept(pairs)
-    crossings, counts, owners, cells, _ = _count_chunk(u, grid, region, eps, xis)
+    ((_, (cols,)),) = _Shift.chunks(grid, (region,), xis, eps)
+    crossings, counts, owners, cells = _count_chunk(u, cols)
 
     # the kept pairs clear of every plane, by crossing pattern
     regular = kept & ~near
@@ -268,7 +274,7 @@ def test_counting_kernel_matches_the_per_cell_path(case):
     # the sums, within roundoff of the per-cell slopes: the kernel's affine
     # slope is eps xi.(A^T xi) where the oracle differences coordinates
     old = grid.cell_volume / eps * np.sum(np.arctan(s[kept] ** 2 / eps))
-    new = _closed_form_sums(u, grid, region, eps, xis)[at]
+    new = _counted(u, grid, region, eps, xis)[at]
     slack = 1e-13 * (np.linalg.norm(u.affine_part()[0]) + 1.0) * np.linalg.norm(xis[at]) ** 2
     allowed = grid.cell_volume / eps * np.sum((2 * np.abs(s[kept]) + slack) * slack / eps)
     assert abs(new - old) <= 1e-12 * abs(old) + allowed
@@ -353,7 +359,7 @@ def test_a_1d_grid_counts_each_library_rule_in_one_chunk(kwargs, monkeypatch):
     calls = []
 
     def counting(*args):
-        calls.append(len(args[-1]))
+        calls.append(len(args[-1].first))
         return _count_chunk(*args)
 
     monkeypatch.setattr(energy, "_count_chunk", counting)
@@ -409,7 +415,7 @@ def test_rigid_motions_cost_nothing(geometry, data):
     W = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
     b = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=dim, max_size=dim)))
     for batch in _each_budget(grid, xis, length, seed, _generic):
-        values = _closed_form_sums(Affine(W - W.T, b), grid, region, eps, batch)
+        values = _counted(Affine(W - W.T, b), grid, region, eps, batch)
         assert np.all(np.abs(values) <= 1e-12)
 
 
@@ -449,8 +455,8 @@ def test_translation_by_whole_cells_keeps_the_energy(geometry, data):
 
     moved = Grid(BoxDomain(grid.domain.lower + shift, grid.domain.upper + shift), h)
     for batch in _each_budget(grid, xis, length, seed, quarter_cells):
-        here = np.sum(_closed_form_sums(field(np.zeros(dim)), grid, region, eps, batch))
-        there = np.sum(_closed_form_sums(field(shift), moved, _moved_by(region, shift), eps, batch))
+        here = np.sum(_counted(field(np.zeros(dim)), grid, region, eps, batch))
+        there = np.sum(_counted(field(shift), moved, _moved_by(region, shift), eps, batch))
         assert abs(there - here) <= 1e-12 * abs(here)
 
 
@@ -517,7 +523,7 @@ def test_visited_and_counted_sums_agree_on_affine_fields(dim, kind, data):
     for columns in BUDGETS:
         with mock.patch.object(energy, "_COLUMNS", columns):
             visited = _sampled_sums(values, grid, (region,), eps, xis, np.ones((1, len(xis)), dtype=bool))[0]
-            counted = _closed_form_sums(u, grid, region, eps, xis)
+            counted = _counted(u, grid, region, eps, xis)
         for xi, new, old in zip(xis, visited, counted):
             pairs = int(np.count_nonzero(_kept(_Shift(grid, region, xi, eps))))
             s = abs(eps * xi @ A @ xi)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nlgriffith.domain import (
     Affine,
@@ -126,6 +128,7 @@ def test_every_energy_refuses_a_region_of_another_dimension(sampled):
         lambda: directional_energy(u, line, 0.2, np.array([1.0, 0.0]), grid=grid),
         lambda: averaged_energy(u, ball3, 0.2, rule, grid=grid),
         lambda: averaged_energy(u, cube, 0.2, rule, grid=grid),
+        lambda: averaged_energy(u, square(), 0.2, rule, grid=grid, support=cube),
         lambda: pairwise_energy(u, line, 0.2, grid=grid),
         lambda: family_energy(u, square(), BallFamily((ball3,)), 0.2, 2.0, rule, grid=grid),
         lambda: family_energy(u, cube, BallFamily((ball2,)), 0.2, 2.0, rule, grid=grid),
@@ -135,6 +138,29 @@ def test_every_energy_refuses_a_region_of_another_dimension(sampled):
     for call in calls:
         with pytest.raises(InputError, match="does not fit a field of dimension 2"):
             call()
+
+
+@pytest.mark.parametrize(
+    "other", [Grid(square(), 1 / 32), Grid(BoxDomain(np.zeros(2), np.full(2, 2.0)), 1 / 16)], ids=["spacing", "box"]
+)
+def test_every_energy_refuses_a_grid_other_than_the_sampled_fields(other):
+    # a field sampled at h = 1/16 once gave its own value whatever grid was
+    # passed; a grid of another spacing, shape or box is refused
+    grid = Grid(square(), 1 / 16)
+    u = sample(Affine(np.array([[1.0, 0.3], [-0.2, 0.6]]), np.zeros(2)), grid)
+    rule = build_direction_rule(2, radial_order=4, angular_order=4)
+    calls = [
+        lambda g: directional_energy(u, square(), 0.3, np.array([1.0, 0.0]), grid=g),
+        lambda g: averaged_energy(u, square(), 0.3, rule, grid=g).total,
+        lambda g: pairwise_energy(u, square(), 0.3, grid=g),
+        lambda g: family_energy(u, square(), BallFamily((Ball(np.full(2, 0.5), 0.3),)), 0.3, 2.0, rule, grid=g),
+        lambda g: ball_supremum_energy(u, square(), 0.3, 2.0, BallStrategy("dyadic", 1), rule, grid=g).total,
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="is not the sampled field's"):
+            call(other)
+        # the field's own grid, or an equal one, is taken as before
+        assert call(Grid(square(), 1 / 16)) == call(None)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -393,6 +419,45 @@ def test_pairwise_energy_matches_brute_force_pair_sum(f, dom, eps, h):
     assert pairwise_energy(f, dom, eps, grid=g) == pytest.approx(_pairwise_oracle(f, dom, eps, g), rel=1e-12, abs=0.0)
 
 
+@st.composite
+def pairwise_cases(draw):
+    """An affine field with a definite symmetric part plus a plane jump whose
+    plane passes no cell center; a 1D or 2D unit box of a few cells, whole
+    or with a slit through a row of centers or between two rows; eps."""
+    dim = draw(st.integers(1, 2))
+    m = draw(st.sampled_from([24, 32]) if dim == 1 else st.sampled_from([10, 12, 14]))
+    grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), 1.0 / m)
+    floats = st.floats(-2, 2)
+    W = np.array(draw(st.lists(floats, min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    A = W + (2 * dim + 1) * np.eye(dim)
+    nu = np.array(draw(st.lists(floats, min_size=dim, max_size=dim)))
+    nu = nu / np.linalg.norm(nu) if np.linalg.norm(nu) > 0.1 else np.eye(dim)[0]
+    offset = draw(st.floats(0.2, 0.8))
+    # off the centers by more than roundoff, so that the oracle's plain
+    # evaluation at the centers is the closed-form difference
+    assume(np.min(np.abs(grid.centers @ nu - offset)) > 1e-9)
+    jump = np.array(draw(st.lists(st.floats(-10, 10), min_size=dim, max_size=dim)))
+    u = SumField((Affine(A, np.zeros(dim)), PlaneJump(nu, offset, np.zeros(dim), jump)))
+    domain = grid.domain
+    at = draw(st.sampled_from([(m // 2 + 0.5) / m, 0.5, None]))
+    if at is not None:
+        lower, upper = np.zeros(dim), np.full(dim, 0.6)
+        lower[0] = upper[0] = at
+        domain = BoxDomain(np.zeros(dim), np.ones(dim), (PlaneSegment(lower, upper),))
+    return u, domain, grid, draw(st.floats(4.0, 5.0)) / m
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(pairwise_cases())
+def test_pairwise_energy_matches_brute_force_pair_sum_on_drawn_fields(case):
+    # the counting kernel on the lattice directions k h / eps, whose
+    # partners land on centers up to roundoff, against every pair of centers
+    u, domain, grid, eps = case
+    assert pairwise_energy(u, domain, eps, grid=grid) == pytest.approx(
+        _pairwise_oracle(u, domain, eps, grid), rel=1e-12, abs=0.0
+    )
+
+
 # ---------------------------------------------------------------------------
 # ball families and the supremum functional
 # ---------------------------------------------------------------------------
@@ -438,6 +503,20 @@ def test_ball_strategy_parse_defaults_are_the_field_defaults():
     assert BallStrategy.parse("dyadic") == BallStrategy("dyadic")
     assert BallStrategy.parse("greedy") == BallStrategy("greedy")
     assert BallStrategy.parse("dyadic:0") == BallStrategy("dyadic", levels=0)
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["closed-form", "sampled"])
+def test_an_empty_family_is_worth_zero(sampled):
+    # a family of no balls is admissible; its value is the empty sum 0.0 on
+    # either kernel, where a sampled field once raised from max() of nothing
+    grid = Grid(square(), 0.05)
+    jump = PlaneJump(np.array([1.0, 0.0]), 0.5, np.zeros(2), np.ones(2))
+    u = SumField((Affine(np.array([[1.0, 0.3], [-0.2, 0.6]]), np.zeros(2)), jump))
+    u = sample(u, grid) if sampled else u
+    rule = build_direction_rule(2, radial_order=4, angular_order=4)
+    for support in (False, True):
+        value = family_energy(u, square(), BallFamily(()), 0.2, 2.0, rule, grid=grid, per_ball_support=support)
+        assert type(value[0]) is float and value == (0.0, {})
 
 
 def test_ball_family_allows_touching():

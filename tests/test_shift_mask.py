@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from nlgriffith import energy
-from nlgriffith.domain import Ball, BoxDomain, Grid, PlaneSegment, _dot_rows, _mesh
+from nlgriffith.domain import Affine, Ball, BoxDomain, Grid, PlaneJump, PlaneSegment, SumField, _dot_rows, _mesh
 from nlgriffith.energy import (
     BallStrategy,
+    _closed_form_sums,
     _components,
     _sampled_sums,
     _Shift,
@@ -423,7 +424,10 @@ def test_sampled_sums_of_several_regions_equal_each_region_alone(dim, cells, col
     # pass over that region alone, across a chunk boundary at the floor
     # too.  On 128 x 128 cells a sub-box holds more terms than numpy's
     # 8192-element reduction buffer, so summing its strided view in place
-    # of a contiguous copy would add them in another order.
+    # of a contiguous copy would add them in another order.  The counting
+    # kernel shares each chunk's partners and runs among the regions too;
+    # its field has a plane through a row of centers, so that each region
+    # evaluates its own exceptions.
     grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), 1 / cells)
     regions = _several_regions(dim)
     rng = np.random.default_rng(dim)
@@ -431,13 +435,18 @@ def test_sampled_sums_of_several_regions_equal_each_region_alone(dim, cells, col
     eps = min(0.2, 8 / cells)
     xis = np.concatenate([rng.uniform(-1.5, 1.5, size=(17, dim)), np.eye(dim)[-1:] * grid.h / eps, -np.ones((1, dim))])
     kept = rng.random((len(regions), len(xis))) < 0.8
-    with mock.patch.object(energy, "_COLUMNS", columns):
-        sums = _sampled_sums(values, grid, regions, eps, xis, kept)
-        for region, row, flags in zip(regions, sums, kept):
-            alone = _sampled_sums(values, grid, (region,), eps, xis[flags], np.ones((1, flags.sum()), dtype=bool))
-            _assert_same_bits(row[flags], alone[0])
-            assert np.all(row[~flags] == 0.0)
-    assert np.count_nonzero(sums) > kept.sum() // 2
+    plane = PlaneJump(np.eye(dim)[0], 0.5 + grid.h / 2, np.zeros(dim), np.full(dim, 2.0))
+    field = SumField((Affine(rng.normal(size=(dim, dim)), np.zeros(dim)), plane))
+    spy = mock.patch.object(energy, "eval_nudged", wraps=energy.eval_nudged)
+    with mock.patch.object(energy, "_COLUMNS", columns), spy as nudged:
+        for kernel, u in ((_sampled_sums, values), (_closed_form_sums, field)):
+            sums = kernel(u, grid, regions, eps, xis, kept)
+            for region, row, flags in zip(regions, sums, kept):
+                alone = kernel(u, grid, (region,), eps, xis[flags], np.ones((1, flags.sum()), dtype=bool))
+                _assert_same_bits(row[flags], alone[0])
+                assert np.all(row[~flags] == 0.0)
+            assert np.count_nonzero(sums) > kept.sum() // 2
+    assert nudged.called
 
 
 def test_balls_2d_families_keep_the_pinned_number_of_pairs():
