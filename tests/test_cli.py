@@ -190,6 +190,15 @@ def test_audit_subcommand_refuses_unknown_key(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
+def test_audit_subcommand_refuses_a_bad_seed_as_a_usage_error(tmp_path, capsys, seed):
+    spec = tmp_path / "audit.json"
+    out = tmp_path / "audit.csv"
+    spec.write_text(json.dumps({"seed": seed, "n_fields": 2, "out": str(out)}))
+    _usage_error(capsys, ["audit", "--spec", str(spec)], "seed must be a non-negative integer")
+    assert not out.exists()
+
+
 def test_gamma_study_refuses_unknown_key(tmp_path, field_json):
     out = tmp_path / "sweep.csv"
     with open(field_json) as fh:

@@ -16,9 +16,10 @@ from nlgriffith.harness import (
     richardson,
     run_sweep,
     write_csv,
+    _reference_field,
     _translation_discrepancy,
 )
-from nlgriffith.domain import Affine, BoxDomain, Grid, PlaneJump, SumField, _dot_rows, eval_nudged, load_problem
+from nlgriffith.domain import Affine, BoxDomain, Grid, InputError, PlaneJump, SumField, _dot_rows, eval_nudged, load_problem
 from nlgriffith.quad import DirectionRule, build_direction_rule
 
 SQRT_PI = np.sqrt(np.pi)
@@ -189,6 +190,51 @@ def test_multi_step_rows_equal_per_node_directional_loop():
         assert row.lhs == node_loop(u, E, m * eps, rules[dim], grid), row.params
 
 
+def test_translation_rows_equal_per_direction_loop():
+    # the audit's translation rows take each (field, shift) in one energy call
+    # and one evaluation of E's centers; their lhs and rhs keep the bits of a
+    # plain loop over the directions, with c_ref calibrated the same way
+    deltas = (0.05, 0.1)
+    dirs_by_dim = {
+        1: [np.array([1.0]), np.array([-0.7])],
+        2: [np.array([1.0, 0.0]), np.array([0.6, -0.8]), np.array([-0.5, 0.5])],
+    }
+
+    def sides(u, dim, delta, xi):
+        grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), delta / 8.0)
+        E = BoxDomain(np.full(dim, 0.15), np.full(dim, 0.85))
+        lhs = _translation_discrepancy(u, E, delta, xi[None, :], grid)[0]
+        return lhs, delta * (1.0 + directional_energy(u, E, delta, xi, grid=grid))
+
+    c_ref = {}
+    for dim in (1, 2):
+        worst = 0.0
+        for delta in deltas:
+            for xi in dirs_by_dim[dim]:
+                lhs, base = sides(_reference_field(dim), dim, delta, xi)
+                worst = max(worst, lhs / base)
+        c_ref[dim] = 2.0 * worst
+
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        random_section(rng)
+    dims = [1] * 8 + [2, 2]
+    fields = [random_field(rng, d) for d in dims]
+    expected = []
+    for fid, (dim, u) in enumerate(zip(dims, fields)):
+        for delta in deltas:
+            for xi in dirs_by_dim[dim]:
+                lhs, base = sides(u, dim, delta, xi)
+                params = f"dim={dim} delta={delta} xi={np.array2string(xi)}"
+                expected.append((f"field-{fid:02d}", params, lhs, c_ref[dim] * base))
+    rows = [c for c in audit_inequalities(seed=0, n_fields=10).checks if c.name == "translation-estimate"]
+    assert len(rows) == len(expected) == 44
+    for row, (field_id, params, lhs, rhs) in zip(rows, expected):
+        assert (row.field_id, row.params) == (field_id, params)
+        assert row.lhs.hex() == lhs.hex(), params
+        assert row.rhs.hex() == rhs.hex(), params
+
+
 def test_sweep_monotonicity_diagnostic():
     res = run_sweep(
         SweepSpec(field_config=affine_config(1.0), eps_list=[0.08, 0.04, 0.02])
@@ -227,6 +273,14 @@ def test_audit_refuses_fewer_than_two_fields(tmp_path, n_fields):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
+def test_audit_refuses_a_seed_that_is_not_a_non_negative_integer(tmp_path, seed):
+    out = tmp_path / "audit.csv"
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        audit_inequalities(seed=seed, n_fields=2, out_path=str(out))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_fields", [2.5, 3.0])
 def test_audit_refuses_non_integer_n_fields(tmp_path, n_fields):
     out = tmp_path / "audit.csv"
@@ -260,17 +314,21 @@ def test_write_csv_rejects_empty(tmp_path):
 
 
 def test_translation_discrepancy_is_its_points_summed_in_any_batch():
-    # each center's term is formed row by row, so the cell sum equals the
-    # terms computed in sub-batches of 1, 3 and 17 centers, bit for bit (a
-    # matrix product over the whole batch rounds some rows differently,
-    # which moves the sum at the second direction)
+    # each center's term is formed row by row, so each direction's cell sum
+    # equals the terms computed in sub-batches of 1, 3 and 17 centers, bit for
+    # bit (a matrix product over the whole batch rounds some rows differently,
+    # which moves the sum at the second direction), and the centers shared by
+    # the rows give each row its value with that direction alone
     u = random_field(np.random.default_rng(5), 2)
     grid = Grid(BoxDomain(np.zeros(2), np.ones(2)), 1 / 80)
     E = BoxDomain(np.full(2, 0.15), np.full(2, 0.85))
     delta, nudge = 0.1, grid.h / 7.0
     pts = grid.centers[E.contains(grid.centers)]
-    for xi in (np.array([0.6, -0.8]), np.array([0.3, -0.7])):
-        whole = _translation_discrepancy(u, E, delta, xi, grid)
+    xis = np.array([[0.6, -0.8], [0.3, -0.7]])
+    rows = _translation_discrepancy(u, E, delta, xis, grid)
+    assert len(rows) == len(xis)
+    for xi, whole in zip(xis, rows):
+        assert _translation_discrepancy(u, E, delta, xi[None, :], grid)[0].hex() == whole.hex()
         for size in (1, 3, 17):
             terms = []
             for at in range(0, len(pts), size):
@@ -315,10 +373,12 @@ def test_translation_estimate_obeys_its_proven_bound(case):
     dim = xi.size
     grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), delta / 8.0)
     E = BoxDomain(np.full(dim, 0.15), np.full(dim, 0.85))
-    lhs = _translation_discrepancy(u, E, delta, xi, grid)
-    f_dir = directional_energy(u, E, delta, xi, grid=grid)
+    # the bound holds row by row: the drawn direction and its reverse
+    xis = np.array([xi, -xi])
     cells = int(np.count_nonzero(E.contains(grid.centers)))
-    stencil = _Shift(grid, E, xi, delta)
-    leaving = cells - int(np.sum(stencil.hi - stencil.lo))
-    assert leaving >= 0
-    assert lhs <= delta * (4.0 * cells * grid.cell_volume + 4.0 * f_dir) + np.pi * leaving * grid.cell_volume
+    for row, lhs in zip(xis, _translation_discrepancy(u, E, delta, xis, grid)):
+        f_dir = directional_energy(u, E, delta, row, grid=grid)
+        stencil = _Shift(grid, E, row, delta)
+        leaving = cells - int(np.sum(stencil.hi - stencil.lo))
+        assert leaving >= 0
+        assert lhs <= delta * (4.0 * cells * grid.cell_volume + 4.0 * f_dir) + np.pi * leaving * grid.cell_volume
