@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .domain import Grid, InputError, load_problem, sample
+from .domain import Grid, InputError, _require_seed, load_problem, sample
 from .energy import (
     BallStrategy,
     averaged_energy,
@@ -107,6 +107,9 @@ def _cmd_p1_explore(args) -> int:
 
 
 def _cmd_density_table(args) -> int:
+    _require_seed(args.seed)
+    if args.n_matrices < 1:
+        raise InputError(f"n-matrices must be at least 1, got {args.n_matrices}")
     rng = np.random.default_rng(args.seed)
     rule = build_direction_rule(args.dim, angular_order=32)
     rows = []

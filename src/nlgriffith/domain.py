@@ -48,6 +48,13 @@ def _require_finite(name: str, value) -> None:
         raise InputError(f"{name} must be finite, got {np.asarray(value).tolist()}")
 
 
+def _require_seed(seed) -> None:
+    """Refuse a random seed that is not a non-negative integer, which numpy's
+    generator would refuse or read otherwise."""
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 class HyperplaneEvalError(ValueError):
     """Raised when a field is evaluated exactly on a jump hyperplane.
 

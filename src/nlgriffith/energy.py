@@ -21,7 +21,7 @@ and the range of cells whose pair stays inside the region's bounding box
 region keeps its pairs as runs of cells (``_region_runs``), because ball
 membership and lying on a slit each hold on one interval of indices.
 Both kernels take every region's runs from one pass over the directions,
-a chunk at a time, whose partners the regions share (``_Shift.chunks``);
+a chunk at a time, whose partners the regions share (``_chunks``);
 ``_direction_values`` picks the kernel by the field's type.  A sampled
 field is summed over the runs: only ``(u(x+eps xi)-u(x)).xi`` enters,
 and interpolation is linear, so the field is projected onto xi before it
@@ -37,10 +37,10 @@ pairs with an endpoint exactly on a plane.  A chunk holds as many
 directions as fill a budget of grid columns (``_chunk``), so its arrays
 are about the same size on every grid.  The descent kernel of
 ``nlgriffith.minimize`` assembles one sparse operator on the nodal
-values from the stencils' kept pairs and interpolation rows
-(``_Shift.pairs``), so the pair rule alone decides which pairs interact;
-the energies keep the matrix-free stencil, whose pair counts at sweep
-sizes would make that operator too large to hold.
+values from the same runs' kept pairs and interpolation rows
+(``_kept_pairs``), so the pair rule alone decides which pairs interact;
+the energies stay matrix-free, because their pair counts at sweep sizes
+would make that operator too large to hold.
 
 On top of these sits one ball-family functional, ``family_energy``:
 ``sum_B (sum_j w_j F_dir(u, B, xi_j)^p)^(1/p)`` over a finite family of
@@ -260,7 +260,7 @@ class EnergyReport:
 
 
 # ---------------------------------------------------------------------------
-# Shift stencil
+# Pairs, a chunk of directions at a time
 # ---------------------------------------------------------------------------
 
 _COLUMNS = 4800  # grid columns per set-up or counting pass: bounds its arrays, never its values
@@ -312,8 +312,7 @@ def _pair_axis(region: Region, d: int, axis: np.ndarray, probe: np.ndarray):
     """The pair rule of a region along grid axis d: per row of ``probe``
     (``_partners``), the first and stop index of the cells whose center
     and probe both pass the region's axis-d factor (``0, 0`` when none
-    does).  The stencils and the closed-form kernel both call it with a
-    chunk of rows."""
+    does), for a chunk of rows."""
     hits = _axis_inside(region, d, axis) & _axis_inside(region, d, probe)
     # a row without hits has argmax 0 both ways
     first = hits.argmax(axis=1)
@@ -342,138 +341,88 @@ def _components(u, grid: Grid) -> list[np.ndarray]:
     return [np.ascontiguousarray(c).reshape(grid.shape) for c in nodal.T]
 
 
-class _Shift:
-    """The pairs ``(x, x + eps xi)`` of one region on a regular grid.
+def _chunks(grid: Grid, regions, xis: np.ndarray, eps: float):
+    """The pairs ``(x, x + eps xi)`` of each region on a regular grid, per
+    chunk of rows of ``xis`` (``_chunk``): its slice of the rows, and each
+    region's columns narrowed to runs (``_region_runs``), as many per column
+    as the region with the most slits needs.
 
-    A pair interacts when both points lie in the region.  Grid centers
-    and their shifts are products of per-axis coordinates, so the cells
-    whose pair stays inside the region's bounding box form one index
-    range per axis, the range box (``_pair_axis``).  Along each column of
-    the range box (one index on the earlier axes, ``index``) the
-    interacting pairs are runs of last-axis indices ``[lo, hi)``, from
-    the interval rules the closed-form kernel counts with
-    (``_region_runs``), so no point mesh or mask is formed; a shifted
+    A pair interacts when both points lie in the region.  Grid centers and
+    their shifts are products of per-axis coordinates, so the cells whose
+    pair stays inside the region's bounding box form one index range per
+    axis, the range box (``_pair_axis``).  Along each column of the range
+    box the interacting pairs are runs of last-axis indices ``[lo, hi)``,
+    from interval rules, so no point mesh or mask is formed; a shifted
     coordinate within roundoff of a grid coordinate is tested there, so a
-    partner that lands on a center has its membership.  The shifted
-    endpoint is multilinear in the nodal values, with one row of cells and
-    weights per axis.
+    partner that lands on a center has its membership.  Every kernel sums
+    over these runs: the sampled sums, the counting kernel and the descent
+    operator (``_kept_pairs``).  The regions share the chunk's partners and
+    probes, and a ball's centers' stretches are found once per call."""
+    # every grid column, if a ball needs them: the range box of the grid's own domain at no shift
+    balls = any(isinstance(region, Ball) for region in regions)
+    whole = balls and _Columns(grid, grid.domain, _partners(grid, 0.0, np.zeros((1, grid.dim))))
+    centers = [_ball_interval(whole, region, "center") if isinstance(region, Ball) else None for region in regions]
+    width = max([1 + 2 * len(getattr(region, "precrack", ())) for region in regions], default=1)
+    size = _chunk(grid)
+    for at in range(0, len(xis), size):
+        moved = _partners(grid, eps, xis[at : at + size])
+        yield slice(at, at + size), [
+            _region_runs(_Columns(grid, r, moved), r, c, width) for r, c in zip(regions, centers)
+        ]
+
+
+def _kept_pairs(cols: _Columns) -> tuple[np.ndarray, np.ndarray, list]:
+    """The kept pairs of a chunk's columns (``_chunks``), direction by
+    direction and each direction's in C order, run by run: each pair's
+    direction (its row in the chunk), its center's flat grid index, and its
+    partner's ``(base, top, frac)`` interpolation row per axis."""
+    owner, offset = _runs((cols.hi - cols.lo).reshape(-1))
+    column = owner // cols.lo.shape[1]
+    dirs = cols.dirs[column]
+    at = [i[column] for i in cols.index] + [cols.lo.reshape(-1)[owner] + offset]
+    rows = (_interp_row(axis, cols.grid.h, partner) for axis, partner in zip(cols.grid.axes, cols.partners))
+    return dirs, np.ravel_multi_index(at, cols.grid.shape), [tuple(a[dirs, i] for a in row) for row, i in zip(rows, at)]
+
+
+def _slopes(comps, grid: Grid, xi: np.ndarray, line, box: tuple, buffers: list) -> np.ndarray:
+    """``(u(x + eps xi) - u(x)).xi`` over the range box ``box``, flat in C
+    order, from the field's components ``comps`` (``_components``) and the
+    partners' ``(base, top, frac)`` interpolation rows ``line``, one per
+    axis along the whole axis.
 
     Only ``(u(x + eps xi) - u(x)).xi`` enters an energy, and interpolation
-    is linear, so ``slopes`` interpolates the projected field ``U = u.xi``,
-    a scalar.  A cell's slope depends on the field, xi and eps, not on the
-    region, so ``_sampled_sums`` runs one slope pass per direction over the
-    union of several regions' range boxes, takes the arctan once over it
-    and sums every region's runs from it.  Closed-form fields do not visit
-    the stencil's cells: ``_closed_form_sums`` counts the cells of the same
-    runs (``chunks``).
-
-    ``_Shift(grid, region, xi, eps)`` is ``each`` on the one row ``xi``.
+    is linear, so the field is projected first, ``U = u.xi`` with the
+    components' terms added left to right cell by cell as ``_dot_rows``
+    adds them, so that a cell's value does not depend on the box.  ``U`` is
+    then interpolated at the shifted endpoint one pass per axis, and ``U``
+    at the centers subtracted.  The passes run in the four arrays
+    ``buffers`` (``_buffer``), so that the process reuses memory it holds
+    rather than mapping fresh pages for each pass.
     """
-
-    def __new__(cls, grid: Grid, region: Region, xi: np.ndarray, eps: float):
-        (stencil,) = cls.each(grid, region, np.reshape(xi, (1, -1)), eps)
-        return stencil
-
-    @staticmethod
-    def chunks(grid: Grid, regions, xis: np.ndarray, eps: float):
-        """Per chunk of rows of ``xis`` (``_chunk``): its slice of the rows,
-        and each region's columns narrowed to runs (``_region_runs``), as
-        many per column as the region with the most slits needs.  Both
-        kernels sum over these runs.  The regions share the chunk's partners
-        and probes, and a ball's centers' stretches are found once per call."""
-        # every grid column, if a ball needs them: the range box of the grid's own domain at no shift
-        balls = any(isinstance(region, Ball) for region in regions)
-        whole = balls and _Columns(grid, grid.domain, _partners(grid, 0.0, np.zeros((1, grid.dim))))
-        centers = [_ball_interval(whole, region, "center") if isinstance(region, Ball) else None for region in regions]
-        width = max([1 + 2 * len(getattr(region, "precrack", ())) for region in regions], default=1)
-        size = _chunk(grid)
-        for at in range(0, len(xis), size):
-            moved = _partners(grid, eps, xis[at : at + size])
-            yield slice(at, at + size), [
-                _region_runs(_Columns(grid, r, moved), r, c, width) for r, c in zip(regions, centers)
-            ]
-
-    @classmethod
-    def each(cls, grid: Grid, region: Region, xis: np.ndarray, eps: float):
-        """The stencil of ``region`` for each row of ``xis``, sliced out of
-        its chunk's tables (``chunks``), so that it does not depend on the
-        other rows.  All stencils of one call run their slopes' passes in
-        four shared buffers, so that the process reuses memory it holds
-        rather than mapping fresh pages for each; no two may run at once."""
-        buffers = [np.empty(0)] * 4
-        for chunk, (cols,) in cls.chunks(grid, (region,), xis, eps):
-            rows = [_interp_row(axis, grid.h, partner) for axis, partner in zip(grid.axes, cols.partners)]
-            ends = np.searchsorted(cols.dirs, np.arange(len(cols.first) + 1)).tolist()
-            for k, (c, xi) in enumerate(zip(map(slice, ends, ends[1:]), xis[chunk])):
-                line = [tuple(a[k] for a in row) for row in rows]
-                box = tuple(map(slice, cols.first[k].tolist(), cols.stop[k].tolist()))
-                yield cls._at(grid, xi, line, box, buffers, [i[c] for i in cols.index], cols.lo[c], cols.hi[c])
-
-    @classmethod
-    def _at(cls, grid: Grid, xi: np.ndarray, line, box: tuple, buffers: list, index=(), lo=None, hi=None) -> "_Shift":
-        """The stencil of ``xi`` over ``box`` (``line``: its rows per axis), runs ``lo``, ``hi`` on ``index``."""
-        self = object.__new__(cls)
-        self.grid, self.xi, self.box, self._line, self._buffers = grid, xi, box, line, buffers
-        self.index, self.lo, self.hi = index, lo, hi
-        return self
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(sl.stop - sl.start for sl in self.box)
-
-    @property
-    def rows(self) -> list:
-        """Per axis, the partners' ``(base, top, 1 - frac, frac)`` over the box, weights broadcast along it."""
-        rows = []
-        for d, ((base, top, frac), sl) in enumerate(zip(self._line, self.box)):
-            col = (-1,) + (1,) * (self.grid.dim - 1 - d)
-            frac = frac[sl]
-            rows.append((base[sl], top[sl], (1.0 - frac).reshape(col), frac.reshape(col)))
-        return rows
-
-    def pairs(self) -> tuple[np.ndarray, list]:
-        """The kept pairs in C order, run by run: each center's flat grid
-        index, and its partner's ``(base, top, frac)`` interpolation row per
-        axis."""
-        lengths = (self.hi - self.lo).reshape(-1)
-        owner, offset = _runs(lengths)
-        at = [i[owner // self.lo.shape[1]] for i in self.index] + [self.lo.reshape(-1)[owner] + offset]
-        centers = np.ravel_multi_index(at, self.grid.shape)
-        return centers, [(base[i], top[i], frac[i]) for (base, top, frac), i in zip(self._line, at)]
-
-    def slopes(self, comps) -> np.ndarray:
-        """``(u(x + eps xi) - u(x)).xi`` over the range box, flat in C
-        order, from the field's components ``comps`` (``_components``).
-
-        The field is projected first, ``U = u.xi`` with the components'
-        terms added left to right cell by cell as ``_dot_rows`` adds them,
-        so that a cell's value does not depend on the box.  ``U`` is then
-        interpolated at the shifted endpoint one pass per axis, and ``U``
-        at the centers subtracted.
-        """
-        if 0 in self.shape:
-            return np.zeros(0)
-        rows = self.rows
-        # each axis pass reads only the partner columns of the later axes;
-        # the rows' cells are nondecreasing, so those span base[0]..top[-1]
-        span = tuple(
-            slice(min(sl.start, base[0]), max(sl.stop, top[-1] + 1)) for sl, (base, top, _, _) in zip(self.box, rows)
-        )
-        shape = tuple(sl.stop - sl.start for sl in span)
-        U = np.multiply(comps[0][span], self.xi[0], out=_buffer(self._buffers, 3, shape))
-        for c, x in zip(comps[1:], self.xi[1:]):
-            U += np.multiply(c[span], x, out=_buffer(self._buffers, 2, shape))
-        end = U
-        for d, ((base, top, lo_w, hi_w), sl) in enumerate(zip(rows, span)):
-            # lo_w * end[base] + hi_w * end[top], in buffers other than end's and U's
-            shape = end.shape[:d] + base.shape + end.shape[d + 1 :]
-            lo = np.take(end, base - sl.start, axis=d, mode="clip", out=_buffer(self._buffers, d % 2, shape))
-            hi = np.take(end, top - sl.start, axis=d, mode="clip", out=_buffer(self._buffers, 2, shape))
-            lo *= lo_w
-            hi *= hi_w
-            end = np.add(lo, hi, out=lo)
-        end -= U[tuple(slice(b.start - s.start, b.stop - s.start) for b, s in zip(self.box, span))]
-        return end.reshape(-1)
+    rows = []
+    for d, ((base, top, frac), sl) in enumerate(zip(line, box)):
+        # the partners over the box, weights broadcast along it
+        col = (-1,) + (1,) * (grid.dim - 1 - d)
+        frac = frac[sl]
+        rows.append((base[sl], top[sl], (1.0 - frac).reshape(col), frac.reshape(col)))
+    # each axis pass reads only the partner columns of the later axes;
+    # the rows' cells are nondecreasing, so those span base[0]..top[-1]
+    span = tuple(slice(min(sl.start, base[0]), max(sl.stop, top[-1] + 1)) for sl, (base, top, _, _) in zip(box, rows))
+    shape = tuple(sl.stop - sl.start for sl in span)
+    U = np.multiply(comps[0][span], xi[0], out=_buffer(buffers, 3, shape))
+    for c, x in zip(comps[1:], xi[1:]):
+        U += np.multiply(c[span], x, out=_buffer(buffers, 2, shape))
+    end = U
+    for d, ((base, top, lo_w, hi_w), sl) in enumerate(zip(rows, span)):
+        # lo_w * end[base] + hi_w * end[top], in buffers other than end's and U's
+        shape = end.shape[:d] + base.shape + end.shape[d + 1 :]
+        lo = np.take(end, base - sl.start, axis=d, mode="clip", out=_buffer(buffers, d % 2, shape))
+        hi = np.take(end, top - sl.start, axis=d, mode="clip", out=_buffer(buffers, 2, shape))
+        lo *= lo_w
+        hi *= hi_w
+        end = np.add(lo, hi, out=lo)
+    end -= U[tuple(slice(b.start - s.start, b.stop - s.start) for b, s in zip(box, span))]
+    return end.reshape(-1)
 
 
 def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -493,7 +442,7 @@ def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.
     comps = _components(u, grid)
     sums = np.zeros(kept.shape)
     buffers, n = [np.empty(0)] * 4, len(regions)
-    for chunk, cols in _Shift.chunks(grid, regions, xis, eps):
+    for chunk, cols in _chunks(grid, regions, xis, eps):
         rows = [_interp_row(axis, grid.h, partner) for axis, partner in zip(grid.axes, cols[0].partners)]
         first, stop = np.stack([c.first for c in cols]), np.stack([c.stop for c in cols])
         live = kept[:, chunk] & np.all(stop > first, axis=2)
@@ -525,7 +474,7 @@ def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.
         for k in np.flatnonzero(np.diff(bounds)).tolist():
             line = [tuple(a[k] for a in row) for row in rows]
             box = tuple(map(slice, low[k].tolist(), high[k].tolist()))
-            s = _Shift._at(grid, xis[chunk][k], line, box, buffers).slopes(comps)
+            s = _slopes(comps, grid, xis[chunk][k], line, box, buffers)
             s *= s
             s /= eps
             # buffer 2 holds only slope temporaries; a spare term lets a run end at the last cell
@@ -785,7 +734,7 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
 def _count_chunk(u: AnalyticField, cols: _Columns):
     """Count the kept pairs of a chunk of directions by the planes they cross.
 
-    ``cols`` is one region's columns narrowed to runs (``_Shift.chunks``).
+    ``cols`` is one region's columns narrowed to runs (``_chunks``).
     Returns ``(crossings, counts, owners, cells)``: the distinct crossing
     patterns, one row each with one entry per jump plane (+1 where the pair
     crosses to the plus side, -1 where it crosses back, 0 where it does not
@@ -887,8 +836,7 @@ def _closed_form_sums(u: AnalyticField, grid: Grid, regions, eps: float, xis: np
     """Cell sums ``(h^n/eps) sum arctan(s^2/eps)`` of a closed-form field,
     one row per region and one column per row of ``xis``, where ``kept``
     (the same shape) holds; 0.0 elsewhere.  The pairs are those of the
-    stencils' runs (``_Shift.chunks``), counted a chunk of directions at a
-    time.
+    runs (``_chunks``), counted a chunk of directions at a time.
 
     A pair's slope is ``eps xi.(A^T xi)`` for the affine part ``A``, plus
     ``J.xi`` for each plane it crosses to the plus side, minus that for each
@@ -903,7 +851,7 @@ def _closed_form_sums(u: AnalyticField, grid: Grid, regions, eps: float, xis: np
     A = u.affine_part()[0]
     jumps = [plane.jump for plane in u.jump_planes()]
     sums = np.zeros(kept.shape)
-    for chunk, cols in _Shift.chunks(grid, regions, xis, eps):
+    for chunk, cols in _chunks(grid, regions, xis, eps):
         X = xis[chunk]
         # row by row, so that no direction's value depends on its chunk
         affine = 0
@@ -945,7 +893,8 @@ def _support_box(region: Region, eps: float) -> BoxDomain:
 
 def _resolve_grid(u: FieldLike, grid: Grid | None, eps: float, regions, rule: DirectionRule | None = None) -> Grid:
     """The grid every energy sums on, once it resolves ``eps`` and has each region's and the rule's
-    dimension: a sampled field's own, which a given ``grid`` must equal in spacing, shape and box."""
+    dimension: a sampled field's own, which a given ``grid`` must equal in spacing, shape and box,
+    or else ``grid`` (the descent kernel, which has no field, passes ``u`` None)."""
     if isinstance(u, SampledField):
         box = [(g.h, g.shape, g.domain.lower.tolist(), g.domain.upper.tolist()) for g in (grid or u.grid, u.grid)]
         if box[0] != box[1]:

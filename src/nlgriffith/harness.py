@@ -32,6 +32,7 @@ from .domain import (
     PlaneJump,
     SumField,
     _dot_rows,
+    _require_seed,
     eval_nudged,
     load_problem,
     sample,
@@ -324,8 +325,7 @@ def audit_inequalities(
     weight 1 gives each direction's energy, and one
     ``_translation_discrepancy`` call evaluates the field at E's centers.
     """
-    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    _require_seed(seed)
     if not (isinstance(n_fields, (int, np.integer)) and n_fields >= 2):
         raise InputError(
             f"n_fields must be at least 2 (the last two fields are 2D) and an integer, got {n_fields!r}"

@@ -14,7 +14,7 @@ fixed order, so reruns are bit-identical.
 
 Every energy and gradient evaluation runs on one ``DescentKernel``: a
 sparse matrix with one row per interacting pair, assembled once from the
-pairs and interpolation rows of the energies' shift stencils, and its
+kept pairs and interpolation rows of the energies' chunk tables, and its
 transpose, stored once next to it.  An evaluation is two sparse products
 (the slopes, then the gradient through the stored transpose) and a few
 in-place vector operations.  One kernel is built per eps level, and the
@@ -37,8 +37,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import Affine, AnalyticField, BoxDomain, Grid, InputError, SampledField, _corner_product, sample
-from .energy import _Shift, check_resolution
+from .domain import (
+    Affine, AnalyticField, BoxDomain, Grid, InputError, SampledField, _corner_product, _require_seed, sample
+)
+from .energy import _chunks, _kept_pairs, _resolve_grid, check_resolution
 from .quad import DirectionRule, build_direction_rule
 
 __all__ = [
@@ -143,6 +145,7 @@ class MinimizeOptions:
             raise InputError(
                 f"nucleation_amplitude must be finite and non-negative, got {self.nucleation_amplitude}"
             )
+        _require_seed(self.seed)
 
 
 @dataclass
@@ -175,12 +178,13 @@ class DescentKernel:
     """The discrete direction-averaged energy of one (grid, region, eps,
     rule) as one sparse operator, assembled once per kernel.
 
-    ``D`` has one CSR row per interacting pair ``(x, x + eps xi)`` of the
-    energies' shift stencil for each rule node ``xi``, ordered by node and
-    then by cell; the stencil decides which pairs interact.  A row holds
+    ``D`` has one CSR row per interacting pair ``(x, x + eps xi)`` of each
+    rule node ``xi``, ordered by node and then by cell, as the energies'
+    runs keep them (``energy._kept_pairs``, one chunk of nodes at a time),
+    so the energies' pair rule decides which pairs interact.  A row holds
     ``-xi`` at the center cell and ``xi`` times the multilinear
     interpolation weights of the shifted endpoint at its 2^n corner cells,
-    from the stencil's per-axis interpolation rows, so the slopes
+    from the partner's per-axis interpolation rows, so the slopes
     ``(v(x + eps xi) - v(x)).xi`` of nodal values ``v`` (flat, C order) are
     ``s = D @ v``.  ``W`` holds each row's ``w_i h^n / eps`` for its rule
     weight ``w_i``.  Then ``E = W . arctan(s^2/eps)`` and the gradient is
@@ -198,18 +202,15 @@ class DescentKernel:
         # imported here, its only use, so that importing the library loads no scipy
         from scipy import sparse
 
-        check_resolution(grid.h, eps)
-        if rule.dimension != grid.dim:
-            raise InputError("rule dimension mismatch")
+        _resolve_grid(None, grid, eps, (region,), rule)
         self.eps = eps
         dim = grid.dim
-        cell, rows = zip(*(stencil.pairs() for stencil in _Shift.each(grid, region, rule.nodes, eps)))
-        node = np.repeat(np.arange(rule.n_nodes), [c.size for c in cell])
-        cell = np.concatenate(cell)
-        # per axis, each of base, top and frac joined over the nodes
-        joined = [tuple(map(np.concatenate, zip(*axis))) for axis in zip(*rows)]
-        corners, weights = _corner_product(grid.shape, joined)
-        del rows, joined  # not held through the assembly below
+        parts = []
+        for chunk, (cols,) in _chunks(grid, (region,), rule.nodes, eps):
+            dirs, centers, rows = _kept_pairs(cols)
+            parts.append((chunk.start + dirs, centers, *_corner_product(grid.shape, rows)))
+        node, cell, corners, weights = map(np.concatenate, zip(*parts))
+        del parts, cols, rows  # not held through the assembly below
         cells = np.column_stack([cell, corners])
         weights = np.column_stack([np.full(node.size, -1.0), weights])
         # column c * dim + k is component k of cell c

@@ -255,6 +255,26 @@ def test_density_table_subcommand(tmp_path):
     assert float(cal["beta"]) == pytest.approx(np.pi / 2, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "flags, match",
+    [
+        (["--seed", "-1"], "seed must be a non-negative integer"),
+        (["--n-matrices", "0"], "n-matrices must be at least 1"),
+    ],
+)
+def test_density_table_refuses_a_bad_seed_or_matrix_count(tmp_path, capsys, flags, match):
+    out = tmp_path / "dens.csv"
+    _usage_error(capsys, ["density-table", "--dim", "1", *flags, "--out", str(out)], match)
+    assert not out.exists()
+
+
+def test_minimize_refuses_a_negative_seed(tmp_path, capsys):
+    trace, field = tmp_path / "trace.csv", tmp_path / "field.csv"
+    argv = ["minimize", "--load", "2.0", "--nucleation", "0.1", "--seed", "-1", "--out", str(trace)]
+    _usage_error(capsys, argv + ["--field-out", str(field)], "seed must be a non-negative integer")
+    assert not trace.exists() and not field.exists()
+
+
 def test_p1_explore_subcommand(tmp_path, field2d_json):
     out = tmp_path / "p1.csv"
     rc = main(

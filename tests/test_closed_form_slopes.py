@@ -24,14 +24,15 @@ from nlgriffith.domain import (
     sample,
 )
 from nlgriffith.energy import (
+    _chunks,
     _closed_form_sums,
     _count_chunk,
     _sampled_sums,
-    _Shift,
     averaged_energy,
     directional_energy,
 )
 from nlgriffith.quad import build_direction_rule
+from one_direction import OneDirection
 
 PROFILE = settings(derandomize=True, max_examples=50, deadline=None)
 
@@ -98,16 +99,6 @@ def _per_cell(pairs, u, eps):
         s[cells] = (ends_u[0] - ends_u[1]) @ xi
     crossing = np.stack(crossings, axis=1) if crossings else np.zeros((s.size, 0), dtype=np.int8)
     return s, crossing, near
-
-
-def _kept(pairs):
-    """The stencil's kept pairs, its runs on the columns of its range box, as a flat mask over the box."""
-    kept = np.zeros(pairs.shape, dtype=bool)
-    for c, (lo, hi) in enumerate(zip(pairs.lo, pairs.hi)):
-        column = tuple(int(i[c]) - sl.start for i, sl in zip(pairs.index, pairs.box))
-        for a, b in zip(lo, hi):
-            kept[column + (slice(a - pairs.box[-1].start, b - pairs.box[-1].start),)] = True
-    return kept.reshape(-1)
 
 
 def _two_endpoint_slopes(pairs, u, eps):
@@ -203,7 +194,7 @@ def cases(draw):
 @given(cases())
 def test_closed_form_slopes_match_two_endpoint_evaluation(case):
     grid, region, eps, xi, u = case
-    pairs = _Shift(grid, region, xi, eps)
+    pairs = OneDirection(grid, region, xi, eps)
     (new, _, _), (old, size) = _per_cell(pairs, u, eps), _two_endpoint_slopes(pairs, u, eps)
     assert new.shape == old.shape
     # the oracle differences field values, so its own roundoff scales with |u| |xi|
@@ -253,10 +244,10 @@ def chunk_cases(draw):
 @given(chunk_cases())
 def test_counting_kernel_matches_the_per_cell_path(case):
     grid, region, eps, xis, at, u = case
-    pairs = _Shift(grid, region, xis[at], eps)
+    pairs = OneDirection(grid, region, xis[at], eps)
     s, crossing, near = _per_cell(pairs, u, eps)
-    kept = _kept(pairs)
-    ((_, (cols,)),) = _Shift.chunks(grid, (region,), xis, eps)
+    kept = pairs.kept()
+    ((_, (cols,)),) = _chunks(grid, (region,), xis, eps)
     crossings, counts, owners, cells = _count_chunk(u, cols)
 
     # the kept pairs clear of every plane, by crossing pattern
@@ -505,7 +496,7 @@ def affine_cases(draw, dim, kind):
 @given(data=st.data())
 def test_visited_and_counted_sums_agree_on_affine_fields(dim, kind, data):
     # Multilinear interpolation reproduces an affine field, so the sampled
-    # stencil (the visited pairs) and the counting kernel (the counted pairs)
+    # sums (the visited pairs) and the counting kernel (the counted pairs)
     # must keep the same pairs and give each the slope eps xi.(A xi), up to
     # roundoff.  Tolerance, fixed beforehand: 1e-11 relative per direction,
     # plus the change of the sum under a slope error of
@@ -525,7 +516,7 @@ def test_visited_and_counted_sums_agree_on_affine_fields(dim, kind, data):
             visited = _sampled_sums(values, grid, (region,), eps, xis, np.ones((1, len(xis)), dtype=bool))[0]
             counted = _counted(u, grid, region, eps, xis)
         for xi, new, old in zip(xis, visited, counted):
-            pairs = int(np.count_nonzero(_kept(_Shift(grid, region, xi, eps))))
+            pairs = int(np.count_nonzero(OneDirection(grid, region, xi, eps).kept()))
             s = abs(eps * xi @ A @ xi)
             delta = 1e-13 * (np.linalg.norm(A) + np.linalg.norm(b) + 1.0) * np.linalg.norm(xi) * dim
             allowed = grid.cell_volume / eps * pairs * (2 * s + delta) * delta / eps

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlgriffith.energy import BallStrategy, GridCapabilityError, _Shift, averaged_energy, directional_energy
+from nlgriffith.energy import BallStrategy, GridCapabilityError, averaged_energy, directional_energy
 from nlgriffith.harness import (
     ExtrapolationResult,
     SweepSpec,
@@ -21,6 +21,7 @@ from nlgriffith.harness import (
 )
 from nlgriffith.domain import Affine, BoxDomain, Grid, InputError, PlaneJump, SumField, _dot_rows, eval_nudged, load_problem
 from nlgriffith.quad import DirectionRule, build_direction_rule
+from one_direction import OneDirection
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -378,7 +379,7 @@ def test_translation_estimate_obeys_its_proven_bound(case):
     cells = int(np.count_nonzero(E.contains(grid.centers)))
     for row, lhs in zip(xis, _translation_discrepancy(u, E, delta, xis, grid)):
         f_dir = directional_energy(u, E, delta, row, grid=grid)
-        stencil = _Shift(grid, E, row, delta)
-        leaving = cells - int(np.sum(stencil.hi - stencil.lo))
+        pairs = OneDirection(grid, E, row, delta)
+        leaving = cells - int(np.sum(pairs.hi - pairs.lo))
         assert leaving >= 0
         assert lhs <= delta * (4.0 * cells * grid.cell_volume + 4.0 * f_dir) + np.pi * leaving * grid.cell_volume

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlgriffith.domain import Affine, BoxDomain, Grid, PlaneSegment, SampledField, sample
-from nlgriffith.energy import GridCapabilityError, _components, _Shift, averaged_energy
+from nlgriffith.domain import Affine, Ball, BoxDomain, Grid, InputError, PlaneSegment, SampledField, sample
+from nlgriffith.energy import GridCapabilityError, _components, averaged_energy
 from nlgriffith.minimize import (
     DescentTrace,
     DirichletProblem,
@@ -21,6 +21,7 @@ from nlgriffith.minimize import (
     _lbfgs_direction,
 )
 from nlgriffith.quad import build_direction_rule
+from one_direction import OneDirection
 
 PHI = 0.75 * np.sqrt(np.pi)  # calibrated 1D bulk density at unit strain
 BETA = np.pi / 2
@@ -168,23 +169,17 @@ def _kernel_cases(rule_fast, rule2_fast):
     ]
 
 
-def _kept(stencil):
-    """The stencil's kept pairs in C order, as flat indices into its range box."""
-    at = np.unravel_index(stencil.pairs()[0], stencil.grid.shape)
-    return np.ravel_multi_index([i - sl.start for i, sl in zip(at, stencil.box)], stencil.shape)
-
-
 def test_descent_kernel_energy_matches_averaged_energy(rule_fast, rule2_fast):
-    # the assembled operator and the per-direction stencils of
+    # the assembled operator and the per-direction slope passes of
     # averaged_energy are two evaluations of the same discrete energy, and
-    # the operator's rows are the stencils' slopes pair for pair
+    # the operator's rows are the kept pairs' slopes pair for pair
     rng = np.random.default_rng(23)
     for grid, region, eps, rule, datum in _kernel_cases(rule_fast, rule2_fast):
         values = sample(datum, grid).values + 0.1 * rng.normal(size=(grid.n_cells, grid.dim))
         kernel = DescentKernel(grid, region, eps, rule)
-        stencils = [_Shift(grid, region, xi, eps) for xi in rule.nodes]
+        directions = [OneDirection(grid, region, xi, eps) for xi in rule.nodes]
         comps = _components(values, grid)
-        slopes = np.concatenate([st.slopes(comps)[_kept(st)] for st in stencils])
+        slopes = np.concatenate([one.slopes(comps)[one.kept()] for one in directions])
         assert np.allclose(kernel.D @ values.reshape(-1), slopes, rtol=0.0, atol=1e-12 * np.abs(slopes).max())
         e_avg = averaged_energy(SampledField(grid, values), region, eps, rule).total
         assert kernel.energy(values) == pytest.approx(e_avg, rel=1e-12, abs=0.0)
@@ -219,6 +214,21 @@ def test_gradient_zero_on_frozen_cells(rule_fast):
     u = prob.sampled_datum()
     g = energy_gradient(u, prob.eps, rule_fast, prob.outer)
     assert np.all(g[u.dirichlet_mask] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "region", [BoxDomain(np.zeros(2), np.ones(2)), Ball(np.full(3, 0.5), 0.3)], ids=["2d-box", "3d-ball"]
+)
+def test_kernel_refuses_a_region_of_another_dimension(region, rule2_fast):
+    # as every energy does: the region's other axes would be ignored
+    prob = DirichletProblem.bar(2.0, 0.02, 0.0025)
+    rule = build_direction_rule(1, radial_order=6)
+    with pytest.raises(InputError, match="a region of dimension .* does not fit a field of dimension 1"):
+        DescentKernel(prob.grid, region, prob.eps, rule)
+    with pytest.raises(InputError, match="a region of dimension .* does not fit a field of dimension 1"):
+        energy_gradient(prob.sampled_datum(), prob.eps, rule, region=region)
+    with pytest.raises(InputError, match="rule dimension must match"):
+        DescentKernel(prob.grid, prob.outer, prob.eps, rule2_fast)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +503,10 @@ def test_problem_rejects_non_finite_datum(load):
         {"max_iter": np.nan},
         {"max_iter": np.inf},
         {"max_iter": 2.5},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": "0"},
+        {"seed": True},
     ],
 )
 def test_options_reject_bad_values(kwargs):

@@ -1,9 +1,9 @@
-"""Property tests: the shift stencil's runs of kept pairs against
-point-mesh membership, each stencil of a batch against the stencil built
-alone, the descent operator built from the stencils against per-point
-assembly, the sampled slopes and cell sums against a full-width pass of the
-projected field summed run by run, and those cell sums against the
-two-component form."""
+"""Property tests: the chunk tables' runs of kept pairs against
+point-mesh membership, each direction of a chunk against a one-row call,
+the descent operator built from the tables against per-point assembly, the
+sampled slopes and cell sums against a full-width pass of the projected
+field summed run by run, and those cell sums against the two-component
+form."""
 
 from unittest import mock
 
@@ -17,16 +17,18 @@ from nlgriffith import energy
 from nlgriffith.domain import Affine, Ball, BoxDomain, Grid, PlaneJump, PlaneSegment, SumField, _dot_rows, _mesh
 from nlgriffith.energy import (
     BallStrategy,
+    _chunks,
     _closed_form_sums,
     _components,
+    _kept_pairs,
     _sampled_sums,
-    _Shift,
     _snap_to_axis,
     _support_box,
     ball_candidates,
 )
-from nlgriffith.minimize import DescentKernel
+from nlgriffith.minimize import DescentKernel, DirichletProblem
 from nlgriffith.quad import DirectionRule, build_direction_rule
+from one_direction import OneDirection
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -47,12 +49,12 @@ def _mesh_mask(grid, region, partners):
 
 
 def _columns(pairs):
-    """Each column of the stencil's runs as a tuple of grid indices on the earlier axes."""
+    """Each column of the runs as a tuple of grid indices on the earlier axes."""
     return [tuple(int(i[c]) for i in pairs.index) for c in range(len(pairs.lo))]
 
 
-def _stencil_mask(pairs):
-    """The stencil's interacting pairs, its runs on the columns of its range box, placed on the whole grid."""
+def _kept_mask(pairs):
+    """The interacting pairs, the runs on the columns of the range box, placed on the whole grid."""
     full = np.zeros(pairs.grid.shape, dtype=bool)
     for column, lo, hi in zip(_columns(pairs), pairs.lo, pairs.hi):
         for a, b in zip(lo, hi):
@@ -142,7 +144,7 @@ def cases(draw):
     grid, region, eps = draw(geometries())
     xi = _direction(draw, grid, eps)
     partners = [a + eps * x for a, x in zip(grid.axes, xi)]
-    return grid, region, _Shift(grid, region, xi, eps), partners
+    return grid, region, OneDirection(grid, region, xi, eps), partners
 
 
 @PROFILE
@@ -150,7 +152,7 @@ def cases(draw):
 def test_keep_equals_mesh_membership(case):
     grid, region, pairs, partners = case
     mesh = _mesh_mask(grid, region, partners)
-    np.testing.assert_array_equal(_stencil_mask(pairs), mesh)
+    np.testing.assert_array_equal(_kept_mask(pairs), mesh)
     # the runs lie on the range box's columns in C order, and each column's
     # nonempty runs are its maximal stretches of kept cells, in order
     box = [tuple(sl.start + i for sl, i in zip(pairs.box, at)) for at in np.ndindex(*pairs.shape[:-1])]
@@ -192,31 +194,43 @@ def _each_budget(grid, eps, directions, seed, length):
 
 @PROFILE
 @given(batches())
-def test_each_stencil_equals_the_stencil_built_alone(case):
-    # the set-up of a batch is shared by a chunk of rows; no stencil may
-    # depend on the rows built with it, across a chunk boundary too.  At
-    # the floor of 16 directions every row is checked; in the larger chunks
-    # of the default budget, the drawn directions and the rows next to the
+def test_each_direction_of_a_chunk_equals_a_one_row_call(case):
+    # the set-up of a batch is shared by a chunk of rows; no direction's
+    # columns, runs, partners or kept pairs, and no sampled sum, may depend
+    # on the rows built with it, across a chunk boundary too.  At the floor
+    # of 16 directions every row is checked; in the larger chunks of the
+    # default budget, the drawn directions and the rows next to the
     # boundary and at the end.
     grid, region, eps, directions, seed, length = case
     values = np.random.default_rng(0).normal(size=(grid.n_cells, grid.dim))
-    comps = _components(values, grid)
     for size, xis in _each_budget(grid, eps, directions, seed, length):
         checked = set(range(len(xis))) if size == 16 else {*range(len(directions)), size - 1, size, len(xis) - 1}
-        sums = _sampled_sums(values, grid, (region,), eps, xis, np.ones((1, len(xis)), dtype=bool))[0]
-        for k, pairs in enumerate(_Shift.each(grid, region, xis, eps)):
-            if k not in checked:
-                continue
-            alone = _Shift(grid, region, xis[k], eps)
-            assert pairs.box == alone.box
-            for row, own in zip(pairs.rows, alone.rows):
-                for a, b in zip(row, own):
+        # the unchecked rows share their chunks' tables but take no slope pass
+        kept = np.isin(np.arange(len(xis)), list(checked))[None, :]
+        sums = _sampled_sums(values, grid, (region,), eps, xis, kept)[0]
+        for chunk, (cols,) in _chunks(grid, (region,), xis, eps):
+            ends = np.searchsorted(cols.dirs, np.arange(len(cols.first) + 1)).tolist()
+            dirs, centers, rows = _kept_pairs(cols)
+            for k in range(len(cols.first)):
+                if chunk.start + k not in checked:
+                    continue
+                single = xis[chunk.start + k][None, :]
+                ((_, (alone,)),) = _chunks(grid, (region,), single, eps)
+                c = slice(ends[k], ends[k + 1])
+                for a, b in zip([cols.first[k], cols.stop[k]], [alone.first[0], alone.stop[0]]):
                     _assert_same_bits(a, b)
-            for a, b in zip([*pairs.index, pairs.lo, pairs.hi], [*alone.index, alone.lo, alone.hi]):
-                _assert_same_bits(a, b)
-            _assert_same_bits(pairs.slopes(comps), alone.slopes(comps))
-            one = _sampled_sums(values, grid, (region,), eps, xis[k : k + 1], np.ones((1, 1), dtype=bool))[0, 0]
-            assert sums[k].hex() == one.hex()
+                for a, b in zip([*cols.partners, *cols.probes], [*alone.partners, *alone.probes]):
+                    _assert_same_bits(a[k], b[0])
+                for a, b in zip([*cols.index, cols.lo, cols.hi], [*alone.index, alone.lo, alone.hi]):
+                    _assert_same_bits(a[c], b)
+                mine = dirs == k
+                own = _kept_pairs(alone)
+                _assert_same_bits(centers[mine], own[1])
+                for row, own_row in zip(rows, own[2]):
+                    for a, b in zip(row, own_row):
+                        _assert_same_bits(a[mine], b)
+                one = _sampled_sums(values, grid, (region,), eps, single, np.ones((1, 1), dtype=bool))[0, 0]
+                assert sums[chunk.start + k].hex() == one.hex()
 
 
 def test_keep_drops_partners_landing_on_a_slit_through_centers():
@@ -226,10 +240,10 @@ def test_keep_drops_partners_landing_on_a_slit_through_centers():
     slit = PlaneSegment(np.array([4.5 / 12, 0.0]), np.array([4.5 / 12, 0.5]))
     region = BoxDomain(np.zeros(2), np.ones(2), (slit,))
     eps = 5 * grid.h
-    pairs = _Shift(grid, region, np.array([grid.h / eps, 0.0]), eps)
+    pairs = OneDirection(grid, region, np.array([grid.h / eps, 0.0]), eps)
     right = [np.append(grid.axes[0][1:], 1.0 + grid.h / 2), grid.axes[1]]  # the lattice partners
     assert not np.array_equal(grid.axes[0] + eps * (grid.h / eps), right[0])
-    np.testing.assert_array_equal(_stencil_mask(pairs), _mesh_mask(grid, region, right))
+    np.testing.assert_array_equal(_kept_mask(pairs), _mesh_mask(grid, region, right))
 
 
 def _assembled(grid, region, eps, rule):
@@ -270,8 +284,11 @@ def operator_cases(draw):
 
 
 def _assert_same_bits(actual, expected):
-    np.testing.assert_array_equal(actual, expected)
-    assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
+    same = actual.shape == expected.shape and actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
+    if not same:
+        # to show where they differ
+        np.testing.assert_array_equal(actual, expected)
+    assert same
 
 
 def _slit_through_centers():
@@ -285,17 +302,29 @@ def _slit_through_centers():
     return grid, BoxDomain(np.zeros(2), np.ones(2), (slit,)), eps, rule
 
 
+def _bar_fracture():
+    """The operator of the bar-fracture workload: the bar at load 2.0, eps
+    0.02 and h 0.0025, with the 1D rule of radial order 6 (88 nodes)."""
+    prob = DirichletProblem.bar(2.0, 0.02, 0.0025)
+    return prob.grid, prob.outer, prob.eps, build_direction_rule(1, radial_order=6)
+
+
 @PROFILE
 @given(operator_cases())
 @example(_slit_through_centers())
+@example(_bar_fracture())
 def test_descent_operator_equals_per_point_assembly(case):
+    # the operator is put together a chunk of nodes at a time, across chunk
+    # boundaries too at the floor of 16 nodes per chunk
     grid, region, eps, rule = case
-    kernel = DescentKernel(grid, region, eps, rule)
     D, W = _assembled(grid, region, eps, rule)
-    assert kernel.D.shape == D.shape
-    for name in ("indptr", "indices", "data"):
-        _assert_same_bits(getattr(kernel.D, name), getattr(D, name))
-    _assert_same_bits(kernel.W, W)
+    for columns in BUDGETS:
+        with mock.patch.object(energy, "_COLUMNS", columns):
+            kernel = DescentKernel(grid, region, eps, rule)
+        assert kernel.D.shape == D.shape
+        for name in ("indptr", "indices", "data"):
+            _assert_same_bits(getattr(kernel.D, name), getattr(D, name))
+        _assert_same_bits(kernel.W, W)
 
 
 def _full_width_slopes(pairs, values):
@@ -346,7 +375,7 @@ def test_sampled_slopes_equal_the_full_width_pass(dim, kind):
     values = rng.normal(size=(grid.n_cells, dim))
     eps = 0.2
     for xi in (rng.uniform(-1.5, 1.5, size=dim), np.eye(dim)[-1] * grid.h / eps, -np.ones(dim)):
-        pairs = _Shift(grid, region, xi, eps)
+        pairs = OneDirection(grid, region, xi, eps)
         _assert_same_bits(pairs.slopes(_components(values, grid)), _full_width_slopes(pairs, values))
 
 
@@ -362,7 +391,7 @@ def test_cell_sum_equals_the_mesh_masked_sum(dim, kind):
     values = rng.normal(size=(grid.n_cells, dim))
     eps = 0.2
     for xi in (rng.uniform(-1.5, 1.5, size=dim), np.eye(dim)[-1] * grid.h / eps, -np.ones(dim)):
-        pairs = _Shift(grid, region, xi, eps)
+        pairs = OneDirection(grid, region, xi, eps)
         partners = [a + eps * x for a, x in zip(grid.axes, xi)]
         s = _full_width_slopes(pairs, values).reshape(pairs.shape)
         mask = _mesh_mask(grid, region, partners)[pairs.box]
@@ -392,7 +421,7 @@ def test_projected_cell_sums_match_the_two_component_form(dim, kind, seed, compo
     eps = 0.2
     xi = np.array(components[:dim])
     assume(np.max(np.abs(eps * xi)) >= grid.h / 4)
-    pairs = _Shift(grid, region, xi, eps)
+    pairs = OneDirection(grid, region, xi, eps)
     partners = [a + eps * x for a, x in zip(grid.axes, xi)]
     s = _two_component_slopes(pairs, values)[_mesh_mask(grid, region, partners)[pairs.box].reshape(-1)]
     expected = float(grid.cell_volume / eps * np.sum(np.arctan(s * s / eps)))
@@ -460,5 +489,5 @@ def test_balls_2d_families_keep_the_pinned_number_of_pairs():
     balls = [ball for family in ball_candidates(domain, BallStrategy.parse("dyadic:1")) for ball in family.balls]
     assert len(balls) == 5
     xis = rule.nodes[_support_box(domain, eps).contains(rule.nodes)]
-    pairs = sum(int(np.sum(one.hi - one.lo)) for ball in balls for one in _Shift.each(grid, ball, xis, eps))
+    pairs = sum(int(np.sum(cols.hi - cols.lo)) for _, tables in _chunks(grid, balls, xis, eps) for cols in tables)
     assert pairs == 15_785_464
