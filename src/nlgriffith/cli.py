@@ -34,8 +34,8 @@ from .energy import (
 from .harness import SweepSpec, audit_inequalities, run_sweep, write_csv
 from .limits import CONVENTIONS, bulk_density, surface_constant
 from .minimize import DirichletProblem, MinimizeOptions, minimize_dirichlet
-from .quad import build_direction_rule, build_sphere_rule
-from .slicing import _family_norms, _slice_measures, averaged_jump_measure, family_slice_measure
+from .quad import _SPHERE_LEAST_ORDER, build_direction_rule, build_sphere_rule
+from .slicing import _slice_search, averaged_jump_measure
 
 __all__ = ["main"]
 
@@ -52,10 +52,7 @@ def _cmd_energy(args) -> int:
     u = sample(field_, grid) if args.sampled else field_
     t0 = time.perf_counter()
     if args.strategy:
-        strategy = BallStrategy.parse(args.strategy)
-        report = ball_supremum_energy(
-            u, domain, args.eps, args.p, strategy, rule, grid=grid
-        )
+        report = ball_supremum_energy(u, domain, args.eps, args.p, BallStrategy.parse(args.strategy), rule, grid=grid)
         n_balls = len(report.family) if report.family else 0
     else:
         report = averaged_energy(u, domain, args.eps, rule, grid=grid)
@@ -78,31 +75,20 @@ def _cmd_energy(args) -> int:
 
 def _cmd_p1_explore(args) -> int:
     domain, field_, _ = load_problem(args.field)
+    least = _SPHERE_LEAST_ORDER.get(domain.dim, 1)
+    if args.angular < least:
+        raise InputError(f"angular must be at least {least} in dimension {domain.dim}, got {args.angular}")
     sphere = build_sphere_rule(domain.dim, args.angular)
-    strategy = BallStrategy.parse(args.strategy)
-    families = ball_candidates(domain, strategy)
-    # report the finest family, whose slice measures also enter the
-    # family-supremum search (ball_sup_slice_measure's, without recomputing)
-    family = families[-1]
-    measures = _slice_measures(field_, family, sphere[0])
-    finest, mu_hat_ball = _family_norms(measures, sphere[1], args.p)
+    families = ball_candidates(domain, BallStrategy.parse(args.strategy))
+    tables, (results, best) = _slice_search(field_, families, args.p, sphere)
+    norms = results[-1][1]
     rows = []
-    for bi, ball in enumerate(family.balls):
+    for bi, ball in enumerate(families[-1].balls):
         i_u1 = averaged_jump_measure(field_, ball, sphere)
-        for xi_index, mu_xi in enumerate(measures[bi]):
-            rows.append(
-                {
-                    "ball_index": bi,
-                    "xi_index": xi_index,
-                    "mu_xi": mu_xi,
-                    "mu_hat_p_ball": mu_hat_ball[bi],
-                    "i_u1": i_u1,
-                }
-            )
-    coarser = [family_slice_measure(field_, f, args.p, sphere)[0] for f in families[:-1]]
-    mu_hat = max(coarser + [finest])
+        for k, mu_xi in enumerate(tables[-1][bi]):
+            rows.append({"ball_index": bi, "xi_index": k, "mu_xi": mu_xi, "mu_hat_p_ball": norms[bi], "i_u1": i_u1})
     write_csv(args.out, rows)
-    print(f"{len(rows)} rows ({args.out}); family supremum lower bound {float(mu_hat)!r}")
+    print(f"{len(rows)} rows ({args.out}); family supremum lower bound {float(results[best][0])!r}")
     return 0
 
 
@@ -137,6 +123,8 @@ def _cmd_density_table(args) -> int:
 
 def _cmd_minimize(args) -> int:
     prob = DirichletProblem.bar(args.load, args.eps, args.h)
+    if args.continuation < 0:
+        raise InputError(f"continuation must be at least 0, got {args.continuation}")
     schedule = None
     if args.continuation > 0:
         schedule = [args.eps * 2**k for k in range(args.continuation, -1, -1)]
@@ -147,12 +135,8 @@ def _cmd_minimize(args) -> int:
         seed=args.seed,
     )
     trace = minimize_dirichlet(prob, opts)
-    rows = [
-        {"iter": i, "energy": e, "grad_norm": g, "step_size": s}
-        for i, (e, g, s) in enumerate(
-            zip(trace.iterates, trace.grad_norms, trace.step_sizes)
-        )
-    ]
+    steps = zip(trace.iterates, trace.grad_norms, trace.step_sizes)
+    rows = [{"iter": i, "energy": e, "grad_norm": g, "step_size": s} for i, (e, g, s) in enumerate(steps)]
     write_csv(args.out, rows)
     field_rows = []
     for idx in range(prob.grid.n_cells):
@@ -235,10 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--strategy", default="dyadic:1")
     p.add_argument("--angular", type=int, default=16)
-    p.add_argument(
-        "--resolution", type=float, default=0.01,
-        help="ignored: slice measures are exact (Cauchy-Crofton)",
-    )
+    p.add_argument("--resolution", type=float, default=0.01, help="ignored: slice measures are exact (Cauchy-Crofton)")
     p.add_argument("--out", default="p1_explore.csv")
     p.set_defaults(func=_cmd_p1_explore)
 

@@ -47,7 +47,9 @@ On top of these sits one ball-family functional, ``family_energy``:
 pairwise disjoint open balls.  The averaged energy is its p = 1 value on
 one region, and ``slicing.family_slice_measure`` is the same functional
 of the slice measure.  ``ball_supremum_energy`` maximizes it over
-candidate families, evaluated together.  The true supremum over all
+candidate families, evaluated together.  One helper, ``_ball_families``,
+forms every family value from a table of values per ball and direction
+node, and picks the first best family.  The true supremum over all
 finite families is not computable; the returned value is a certified
 lower bound achieved by the reported family, and it improves
 monotonically under family refinement.
@@ -964,6 +966,21 @@ def _lp_norm(weights, values, p: float) -> float:
     return acc ** (1.0 / p)
 
 
+def _ball_families(families, p: float, tables) -> tuple[list[tuple[float, dict[int, float]]], int]:
+    """Each family's ``(total, per_ball)``, ``per_ball[i]`` the L^p norm of
+    its ball i (``_lp_norm``), and the index of the first family with the
+    largest total.  ``tables`` yields one ``(weights, values)`` per ball of
+    the families in order, a ball's values at direction nodes and their
+    weights; it is read in full once ``p`` is checked."""
+    if not (np.isfinite(p) and p >= 1):
+        raise InputError(f"p must be finite and at least 1, got {p}")
+    norms = iter([_lp_norm(weights, values, p) for weights, values in tables])
+    # zip takes the next len(family) norms: it stops at the range first
+    per_ball = [dict(zip(range(len(family)), norms)) for family in families]
+    results = [(sum(balls.values(), 0.0), balls) for balls in per_ball]
+    return results, max(range(len(results)), key=lambda k: results[k][0])
+
+
 def averaged_energy(
     u: FieldLike,
     region: Region,
@@ -1021,22 +1038,17 @@ def pairwise_energy(
     return float(averaged_energy(u, domain, eps, lattice, grid=g).total)
 
 
-def _family_values(u: FieldLike, domain: BoxDomain, families, eps: float, p: float, rule, grid, per_ball_support):
-    """``(total, per_ball)`` of each of ``families`` (``family_energy``), from
-    one ``_direction_values`` call over the balls of all of them: on a
-    sampled field, one slope pass per direction serves every family."""
-    if not (np.isfinite(p) and p >= 1):
-        raise InputError(f"p must be finite and at least 1, got {p}")
+def _energy_tables(u: FieldLike, domain: BoxDomain, families, eps: float, rule, grid, per_ball_support):
+    """Each ball's kept nodes' weights and energies for ``_ball_families``,
+    from one ``_direction_values`` call: on a sampled field one slope pass
+    per direction serves every ball.  A generator, so ``p`` is checked first."""
     balls = [ball for family in families for ball in family.balls]
     g = _resolve_grid(u, grid, eps, [domain] + balls, rule)
     domain_support = _support_box(domain, eps)
     supports = [_support_box(ball, eps) if per_ball_support else domain_support for ball in balls]
     kept = np.array([support.contains(rule.nodes) for support in supports], dtype=bool)
-    values = _direction_values(u, balls, eps, rule.nodes, g, kept.reshape(len(balls), rule.n_nodes))
-    norms = (_lp_norm(rule.weights[nodes], row, p) for nodes, row in values)
-    # zip takes the next len(family) norms: it stops at the range first
-    per_ball = [dict(zip(range(len(family)), norms)) for family in families]
-    return [(sum(balls.values(), 0.0), balls) for balls in per_ball]
+    for nodes, row in _direction_values(u, balls, eps, rule.nodes, g, kept.reshape(len(balls), rule.n_nodes)):
+        yield rule.weights[nodes], row
 
 
 def family_energy(
@@ -1062,7 +1074,8 @@ def family_energy(
     ``per_ball`` entry at p = 1 is the ball's ``averaged_energy`` on the
     same support, bit for bit.
     """
-    return _family_values(u, domain, (family,), eps, p, rule, grid, per_ball_support)[0]
+    tables = _energy_tables(u, domain, (family,), eps, rule, grid, per_ball_support)
+    return _ball_families((family,), p, tables)[0][0]
 
 
 def ball_supremum_energy(
@@ -1086,13 +1099,6 @@ def ball_supremum_energy(
     ``family_energy`` gives it alone, bit for bit.
     """
     families = ball_candidates(domain, strategy)
-    results = _family_values(u, domain, families, eps, p, rule, grid, per_ball_support=False)
-    best = max(range(len(families)), key=lambda k: results[k][0])
+    results, best = _ball_families(families, p, _energy_tables(u, domain, families, eps, rule, grid, False))
     total, per_ball = results[best]
-    return EnergyReport(
-        total=total,
-        eps=eps,
-        p=p,
-        per_ball=per_ball,
-        family=families[best],
-    )
+    return EnergyReport(total=total, eps=eps, p=p, per_ball=per_ball, family=families[best])

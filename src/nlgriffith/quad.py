@@ -35,6 +35,7 @@ __all__ = [
 
 _NORMALIZATION_RTOL = 1e-6
 _MOMENT_RTOL = 1e-8
+_SPHERE_LEAST_ORDER = {2: 4, 3: 6}  # build_sphere_rule's floor per dimension
 
 
 class RuleQualityError(RuntimeError):
@@ -200,16 +201,19 @@ def build_sphere_rule(dimension: int, angular_order: int) -> tuple[np.ndarray, n
     dimension 2 uses equally spaced angles (exact for trigonometric
     polynomials of degree below the node count); dimension 3 uses a
     Gauss-Legendre x uniform-azimuth product in (cos theta, phi).
+    The angular order (node count in 2D, azimuthal count in 3D) has a
+    floor, 4 in 2D and 6 in 3D: a lower order builds the floor's rule,
+    which ``build_direction_rule`` relies on.
     """
     if dimension == 1:
         return np.array([[-1.0], [1.0]]), np.array([1.0, 1.0])
     if dimension == 2:
-        m = max(int(angular_order), 4)
+        m = max(int(angular_order), _SPHERE_LEAST_ORDER[2])
         theta = 2.0 * np.pi * np.arange(m) / m
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return nodes, np.full(m, 2.0 * np.pi / m)
     if dimension == 3:
-        m_phi = max(int(angular_order), 6)
+        m_phi = max(int(angular_order), _SPHERE_LEAST_ORDER[3])
         m_cos = max(int(np.ceil(angular_order / 2)) + 1, 4)
         c, wc = leggauss(m_cos)
         phi = 2.0 * np.pi * np.arange(m_phi) / m_phi

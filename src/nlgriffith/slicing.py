@@ -13,7 +13,9 @@ volume.
 
 ``family_slice_measure`` is the ball-family functional of
 ``nlgriffith.energy`` with the slice measure in place of the directional
-energy; ``ball_sup_slice_measure`` maximizes it over candidate families.
+energy, and ``ball_sup_slice_measure`` maximizes it over candidate
+families: each ball's measures along all sphere nodes form one table
+(``_slice_table``), and ``energy._ball_families`` forms every value.
 
 Jump bookkeeping follows the size-one threshold: slice jumps with
 amplitude at most 1 contribute their amplitude to the absolutely
@@ -29,7 +31,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .domain import AnalyticField, BoxDomain, InputError, PlaneJump, _dot_rows
-from .energy import BallFamily, BallStrategy, Region, _lp_norm, ball_candidates
+from .energy import BallFamily, BallStrategy, Region, _ball_families, ball_candidates
 from .limits import plane_area_in_box
 from .quad import _gamma
 
@@ -476,17 +478,24 @@ def averaged_jump_measure(
     return float(np.asarray(weights, dtype=float) @ _jump_term(u, nodes, region))
 
 
-def _slice_measures(u: AnalyticField, family: BallFamily, nodes: np.ndarray) -> list[list[float]]:
-    """``directional_slice_measure`` of every ball (rows) and direction (columns)."""
-    return [[directional_slice_measure(u, xi, ball) for xi in nodes] for ball in family.balls]
+def _slice_table(u: AnalyticField, nodes: np.ndarray, region: Region) -> np.ndarray:
+    """``directional_slice_measure`` of the region along each row of
+    ``nodes``, bit for bit: one ``_jump_term`` call takes every node, and
+    the bulk term is formed per node as there."""
+    if np.any(np.abs(np.linalg.norm(nodes, axis=1) - 1.0) > 1e-9):
+        raise InputError("direction must be a unit vector")
+    A, _ = u.affine_part()
+    bulk = np.array([abs(float((A @ xi) @ xi)) for xi in nodes])
+    return bulk * _volume(region) + _jump_term(u, nodes, region)
 
 
-def _family_norms(measures: list[list[float]], weights, p: float) -> tuple[float, dict[int, float]]:
-    """``(total, per_ball)`` of per-ball L^p sphere norms of ``_slice_measures`` rows."""
-    if not (np.isfinite(p) and p >= 1):
-        raise InputError(f"p must be finite and at least 1, got {p}")
-    per_ball = {bi: _lp_norm(weights, mus, p) for bi, mus in enumerate(measures)}
-    return sum(per_ball.values()), per_ball
+def _slice_search(u: AnalyticField, families, p: float, sphere_rule: tuple[np.ndarray, np.ndarray]):
+    """The slice measures of each family's balls per sphere node
+    (``_slice_table``), one list of rows per family, and
+    ``energy._ball_families`` of them."""
+    nodes, weights = sphere_rule
+    tables = [[_slice_table(u, nodes, ball).tolist() for ball in family.balls] for family in families]
+    return tables, _ball_families(families, p, ((weights, row) for rows in tables for row in rows))
 
 
 def family_slice_measure(
@@ -502,8 +511,8 @@ def family_slice_measure(
     ``per_ball[i] = (sum_j w_j mu_(xi_j)(B_i)^p)^(1/p)``, the slice-measure
     counterpart of ``family_energy``.
     """
-    nodes, weights = sphere_rule
-    return _family_norms(_slice_measures(u, family, nodes), weights, p)
+    _, (results, _) = _slice_search(u, (family,), p, sphere_rule)
+    return results[0]
 
 
 def ball_sup_slice_measure(
@@ -521,6 +530,5 @@ def ball_sup_slice_measure(
     supremum over all finite disjoint families.
     """
     families = ball_candidates(domain, strategy)
-    results = [family_slice_measure(u, family, p, sphere_rule) for family in families]
-    best = max(range(len(families)), key=lambda k: results[k][0])
+    _, (results, best) = _slice_search(u, families, p, sphere_rule)
     return float(results[best][0]), families[best]

@@ -11,7 +11,7 @@ from nlgriffith.cli import main
 from nlgriffith.domain import Grid, InputError, load_problem, sample
 from nlgriffith.energy import BallStrategy, ball_candidates, ball_supremum_energy
 from nlgriffith.quad import build_direction_rule, build_sphere_rule
-from nlgriffith.slicing import family_slice_measure
+from nlgriffith.slicing import ball_sup_slice_measure, family_slice_measure
 
 
 @pytest.fixture
@@ -275,6 +275,14 @@ def test_minimize_refuses_a_negative_seed(tmp_path, capsys):
     assert not trace.exists() and not field.exists()
 
 
+def test_minimize_refuses_a_negative_continuation(tmp_path, capsys):
+    # a negative level count once ran without continuation and exited 0
+    trace, field = tmp_path / "trace.csv", tmp_path / "field.csv"
+    argv = ["minimize", "--load", "2.0", "--continuation", "-1", "--out", str(trace)]
+    _usage_error(capsys, argv + ["--field-out", str(field)], "continuation must be at least 0, got -1")
+    assert not trace.exists() and not field.exists()
+
+
 def test_p1_explore_subcommand(tmp_path, field2d_json):
     out = tmp_path / "p1.csv"
     rc = main(
@@ -297,33 +305,43 @@ def test_p1_explore_subcommand(tmp_path, field2d_json):
         assert agg == pytest.approx(float(ball_rows[0]["mu_hat_p_ball"]), rel=1e-9)
 
 
-def test_p1_explore_reports_family_slice_measure(tmp_path, field2d_json):
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("strategy", ["dyadic:1", "dyadic:2", "dyadic:3"])
+def test_p1_explore_reports_family_slice_measure(tmp_path, field2d_json, capsys, strategy, p):
+    # the rows and the printed supremum come from one family search; each
+    # equals the public functional's value, bit for bit
     out = tmp_path / "p1.csv"
-    argv = ["p1-explore", "--field", field2d_json, "--strategy", "dyadic:2", "--angular", "8"]
-    assert main(argv + ["--p", "2", "--out", str(out)]) == 0
+    argv = ["p1-explore", "--field", field2d_json, "--strategy", strategy, "--angular", "8"]
+    assert main(argv + ["--p", str(p), "--out", str(out)]) == 0
     domain, field_, _ = load_problem(field2d_json)
-    family = ball_candidates(domain, BallStrategy.parse("dyadic:2"))[-1]
-    _, per_ball = family_slice_measure(field_, family, 2.0, build_sphere_rule(2, 8))
-    for r in read_rows(out):
+    sphere = build_sphere_rule(2, 8)
+    family = ball_candidates(domain, BallStrategy.parse(strategy))[-1]
+    _, per_ball = family_slice_measure(field_, family, p, sphere)
+    rows = read_rows(out)
+    assert len(rows) == 8 * len(family)
+    for r in rows:
         assert r["mu_hat_p_ball"] == repr(float(per_ball[int(r["ball_index"])]))
+    value, _ = ball_sup_slice_measure(field_, domain, p, sphere, BallStrategy.parse(strategy))
+    assert capsys.readouterr().out.split("family supremum lower bound ")[1] == f"{value!r}\n"
 
 
 def test_p1_explore_computes_each_slice_measure_once(tmp_path, field2d_json, monkeypatch):
     # the finest family's measures used to be computed three times: for
-    # mu_xi, for mu_hat_p_ball and in the family-supremum search
+    # mu_xi, for mu_hat_p_ball and in the family-supremum search; now each
+    # ball's measures along every direction are one table, built once
     calls = []
-    real = slicing.directional_slice_measure
+    real = slicing._slice_table
 
-    def counting(u, xi, region):
-        calls.append(region)
-        return real(u, xi, region)
+    def counting(u, nodes, region):
+        calls.append(len(nodes))
+        return real(u, nodes, region)
 
-    monkeypatch.setattr(slicing, "directional_slice_measure", counting)
+    monkeypatch.setattr(slicing, "_slice_table", counting)
     argv = ["p1-explore", "--field", field2d_json, "--strategy", "dyadic:2", "--angular", "8"]
     assert main(argv + ["--out", str(tmp_path / "p1.csv")]) == 0
     domain, _, _ = load_problem(field2d_json)
     families = ball_candidates(domain, BallStrategy.parse("dyadic:2"))
-    assert len(calls) == 8 * sum(len(family.balls) for family in families)
+    assert calls == [8] * sum(len(family.balls) for family in families)
 
 
 def test_p1_explore_refuses_nan_p(tmp_path, field2d_json, capsys):
@@ -331,6 +349,22 @@ def test_p1_explore_refuses_nan_p(tmp_path, field2d_json, capsys):
     argv = ["p1-explore", "--field", field2d_json, "--strategy", "dyadic:1", "--p", "nan", "--out", str(out)]
     _usage_error(capsys, argv, "p must be finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dim, angular, least", [(1, 0, 1), (2, 2, 4), (2, -3, 4), (3, 5, 6), (3, 0, 6)])
+def test_p1_explore_refuses_an_angular_order_the_sphere_rule_does_not_honour(tmp_path, capsys, dim, angular, least):
+    # below its floor the sphere rule builds the floor's nodes, so such an
+    # order once wrote rows for a rule other than the one asked for
+    cfg = {
+        "domain": {"lower": [0.0] * dim, "upper": [1.0] * dim},
+        "field": {"kind": "affine", "matrix": np.eye(dim).tolist(), "offset": [0.0] * dim},
+    }
+    path, out = tmp_path / "field.json", tmp_path / "p1.csv"
+    path.write_text(json.dumps(cfg))
+    argv = ["p1-explore", "--field", str(path), "--out", str(out)]
+    _usage_error(capsys, argv + [f"--angular={angular}"], f"angular must be at least {least} in dimension {dim}, got")
+    assert not out.exists()
+    assert main(argv + [f"--angular={least}"]) == 0
 
 
 def test_minimize_refuses_infinite_eps(tmp_path, capsys):

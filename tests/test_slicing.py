@@ -22,7 +22,7 @@ from nlgriffith.slicing import (
     section,
     slice_measure,
 )
-from nlgriffith.slicing import _jump_term, _sloped_piece_integral
+from nlgriffith.slicing import _jump_term, _slice_table, _sloped_piece_integral
 
 HALF_PI = np.pi / 2
 
@@ -607,6 +607,43 @@ def test_jump_term_of_a_direction_does_not_depend_on_its_batch(dim):
     for size in (1, 3, 17):
         parts = np.concatenate([_jump_term(u, xis[at : at + size], ball) for at in range(0, len(xis), size)])
         assert parts.tobytes() == whole.tobytes()
+
+
+@st.composite
+def slice_tables(draw):
+    """A closed-form field of 1D, 2D or 3D (an affine part and one or two
+    planes with distinct offsets, so never coincident), a ball that the
+    planes cross or that lies far from them, and unit nodes: the sphere
+    rule's, the axes' (with zero components) and random ones."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    coords = st.floats(-3.0, 3.0, allow_subnormal=False)
+    vector = st.lists(coords, min_size=dim, max_size=dim).map(np.array)
+    A = np.array(draw(st.lists(vector, min_size=dim, max_size=dim)))
+    planes = []
+    for k in range(draw(st.integers(1, 2))):
+        nu = draw(vector)
+        nu = unit(nu) if np.linalg.norm(nu) > 1e-3 else np.eye(dim)[k % dim]
+        offset = 0.25 + 0.4 * k + draw(st.floats(0.0, 0.2))
+        planes.append(PlaneJump(nu, offset, np.zeros(dim), draw(vector)))
+    where = draw(st.sampled_from(["near", "far"]))
+    center = draw(st.lists(st.floats(0.2, 0.8), min_size=dim, max_size=dim).map(np.array))
+    ball = Ball(center + (10.0 if where == "far" else 0.0), draw(st.floats(0.05, 0.5)))
+    extra = np.array(draw(st.lists(vector, min_size=0, max_size=4))).reshape(-1, dim)
+    extra = extra[np.linalg.norm(extra, axis=1) > 1e-3]
+    extra /= np.linalg.norm(extra, axis=1)[:, None]
+    nodes = np.concatenate([build_sphere_rule(dim, 8)[0], np.eye(dim), -np.eye(dim), extra])
+    return SumField((Affine(A, np.zeros(dim)),) + tuple(planes)), ball, nodes
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(slice_tables())
+def test_slice_table_is_each_directional_slice_measure(case):
+    # a ball's slice measures along all nodes at once are the ones of
+    # directional_slice_measure node by node, bit for bit
+    u, ball, nodes = case
+    table = _slice_table(u, nodes, ball)
+    oracle = np.array([directional_slice_measure(u, xi, ball) for xi in nodes])
+    assert table.tobytes() == oracle.tobytes()
 
 
 # ---------------------------------------------------------------------------
