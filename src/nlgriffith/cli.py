@@ -35,7 +35,7 @@ from .harness import SweepSpec, audit_inequalities, run_sweep, write_csv
 from .limits import CONVENTIONS, bulk_density, surface_constant
 from .minimize import DirichletProblem, MinimizeOptions, minimize_dirichlet
 from .quad import _SPHERE_LEAST_ORDER, build_direction_rule, build_sphere_rule
-from .slicing import _slice_search, averaged_jump_measure
+from .slicing import _slice_search
 
 __all__ = ["main"]
 
@@ -83,9 +83,9 @@ def _cmd_p1_explore(args) -> int:
     tables, (results, best) = _slice_search(field_, families, args.p, sphere)
     norms = results[-1][1]
     rows = []
-    for bi, ball in enumerate(families[-1].balls):
-        i_u1 = averaged_jump_measure(field_, ball, sphere)
-        for k, mu_xi in enumerate(tables[-1][bi]):
+    for bi, (measures, jump) in enumerate(tables[-1]):
+        i_u1 = float(sphere[1] @ jump)  # averaged_jump_measure of the ball, from the search's jump part
+        for k, mu_xi in enumerate(measures.tolist()):
             rows.append({"ball_index": bi, "xi_index": k, "mu_xi": mu_xi, "mu_hat_p_ball": norms[bi], "i_u1": i_u1})
     write_csv(args.out, rows)
     print(f"{len(rows)} rows ({args.out}); family supremum lower bound {float(results[best][0])!r}")

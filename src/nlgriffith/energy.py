@@ -20,22 +20,21 @@ and the range of cells whose pair stays inside the region's bounding box
 (``_pair_axis``).  And one membership rule: along each grid column a
 region keeps its pairs as runs of cells (``_region_runs``), because ball
 membership and lying on a slit each hold on one interval of indices.
-Both kernels take every region's runs from one pass over the directions,
-a chunk at a time, whose partners the regions share (``_chunks``);
-``_direction_values`` picks the kernel by the field's type.  A sampled
-field is summed over the runs: only ``(u(x+eps xi)-u(x)).xi`` enters,
-and interpolation is linear, so the field is projected onto xi before it
-is interpolated, and one slope pass, one arctan and one run sum per
-direction serve every region (``_sampled_sums``).  A closed-form field
-is counted, not visited: a pair's slope is the affine part's
-``eps xi.(A^T xi)`` plus the jump of each plane the pair crosses, so it
-takes one value per crossing pattern, and along a grid column the side
-of a plane at either endpoint holds on one interval of indices.
-``_closed_form_sums`` counts each pattern's cells from the ends of the
-runs and of those intervals, and evaluates the field only at the few
-pairs with an endpoint exactly on a plane.  A chunk holds as many
-directions as fill a budget of grid columns (``_chunk``), so its arrays
-are about the same size on every grid.  The descent kernel of
+Both kernels read one table of every region's columns per chunk of
+directions (``_chunks``); ``_direction_values`` picks the kernel by the
+field's type.  A sampled field is summed over the runs: only
+``(u(x+eps xi)-u(x)).xi`` enters, and interpolation is linear, so the
+field is projected onto xi before it is interpolated, and one slope
+pass, one arctan and one run sum per direction serve every region
+(``_sampled_sums``).  A closed-form field is counted, not visited: a
+pair's slope is the affine part's ``eps xi.(A^T xi)`` plus the jump of
+each plane the pair crosses, so it takes one value per crossing pattern,
+and along a grid column the side of a plane at either endpoint holds on
+one interval of indices.  ``_closed_form_sums`` counts each pattern's
+cells from the ends of the runs and of those intervals, one pass per
+chunk, and evaluates the field only at the few pairs with an endpoint
+exactly on a plane.  A chunk holds as many directions as fill a budget
+of grid columns per region (``_chunk``).  The descent kernel of
 ``nlgriffith.minimize`` assembles one sparse operator on the nodal
 values from the same runs' kept pairs and interpolation rows
 (``_kept_pairs``), so the pair rule alone decides which pairs interact;
@@ -322,11 +321,6 @@ def _pair_axis(region: Region, d: int, axis: np.ndarray, probe: np.ndarray):
     return first, stop
 
 
-def _slit_excess(seg, coords):
-    """Per-axis distance of coordinates to a slit's extent, as ``PlaneSegment.distance`` forms it."""
-    return (np.maximum(seg.lower[d] - c, 0.0) + np.maximum(c - seg.upper[d], 0.0) for d, c in enumerate(coords))
-
-
 def _buffer(buffers: list, i: int, shape) -> np.ndarray:
     """Buffer i of ``buffers`` as a C-ordered array of ``shape``, first
     replaced by a larger one if it is too small."""
@@ -343,11 +337,12 @@ def _components(u, grid: Grid) -> list[np.ndarray]:
     return [np.ascontiguousarray(c).reshape(grid.shape) for c in nodal.T]
 
 
-def _chunks(grid: Grid, regions, xis: np.ndarray, eps: float):
-    """The pairs ``(x, x + eps xi)`` of each region on a regular grid, per
-    chunk of rows of ``xis`` (``_chunk``): its slice of the rows, and each
-    region's columns narrowed to runs (``_region_runs``), as many per column
-    as the region with the most slits needs.
+def _chunks(grid: Grid, regions, xis: np.ndarray, eps: float, kept: np.ndarray):
+    """The pairs ``(x, x + eps xi)`` of the regions on a regular grid, per
+    chunk of rows of ``xis`` (``_chunk``): its slice of the rows, and one
+    table of every region's columns (``_Columns``) where its row of
+    ``kept`` holds, narrowed to runs (``_region_runs``), as many per
+    column as the most slits need.
 
     A pair interacts when both points lie in the region.  Grid centers and
     their shifts are products of per-axis coordinates, so the cells whose
@@ -358,26 +353,28 @@ def _chunks(grid: Grid, regions, xis: np.ndarray, eps: float):
     coordinate within roundoff of a grid coordinate is tested there, so a
     partner that lands on a center has its membership.  Every kernel sums
     over these runs: the sampled sums, the counting kernel and the descent
-    operator (``_kept_pairs``).  The regions share the chunk's partners and
-    probes, and a ball's centers' stretches are found once per call."""
-    # every grid column, if a ball needs them: the range box of the grid's own domain at no shift
-    balls = any(isinstance(region, Ball) for region in regions)
-    whole = balls and _Columns(grid, grid.domain, _partners(grid, 0.0, np.zeros((1, grid.dim))))
-    centers = [_ball_interval(whole, region, "center") if isinstance(region, Ball) else None for region in regions]
+    operator (``_kept_pairs``)."""
+    balls = None
+    if any(isinstance(region, Ball) for region in regions):
+        # each region's center and squared radius; any other region is a ball of infinite radius
+        center = np.array([r.center if isinstance(r, Ball) else np.zeros(grid.dim) for r in regions])
+        r2 = np.array([r.radius**2 if isinstance(r, Ball) else np.inf for r in regions])
+        # every grid column once per region: the range boxes of the grid's own domain at no shift
+        every = np.ones((len(regions), 1), dtype=bool)
+        whole = _Columns(grid, [grid.domain] * len(regions), _partners(grid, 0.0, np.zeros((1, grid.dim))), every)
+        balls = center, r2, _ball_interval(whole, center, r2, "center")
     width = max([1 + 2 * len(getattr(region, "precrack", ())) for region in regions], default=1)
     size = _chunk(grid)
     for at in range(0, len(xis), size):
-        moved = _partners(grid, eps, xis[at : at + size])
-        yield slice(at, at + size), [
-            _region_runs(_Columns(grid, r, moved), r, c, width) for r, c in zip(regions, centers)
-        ]
+        chunk, moved = slice(at, at + size), _partners(grid, eps, xis[at : at + size])
+        yield chunk, _region_runs(_Columns(grid, regions, moved, kept[:, chunk]), regions, balls, width)
 
 
 def _kept_pairs(cols: _Columns) -> tuple[np.ndarray, np.ndarray, list]:
-    """The kept pairs of a chunk's columns (``_chunks``), direction by
-    direction and each direction's in C order, run by run: each pair's
-    direction (its row in the chunk), its center's flat grid index, and its
-    partner's ``(base, top, frac)`` interpolation row per axis."""
+    """The kept pairs of a chunk's columns (``_chunks``) in the table's
+    order, run by run: each pair's direction (its row in the chunk), its
+    center's flat grid index, and its partner's ``(base, top, frac)``
+    interpolation row per axis."""
     owner, offset = _runs((cols.hi - cols.lo).reshape(-1))
     column = owner // cols.lo.shape[1]
     dirs = cols.dirs[column]
@@ -432,9 +429,9 @@ def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.
     row per region and one column per row of ``xis``, where ``kept`` (the
     same shape) holds; 0.0 elsewhere.
 
-    Per direction, one slope pass runs over the union of the live regions'
-    range boxes and the terms ``arctan(s^2/eps)`` are formed once over
-    it; one ``np.add.reduceat`` then sums every run of every region.  A
+    Per direction, one slope pass runs over the union of the regions'
+    range boxes and the terms ``arctan(s^2/eps)`` are formed once over it;
+    one ``np.add.reduceat`` then sums every run of the chunk's table.  A
     region's value adds its runs' sums column by column, left to right,
     with 0.0 for an empty run, and then its columns in C order as one
     ``reduceat`` segment.  A cell's term is formed elementwise and each
@@ -444,25 +441,14 @@ def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.
     comps = _components(u, grid)
     sums = np.zeros(kept.shape)
     buffers, n = [np.empty(0)] * 4, len(regions)
-    for chunk, cols in _chunks(grid, regions, xis, eps):
-        rows = [_interp_row(axis, grid.h, partner) for axis, partner in zip(grid.axes, cols[0].partners)]
-        first, stop = np.stack([c.first for c in cols]), np.stack([c.stop for c in cols])
-        live = kept[:, chunk] & np.all(stop > first, axis=2)
-        # per direction, the union of the live range boxes
-        low = np.where(live[..., None], first, grid.shape).min(axis=0)
-        high = np.where(live[..., None], stop, 0).max(axis=0)
-        # the live columns, by direction and then region (group k n + r), each region's in C order
-        blocks = np.stack([np.searchsorted(c.dirs, np.arange(first.shape[1] + 1)) for c in cols])
-        blocks += np.cumsum([0] + [c.dirs.size for c in cols[:-1]])[:, None]
-        group, offset = _runs(np.where(live, np.diff(blocks, axis=1), 0).T.reshape(-1))
-        order = blocks[:, :-1].T.reshape(-1)[group] + offset
-        ends = np.empty((order.size, cols[0].lo.shape[1], 2), dtype=np.int64)
-        for j, end in enumerate(("lo", "hi")):
-            ends[..., j] = np.concatenate([getattr(c, end) for c in cols])[order]
-        index = [np.concatenate([c.index[d] for c in cols])[order] for d in range(grid.dim - 1)]
-        dirs = group // n
-        # tables and arrays go once read, so that no two chunks' are held at once
-        del cols, order
+    for chunk, cols in _chunks(grid, regions, xis, eps, kept):
+        rows = [_interp_row(axis, grid.h, partner) for axis, partner in zip(grid.axes, cols.partners)]
+        # per direction, the union of the range boxes
+        low, high = cols.first.min(axis=0), cols.stop.max(axis=0)
+        ends = np.stack([cols.lo, cols.hi], axis=2)
+        index, dirs, group = cols.index, cols.dirs, cols.dirs * n + cols.region
+        # the table goes once read, so that no two chunks' are held at once
+        del cols
         # each run's first and stop cell, flat in its direction's union box
         at_box = 0
         for d, i in enumerate(index):
@@ -472,7 +458,7 @@ def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.
         ends = ends.reshape(-1, 2 * empty.shape[1])
         del index, at_box
         runs = np.empty(empty.shape)
-        bounds = np.searchsorted(dirs, np.arange(first.shape[1] + 1)).tolist()
+        bounds = np.searchsorted(dirs, np.arange(len(low) + 1)).tolist()
         for k in np.flatnonzero(np.diff(bounds)).tolist():
             line = [tuple(a[k] for a in row) for row in rows]
             box = tuple(map(slice, low[k].tolist(), high[k].tolist()))
@@ -544,29 +530,35 @@ def _guess(target: np.ndarray, start: np.ndarray, h: float, lo: np.ndarray, hi: 
 
 
 class _Columns:
-    """A region's range boxes (``_pair_axis``) for a chunk of directions,
-    whose partners and probes are ``moved`` (``_partners``), as grid
-    columns along the last axis, in C order per direction (direction-major).
+    """The range boxes (``_pair_axis``) of the regions for a chunk of
+    directions, whose partners and probes are ``moved`` (``_partners``),
+    as one table of grid columns along the last axis, by direction, then
+    region, then C order: none where ``kept`` fails or the box is empty.
 
-    A column holds its direction (``dirs``), its grid index on each earlier
-    axis (``index``) and its stretch ``[lo, hi)`` of last-axis indices.
-    Coordinates come in three kinds: the centers, the partners ``x + eps
-    xi`` and the probes at which the partners' membership is tested.
-    """
+    ``first`` and ``stop``, of shape ``(regions, directions, dim)``, hold
+    the boxes; an empty one reads the grid's shape and 0, so that a union
+    of boxes is their least first and greatest stop.  A column holds its
+    direction (``dirs``), region, grid index on each earlier axis
+    (``index``) and stretch ``[lo, hi)`` of last-axis indices, and has
+    coordinates of three kinds: centers, partners and probes."""
 
-    def __init__(self, grid: Grid, region: Region, moved):
+    def __init__(self, grid: Grid, regions, moved, kept: np.ndarray):
         self.grid, self.dim = grid, grid.dim
         self.partners, self.probes = [m[0] for m in moved], [m[1] for m in moved]
-        ranges = [_pair_axis(region, d, axis, probe) for d, (axis, probe) in enumerate(zip(grid.axes, self.probes))]
-        self.first = np.stack([r[0] for r in ranges], axis=1)
-        self.stop = np.stack([r[1] for r in ranges], axis=1)
-        dirs, index = np.arange(len(self.first)), []
+        axes = list(enumerate(zip(grid.axes, self.probes)))
+        ranges = [_pair_axis(r, d, axis, probe) for r in regions for d, (axis, probe) in axes]
+        # one row per (direction, region) pair, direction-major
+        first, stop = (np.stack([r[i] for r in ranges], axis=1).reshape(-1, self.dim) for i in (0, 1))
+        live = kept.T.reshape(-1) & np.all(stop > first, axis=1)
+        first[~live], stop[~live] = grid.shape, 0
+        self.first, self.stop = (a.reshape(-1, len(regions), self.dim).transpose(1, 0, 2) for a in (first, stop))
+        at, index = np.flatnonzero(live), []
         for d in range(self.dim - 1):
-            owner, offset = _runs((self.stop - self.first)[dirs, d])
-            index = [i[owner] for i in index] + [self.first[dirs[owner], d] + offset]
-            dirs = dirs[owner]
-        self.dirs, self.index = dirs, index
-        self.lo, self.hi = self.first[dirs, -1], self.stop[dirs, -1]
+            owner, offset = _runs((stop[:, d] - first[:, d])[at])
+            at = at[owner]
+            index = [i[owner] for i in index] + [first[:, d][at] + offset]
+        self.dirs, self.region = (x[at] for x in np.divmod(np.arange(len(first)), len(regions)))
+        self.index, self.lo, self.hi = index, first[:, -1][at], stop[:, -1][at]
 
     def coords(self, kind: str) -> list[np.ndarray]:
         """Each column's coordinate on every earlier axis: its centers',
@@ -632,20 +624,22 @@ def _plane_intervals(cols: _Columns, plane, kind: str):
     return (gt, True) if sgn > 0 else (ge, False), (ge, gt)
 
 
-def _ball_interval(cols: _Columns, ball: Ball, kind: str):
+def _ball_interval(cols: _Columns, center: np.ndarray, r2: np.ndarray, kind: str):
     """Per column, the stretch of cells whose ``kind`` endpoint (centers or
-    probes) lies in the ball, ``(x_0 - c_0)^2 + ... < r^2`` with the axes'
-    terms added left to right as ``Ball.contains`` adds them; the squared
+    probes) lies in its region's ball (``center`` and squared radius
+    ``r2`` per region), ``(x_0 - c_0)^2 + ... < r^2`` with the axes' terms
+    added left to right as ``Ball.contains`` adds them; the squared
     distance falls and then rises along the column, so the stretch is one
     interval.  Its two ends are searched one after the other, so that the
     search's arrays stay the size of the columns."""
+    center, ctr, r2 = center[cols.region], center[cols.region, -1], r2[cols.region]
     rest = np.zeros(cols.dirs.size)
-    for d, c in enumerate(cols.coords(kind)):
-        rest = rest + (c - ball.center[d]) ** 2
+    for c, x in zip(cols.coords(kind), center.T):
+        rest = rest + (c - x) ** 2
     table, row = cols.last(kind)
-    ctr, r2 = ball.center[-1], ball.radius**2
     # the last-axis term falls up to the first coordinate at or past the center
-    bottom = np.clip(np.sum(table - ctr < 0, axis=1)[row], cols.lo, cols.hi)
+    guess = _guess(ctr, table[row, 0], cols.grid.h, cols.lo, cols.hi)
+    bottom = _first_true(lambda sel, j: table[row[sel], j] >= ctr[sel], cols.lo, cols.hi, guess)
     with np.errstate(invalid="ignore"):
         half = np.sqrt(r2 - rest)
     ends = []
@@ -653,7 +647,7 @@ def _ball_interval(cols: _Columns, ball: Ball, kind: str):
     for lo, hi, sign in ((cols.lo, bottom, -1.0), (bottom, cols.hi, 1.0)):
 
         def test(sel, j, leaving=sign > 0):
-            return ((rest[sel] + (table[row[sel], j] - ctr) ** 2) < r2) != leaving
+            return ((rest[sel] + (table[row[sel], j] - ctr[sel]) ** 2) < r2[sel]) != leaving
 
         guess = _guess(ctr + sign * half, table[row, 0], cols.grid.h, lo, hi)
         # a column that misses the ball settles at its first try
@@ -667,8 +661,9 @@ def _slit_interval(cols: _Columns, seg, kind: str):
     axis that is one interval per row; a column meets it only where its
     earlier axes' excess vanishes."""
     rest = np.zeros(cols.dirs.size)
-    for e in _slit_excess(seg, cols.coords(kind)):
-        rest = rest + e**2
+    for d, c in enumerate(cols.coords(kind)):
+        # the axis-d distance to the slit's extent, as ``PlaneSegment.distance`` forms it
+        rest = rest + (np.maximum(seg.lower[d] - c, 0.0) + np.maximum(c - seg.upper[d], 0.0)) ** 2
     table, row = cols.last(kind)
     on = (np.maximum(seg.lower[-1] - table, 0.0) + np.maximum(table - seg.upper[-1], 0.0)) ** 2 == 0.0
     first = on.argmax(axis=1)
@@ -677,30 +672,33 @@ def _slit_interval(cols: _Columns, seg, kind: str):
     return tuple(np.clip(np.where(hit, end[row], 0), cols.lo, cols.hi) for end in (first, stop))
 
 
-def _region_runs(cols: _Columns, region: Region, centers, width: int) -> _Columns:
+def _region_runs(cols: _Columns, regions, balls, width: int) -> _Columns:
     """``cols`` with each column's stretch narrowed to ``width`` runs ``[lo,
     hi)`` of last-axis indices, in order (``lo`` and ``hi`` of shape
     ``(columns, width)``): the stretches of kept cells, each ended by an
     unkept cell or the column's end, and empty runs.
 
     A box keeps its columns' whole stretches.  A ball keeps the cells whose
-    center (``centers``, the stretch of each grid column) and probe lie in
-    it (``_ball_interval``).  A precracked box cuts out the cells whose
-    center or probe lies on a slit (``_slit_interval``), and its runs are
-    the gaps between the cuts taken in order of their first cell."""
-    lo, hi, cuts = cols.lo, cols.hi, []
-    if isinstance(region, Ball):
-        flat = np.ravel_multi_index(cols.index, cols.grid.shape[:-1]) if cols.index else 0
-        for a, b in ((end[flat] for end in centers), _ball_interval(cols, region, "probe")):
+    center and probe lie in it (``_ball_interval``; ``balls`` holds each
+    region's center, squared radius and centers' stretch per grid column).
+    A precracked box cuts out the cells whose center or probe lies on a
+    slit (``_slit_interval``), and its runs are the gaps between the cuts
+    taken in order of their first cell."""
+    lo, hi = cols.lo, cols.hi
+    if balls is not None:
+        center, r2, centers = balls
+        flat = np.ravel_multi_index([cols.region, *cols.index], (len(regions),) + cols.grid.shape[:-1])
+        for a, b in ((end[flat] for end in centers), _ball_interval(cols, center, r2, "probe")):
             lo, hi = np.maximum(lo, a), np.minimum(hi, b)
         # an empty run too lies in the column's stretch
         lo = np.minimum(lo, cols.hi)
         hi = np.maximum(lo, hi)
-    else:
-        cuts = [_slit_interval(cols, seg, kind) for seg in region.precrack for kind in ("center", "probe")]
     # an empty cut, and each cut that pads the runs to ``width``, sits at the
     # column's end, where it splits no run
-    cuts = [np.where(b > a, (a, b), hi) for a, b in cuts] + [(hi, hi)] * (width - 1 - len(cuts))
+    cuts = [(hi, hi)] * (width - 1)
+    for r, region in enumerate(regions):
+        slits = [_slit_interval(cols, seg, k) for seg in getattr(region, "precrack", ()) for k in ("center", "probe")]
+        cuts[: len(slits)] = [np.where((cols.region == r) & (b > a), (a, b), cut) for (a, b), cut in zip(slits, cuts)]
     cols.lo, cols.hi = lo[:, None], hi[:, None]
     if cuts:
         cuts = np.stack(cuts, axis=2)
@@ -736,20 +734,20 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
 def _count_chunk(u: AnalyticField, cols: _Columns):
     """Count the kept pairs of a chunk of directions by the planes they cross.
 
-    ``cols`` is one region's columns narrowed to runs (``_chunks``).
-    Returns ``(crossings, counts, owners, cells)``: the distinct crossing
-    patterns, one row each with one entry per jump plane (+1 where the pair
-    crosses to the plus side, -1 where it crosses back, 0 where it does not
-    cross); ``counts[k, i]``, the kept pairs of direction k with pattern i
-    and both endpoints off every plane; and the kept pairs with an endpoint
-    exactly on a plane (the exceptions), as the direction and grid index of
-    each center, direction-major and in C order.
+    ``cols`` is the chunk's table narrowed to runs (``_chunks``).  Returns
+    ``(crossings, counts, owners, cells)``: the distinct crossing patterns
+    (+1 per plane the pair crosses to the plus side, -1 back, 0 none);
+    ``counts[r, k, i]``, the kept pairs of region r and direction k with
+    pattern i and both endpoints off every plane; and the kept pairs with
+    an endpoint exactly on a plane (the exceptions), as the bin ``r *
+    directions + k`` and grid index of each center, in table order.
 
     Along a column the plus side of a plane at the center and at the
     partner, and lying on the plane, each hold on one interval of indices.
     A stretch between the sorted ends of the runs and of the side intervals
     lies in a run or in none and has one pattern, and counts by its length;
-    the few cells on a plane are then taken out of those counts one by one.
+    the few cells on a plane are then taken out of those counts one by one,
+    in one ``bincount`` over the (region, direction, pattern) bins.
     """
     sides, on_plane = [], []
     for plane in u.jump_planes():
@@ -798,22 +796,23 @@ def _count_chunk(u: AnalyticField, cols: _Columns):
     patterns = np.flatnonzero(np.bincount(code, weight, minlength=1))
     which = np.zeros(code.max(initial=0) + 1, dtype=np.int64)
     which[patterns] = np.arange(patterns.size)
-    size = len(cols.first) * patterns.size
-    at = (cols.dirs * patterns.size + which[code].reshape(start.shape)).reshape(-1)
-    near = cols.dirs[col] * patterns.size + which[near_code]
+    size = cols.first.shape[0] * cols.first.shape[1] * patterns.size
+    bins = cols.region * cols.first.shape[1] + cols.dirs
+    at = (bins * patterns.size + which[code].reshape(start.shape)).reshape(-1)
+    near = bins[col] * patterns.size + which[near_code]
     # integer counts in floats, exact in any order
     counts = np.bincount(at, weight, size) - np.bincount(near, minlength=size)
     crossings = np.zeros((patterns.size, len(sides) // 2), dtype=np.int64)
     for p in reversed(range(crossings.shape[1])):
         crossings[:, p], patterns = patterns % 3 - 1, patterns // 3
     cells = np.column_stack([i[col] for i in cols.index] + [j])
-    return crossings, counts.reshape(len(cols.first), -1), cols.dirs[col], cells
+    return crossings, counts.reshape(*cols.first.shape[:2], -1), bins[col], cells
 
 
 def _interval_cells(intervals, size: int):
     """The cells of the intervals, each once, as ``(column, index)``
-    sorted by column and then index: columns are direction-major, so each
-    direction's cells come in C order.  ``size`` is the column length.
+    sorted by column and then index, so each region's cells come in C
+    order per direction.  ``size`` is the column length.
 
     The nonempty intervals are sorted by their first flat cell ``column *
     size + lo`` and each starts past the cells the earlier ones reach, so
@@ -843,41 +842,41 @@ def _closed_form_sums(u: AnalyticField, grid: Grid, regions, eps: float, xis: np
     A pair's slope is ``eps xi.(A^T xi)`` for the affine part ``A``, plus
     ``J.xi`` for each plane it crosses to the plus side, minus that for each
     it crosses back, so each crossing pattern's cells share one value and
-    are counted (``_count_chunk``).  The exceptions, pairs with an endpoint
-    exactly on a plane, are nudged off it by h/7 there, so they are
-    evaluated at both endpoints with ``eval_nudged``, one batch per region
-    and chunk.  Every point's value, its slope (``_dot_rows``) and its
-    direction's sum (``np.bincount``, in order) are formed row by row, so a
-    direction's value depends on that direction and region alone.
+    are counted (``_count_chunk``), in ascending order of pattern: a
+    pattern a region lacks adds ``0 * arctan``, +0.0.  The exceptions,
+    pairs with an endpoint exactly on a plane, are nudged off it by h/7
+    there, so they are evaluated at both endpoints with ``eval_nudged``,
+    one batch per chunk.  Every point's value, its slope (``_dot_rows``)
+    and its (region, direction) sum (``np.bincount``, in order) are formed
+    row by row, so a value depends on its direction and region alone.
     """
     A = u.affine_part()[0]
     jumps = [plane.jump for plane in u.jump_planes()]
     sums = np.zeros(kept.shape)
-    for chunk, cols in _chunks(grid, regions, xis, eps):
+    for chunk, cols in _chunks(grid, regions, xis, eps, kept):
         X = xis[chunk]
         # row by row, so that no direction's value depends on its chunk
         affine = 0
         for d in range(grid.dim):
             affine = affine + (eps * X[:, d]) * _dot_rows(X, A[:, d])
         jump_xi = [_dot_rows(X, J) for J in jumps]
-        for r, runs in enumerate(cols):
-            crossings, counts, owners, cells = _count_chunk(u, runs)
-            total = np.zeros(len(X))
-            for crossing, count in zip(crossings, counts.T):
-                s = affine
-                for j_xi, c in zip(jump_xi, crossing):
-                    s = s + c * j_xi
-                total = total + count * np.arctan(s * s / eps)
-            if owners.size:
-                moved = np.stack([rows[owners, i] for rows, i in zip(runs.partners, cells.T)], axis=1)
-                centers = np.stack([axis[i] for axis, i in zip(grid.axes, cells.T)], axis=1)
-                # one evaluation, of the exceptions' partners and then their centers
-                moved, centers = np.split(eval_nudged(u, np.concatenate([moved, centers]), grid.h / 7.0), 2)
-                s = _dot_rows(moved - centers, X[owners].T)
-                # summed in order per direction
-                total = total + np.bincount(owners, np.arctan(s * s / eps), len(X))
-            sums[r, chunk] = grid.cell_volume / eps * total
-    sums[~kept] = 0.0
+        crossings, counts, owners, cells = _count_chunk(u, cols)
+        total = np.zeros(counts.shape[:2])
+        for crossing, count in zip(crossings, counts.transpose(2, 0, 1)):
+            s = affine
+            for j_xi, c in zip(jump_xi, crossing):
+                s = s + c * j_xi
+            total = total + count * np.arctan(s * s / eps)
+        if owners.size:
+            dirs = owners % len(X)
+            moved = np.stack([rows[dirs, i] for rows, i in zip(cols.partners, cells.T)], axis=1)
+            centers = np.stack([axis[i] for axis, i in zip(grid.axes, cells.T)], axis=1)
+            # one evaluation, of the exceptions' partners and then their centers
+            moved, centers = np.split(eval_nudged(u, np.concatenate([moved, centers]), grid.h / 7.0), 2)
+            s = _dot_rows(moved - centers, X[dirs].T)
+            # summed in order per region and direction
+            total = total + np.bincount(owners, np.arctan(s * s / eps), total.size).reshape(total.shape)
+        sums[:, chunk] = grid.cell_volume / eps * total
     return sums
 
 
@@ -1040,12 +1039,11 @@ def pairwise_energy(
 
 def _energy_tables(u: FieldLike, domain: BoxDomain, families, eps: float, rule, grid, per_ball_support):
     """Each ball's kept nodes' weights and energies for ``_ball_families``,
-    from one ``_direction_values`` call: on a sampled field one slope pass
-    per direction serves every ball.  A generator, so ``p`` is checked first."""
+    from one ``_direction_values`` call, whose chunk tables hold every
+    ball.  A generator, so ``p`` is checked first."""
     balls = [ball for family in families for ball in family.balls]
     g = _resolve_grid(u, grid, eps, [domain] + balls, rule)
-    domain_support = _support_box(domain, eps)
-    supports = [_support_box(ball, eps) if per_ball_support else domain_support for ball in balls]
+    supports = [_support_box(ball if per_ball_support else domain, eps) for ball in balls]
     kept = np.array([support.contains(rule.nodes) for support in supports], dtype=bool)
     for nodes, row in _direction_values(u, balls, eps, rule.nodes, g, kept.reshape(len(balls), rule.n_nodes)):
         yield rule.weights[nodes], row

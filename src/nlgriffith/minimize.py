@@ -206,7 +206,7 @@ class DescentKernel:
         self.eps = eps
         dim = grid.dim
         parts = []
-        for chunk, (cols,) in _chunks(grid, (region,), rule.nodes, eps):
+        for chunk, cols in _chunks(grid, (region,), rule.nodes, eps, np.ones((1, rule.n_nodes), dtype=bool)):
             dirs, centers, rows = _kept_pairs(cols)
             parts.append((chunk.start + dirs, centers, *_corner_product(grid.shape, rows)))
         node, cell, corners, weights = map(np.concatenate, zip(*parts))

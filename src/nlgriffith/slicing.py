@@ -478,24 +478,25 @@ def averaged_jump_measure(
     return float(np.asarray(weights, dtype=float) @ _jump_term(u, nodes, region))
 
 
-def _slice_table(u: AnalyticField, nodes: np.ndarray, region: Region) -> np.ndarray:
+def _slice_table(u: AnalyticField, nodes: np.ndarray, region: Region) -> tuple[np.ndarray, np.ndarray]:
     """``directional_slice_measure`` of the region along each row of
-    ``nodes``, bit for bit: one ``_jump_term`` call takes every node, and
-    the bulk term is formed per node as there."""
+    ``nodes``, bit for bit, and its jump part: one ``_jump_term`` call
+    takes every node, and the bulk term is formed per node as there."""
     if np.any(np.abs(np.linalg.norm(nodes, axis=1) - 1.0) > 1e-9):
         raise InputError("direction must be a unit vector")
     A, _ = u.affine_part()
     bulk = np.array([abs(float((A @ xi) @ xi)) for xi in nodes])
-    return bulk * _volume(region) + _jump_term(u, nodes, region)
+    jump = _jump_term(u, nodes, region)
+    return bulk * _volume(region) + jump, jump
 
 
 def _slice_search(u: AnalyticField, families, p: float, sphere_rule: tuple[np.ndarray, np.ndarray]):
-    """The slice measures of each family's balls per sphere node
-    (``_slice_table``), one list of rows per family, and
-    ``energy._ball_families`` of them."""
+    """The slice measures of each family's balls per sphere node and
+    their jump parts (``_slice_table``), one list of pairs per family, and
+    ``energy._ball_families`` of the measures."""
     nodes, weights = sphere_rule
-    tables = [[_slice_table(u, nodes, ball).tolist() for ball in family.balls] for family in families]
-    return tables, _ball_families(families, p, ((weights, row) for rows in tables for row in rows))
+    tables = [[_slice_table(u, nodes, ball) for ball in family.balls] for family in families]
+    return tables, _ball_families(families, p, ((weights, row.tolist()) for rows in tables for row, _ in rows))
 
 
 def family_slice_measure(

@@ -17,9 +17,10 @@ class OneDirection:
 
     def __init__(self, grid, region, xi, eps):
         self.grid, self.xi = grid, np.asarray(xi, dtype=float)
-        ((_, (cols,)),) = _chunks(grid, (region,), self.xi[None, :], eps)
-        self.box = tuple(map(slice, cols.first[0].tolist(), cols.stop[0].tolist()))
-        self.shape = tuple(sl.stop - sl.start for sl in self.box)
+        ((_, cols),) = _chunks(grid, (region,), self.xi[None, :], eps, np.ones((1, 1), dtype=bool))
+        # an empty range box is inverted: its first past its stop
+        self.box = tuple(map(slice, cols.first[0, 0].tolist(), cols.stop[0, 0].tolist()))
+        self.shape = tuple(max(sl.stop - sl.start, 0) for sl in self.box)
         self.index, self.lo, self.hi = cols.index, cols.lo, cols.hi
         self.line = [tuple(a[0] for a in _interp_row(axis, grid.h, p)) for axis, p in zip(grid.axes, cols.partners)]
 

@@ -328,20 +328,26 @@ def test_p1_explore_reports_family_slice_measure(tmp_path, field2d_json, capsys,
 def test_p1_explore_computes_each_slice_measure_once(tmp_path, field2d_json, monkeypatch):
     # the finest family's measures used to be computed three times: for
     # mu_xi, for mu_hat_p_ball and in the family-supremum search; now each
-    # ball's measures along every direction are one table, built once
-    calls = []
-    real = slicing._slice_table
+    # ball's measures along every direction are one table, built once, and
+    # i_u1 reads the jump part of the finest family's tables
+    calls, jumps = [], []
+    real, real_jump = slicing._slice_table, slicing._jump_term
 
     def counting(u, nodes, region):
         calls.append(len(nodes))
         return real(u, nodes, region)
 
+    def counting_jump(u, xis, region):
+        jumps.append(len(xis))
+        return real_jump(u, xis, region)
+
     monkeypatch.setattr(slicing, "_slice_table", counting)
+    monkeypatch.setattr(slicing, "_jump_term", counting_jump)
     argv = ["p1-explore", "--field", field2d_json, "--strategy", "dyadic:2", "--angular", "8"]
     assert main(argv + ["--out", str(tmp_path / "p1.csv")]) == 0
     domain, _, _ = load_problem(field2d_json)
     families = ball_candidates(domain, BallStrategy.parse("dyadic:2"))
-    assert calls == [8] * sum(len(family.balls) for family in families)
+    assert calls == jumps == [8] * sum(len(family.balls) for family in families)
 
 
 def test_p1_explore_refuses_nan_p(tmp_path, field2d_json, capsys):

@@ -24,11 +24,13 @@ from nlgriffith.domain import (
     sample,
 )
 from nlgriffith.energy import (
+    BallStrategy,
     _chunks,
     _closed_form_sums,
     _count_chunk,
     _sampled_sums,
     averaged_energy,
+    ball_supremum_energy,
     directional_energy,
 )
 from nlgriffith.quad import build_direction_rule
@@ -247,8 +249,9 @@ def test_counting_kernel_matches_the_per_cell_path(case):
     pairs = OneDirection(grid, region, xis[at], eps)
     s, crossing, near = _per_cell(pairs, u, eps)
     kept = pairs.kept()
-    ((_, (cols,)),) = _chunks(grid, (region,), xis, eps)
+    ((_, cols),) = _chunks(grid, (region,), xis, eps, np.ones((1, len(xis)), dtype=bool))
     crossings, counts, owners, cells = _count_chunk(u, cols)
+    counts = counts[0]
 
     # the kept pairs clear of every plane, by crossing pattern
     regular = kept & ~near
@@ -345,20 +348,29 @@ def test_chunk_fills_the_column_budget_above_the_floor(shape):
     assert size == 16 or size * columns <= energy._COLUMNS < (size + 1) * columns
 
 
+@pytest.mark.parametrize("strategy", ["", "dyadic:2"], ids=["one region", "seven balls"])
 @pytest.mark.parametrize("kwargs", [{}, {"radial_order": 6}], ids=["default", "radial6"])
-def test_a_1d_grid_counts_each_library_rule_in_one_chunk(kwargs, monkeypatch):
+def test_a_1d_grid_counts_each_library_rule_in_one_chunk(kwargs, strategy, monkeypatch):
+    # one counting pass per chunk, whatever the number of regions: the
+    # averaged energy of the interval, or every ball of the three dyadic
+    # families (1, 2 and 4 balls) in one call
     calls = []
 
-    def counting(*args):
-        calls.append(len(args[-1].first))
-        return _count_chunk(*args)
+    def counting(u, cols):
+        calls.append(cols.first.shape[:2])
+        return _count_chunk(u, cols)
 
     monkeypatch.setattr(energy, "_count_chunk", counting)
     grid = Grid(BoxDomain(np.zeros(1), np.ones(1)), 1 / 64)
     rule = build_direction_rule(1, **kwargs)
     u = SumField((Affine(np.eye(1), np.zeros(1)), PlaneJump(np.ones(1), 0.5, np.zeros(1), np.ones(1))))
     report = averaged_energy(u, grid.domain, 4 * grid.h, rule, grid=grid)
-    assert calls == [len(report.per_direction)] and len(report.per_direction) > 16
+    regions = 1
+    if strategy:
+        calls.clear()
+        ball_supremum_energy(u, grid.domain, 4 * grid.h, 2.0, BallStrategy.parse(strategy), rule, grid=grid)
+        regions = 7
+    assert calls == [(regions, len(report.per_direction))] and len(report.per_direction) > 16
 
 
 @st.composite

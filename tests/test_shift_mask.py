@@ -153,10 +153,11 @@ def test_keep_equals_mesh_membership(case):
     grid, region, pairs, partners = case
     mesh = _mesh_mask(grid, region, partners)
     np.testing.assert_array_equal(_kept_mask(pairs), mesh)
-    # the runs lie on the range box's columns in C order, and each column's
-    # nonempty runs are its maximal stretches of kept cells, in order
+    # the runs lie on the range box's columns in C order (an empty box has
+    # none), and each column's nonempty runs are its maximal stretches of
+    # kept cells, in order
     box = [tuple(sl.start + i for sl, i in zip(pairs.box, at)) for at in np.ndindex(*pairs.shape[:-1])]
-    assert _columns(pairs) == box
+    assert _columns(pairs) == (box if all(pairs.shape) else [])
     for column, lo, hi in zip(_columns(pairs), pairs.lo, pairs.hi):
         assert [(a, b) for a, b in zip(lo.tolist(), hi.tolist()) if b > a] == _stretches(mesh[column])
 
@@ -208,16 +209,16 @@ def test_each_direction_of_a_chunk_equals_a_one_row_call(case):
         # the unchecked rows share their chunks' tables but take no slope pass
         kept = np.isin(np.arange(len(xis)), list(checked))[None, :]
         sums = _sampled_sums(values, grid, (region,), eps, xis, kept)[0]
-        for chunk, (cols,) in _chunks(grid, (region,), xis, eps):
-            ends = np.searchsorted(cols.dirs, np.arange(len(cols.first) + 1)).tolist()
+        for chunk, cols in _chunks(grid, (region,), xis, eps, np.ones((1, len(xis)), dtype=bool)):
+            ends = np.searchsorted(cols.dirs, np.arange(cols.first.shape[1] + 1)).tolist()
             dirs, centers, rows = _kept_pairs(cols)
-            for k in range(len(cols.first)):
+            for k in range(cols.first.shape[1]):
                 if chunk.start + k not in checked:
                     continue
                 single = xis[chunk.start + k][None, :]
-                ((_, (alone,)),) = _chunks(grid, (region,), single, eps)
+                ((_, alone),) = _chunks(grid, (region,), single, eps, np.ones((1, 1), dtype=bool))
                 c = slice(ends[k], ends[k + 1])
-                for a, b in zip([cols.first[k], cols.stop[k]], [alone.first[0], alone.stop[0]]):
+                for a, b in zip([cols.first[0, k], cols.stop[0, k]], [alone.first[0, 0], alone.stop[0, 0]]):
                     _assert_same_bits(a, b)
                 for a, b in zip([*cols.partners, *cols.probes], [*alone.partners, *alone.probes]):
                     _assert_same_bits(a[k], b[0])
@@ -431,7 +432,8 @@ def test_projected_cell_sums_match_the_two_component_form(dim, kind, seed, compo
 
 def _several_regions(dim):
     """Overlapping balls, a sub-box (a slice ``keep``), a precracked box
-    with two slits and a ball whose range boxes are a cell or two, or empty."""
+    with two slits, a ball whose range boxes are a cell or two, or empty,
+    and a ball that the tests keep in no direction."""
     lower, upper = np.full(dim, 0.2), np.full(dim, 0.6)
     lower[0] = upper[0] = 0.45
     start, end = np.full(dim, 0.3), np.full(dim, 0.5)
@@ -442,6 +444,7 @@ def _several_regions(dim):
         BoxDomain(np.full(dim, 0.05), np.full(dim, 0.9)),
         BoxDomain(np.zeros(dim), np.ones(dim), (PlaneSegment(lower, upper), PlaneSegment(start, end))),
         Ball(np.full(dim, 0.5), 0.08),
+        Ball(np.full(dim, 0.3), 0.2),
     )
 
 
@@ -456,7 +459,9 @@ def test_sampled_sums_of_several_regions_equal_each_region_alone(dim, cells, col
     # of a contiguous copy would add them in another order.  The counting
     # kernel shares each chunk's partners and runs among the regions too;
     # its field has a plane through a row of centers, so that each region
-    # evaluates its own exceptions.
+    # evaluates its own exceptions.  The last region is kept in no
+    # direction, and the second in none of the floor's second chunk: their
+    # rows there read 0.0.
     grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), 1 / cells)
     regions = _several_regions(dim)
     rng = np.random.default_rng(dim)
@@ -464,6 +469,8 @@ def test_sampled_sums_of_several_regions_equal_each_region_alone(dim, cells, col
     eps = min(0.2, 8 / cells)
     xis = np.concatenate([rng.uniform(-1.5, 1.5, size=(17, dim)), np.eye(dim)[-1:] * grid.h / eps, -np.ones((1, dim))])
     kept = rng.random((len(regions), len(xis))) < 0.8
+    kept[-1] = False
+    kept[1, 16:] = False
     plane = PlaneJump(np.eye(dim)[0], 0.5 + grid.h / 2, np.zeros(dim), np.full(dim, 2.0))
     field = SumField((Affine(rng.normal(size=(dim, dim)), np.zeros(dim)), plane))
     spy = mock.patch.object(energy, "eval_nudged", wraps=energy.eval_nudged)
@@ -489,5 +496,6 @@ def test_balls_2d_families_keep_the_pinned_number_of_pairs():
     balls = [ball for family in ball_candidates(domain, BallStrategy.parse("dyadic:1")) for ball in family.balls]
     assert len(balls) == 5
     xis = rule.nodes[_support_box(domain, eps).contains(rule.nodes)]
-    pairs = sum(int(np.sum(cols.hi - cols.lo)) for _, tables in _chunks(grid, balls, xis, eps) for cols in tables)
+    kept = np.ones((len(balls), len(xis)), dtype=bool)
+    pairs = sum(int(np.sum(cols.hi - cols.lo)) for _, cols in _chunks(grid, balls, xis, eps, kept))
     assert pairs == 15_785_464

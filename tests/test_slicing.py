@@ -641,9 +641,10 @@ def test_slice_table_is_each_directional_slice_measure(case):
     # a ball's slice measures along all nodes at once are the ones of
     # directional_slice_measure node by node, bit for bit
     u, ball, nodes = case
-    table = _slice_table(u, nodes, ball)
+    table, jump = _slice_table(u, nodes, ball)
     oracle = np.array([directional_slice_measure(u, xi, ball) for xi in nodes])
     assert table.tobytes() == oracle.tobytes()
+    assert jump.tobytes() == _jump_term(u, nodes, ball).tobytes()
 
 
 # ---------------------------------------------------------------------------
