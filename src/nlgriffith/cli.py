@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .domain import Grid, InputError, _require_seed, load_problem, sample
+from .domain import Grid, InputError, _require_p, _require_seed, load_problem, sample
 from .energy import (
     BallStrategy,
     averaged_energy,
@@ -46,6 +46,8 @@ __all__ = ["main"]
 
 
 def _cmd_energy(args) -> int:
+    # the averaged energy takes no p, but the CSV row records it
+    _require_p(args.p)
     domain, field_, quad_cfg = load_problem(args.field)
     rule = build_direction_rule(domain.dim, **quad_cfg)
     grid = Grid(domain, args.h)

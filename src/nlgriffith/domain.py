@@ -55,6 +55,14 @@ def _require_seed(seed) -> None:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _require_p(p) -> None:
+    """Refuse an exponent p that is not finite and at least 1 (NaN, inf,
+    0, negatives), for which the L^p norms over directions and the limit
+    densities are not defined."""
+    if not (np.isfinite(p) and p >= 1):
+        raise InputError(f"p must be finite and at least 1, got {p}")
+
+
 class HyperplaneEvalError(ValueError):
     """Raised when a field is evaluated exactly on a jump hyperplane.
 
@@ -284,7 +292,7 @@ def _interp_row(axis: np.ndarray, h: float, x: np.ndarray):
 def _corner_product(shape, rows) -> tuple[np.ndarray, np.ndarray]:
     """Flat cell indices and weights, shape ``(m, 2**dim)``, of the corner
     cells of m points on a grid of ``shape``, from one ``(base, top, frac)``
-    row of ``_interp_row`` per axis."""
+    row per axis (``_interp_row``, or ``energy._shift_rows`` for pairs)."""
     idx = np.zeros((rows[0][0].size, 1), dtype=np.int64)
     wts = np.ones((rows[0][0].size, 1))
     # corner bit d selects the upper cell along axis d

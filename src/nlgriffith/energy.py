@@ -26,7 +26,12 @@ field's type.  A sampled field is summed over the runs: only
 ``(u(x+eps xi)-u(x)).xi`` enters, and interpolation is linear, so the
 field is projected onto xi before it is interpolated, and one slope
 pass, one arctan and one run sum per direction serve every region
-(``_sampled_sums``).  A closed-form field is counted, not visited: a
+(``_sampled_sums``).  Every partner of a direction lies the same
+``eps xi_d / h`` cells from its center along axis d, so the partners'
+interpolation rows come from that shift (``_shift_rows``): one weight
+pair per direction and axis, which the slope pass applies to slices of
+the field (``_slopes``); only partners next to a face or beyond the grid
+keep weights of their own.  A closed-form field is counted, not visited: a
 pair's slope is the affine part's ``eps xi.(A^T xi)`` plus the jump of
 each plane the pair crosses, so it takes one value per crossing pattern,
 and along a grid column the side of a plane at either endpoint holds on
@@ -76,7 +81,7 @@ from .domain import (
     InputError,
     SampledField,
     _dot_rows,
-    _interp_row,
+    _require_p,
     difference_body,
     eval_nudged,
 )
@@ -302,11 +307,37 @@ def _snap_to_axis(axis: np.ndarray, h: float, x: np.ndarray, step) -> np.ndarray
 
 def _partners(grid: Grid, eps: float, xis: np.ndarray) -> list:
     """The region-free half of the pair rule for a chunk of directions: per
-    grid axis, one row per direction of the partners ``axis + eps xi_d``
-    and of the probes at which their membership is tested
-    (``_snap_to_axis``).  Both kernels build it once per chunk."""
+    grid axis, one row per direction of the shift ``eps xi_d`` (a column),
+    of the partners ``axis + eps xi_d`` and of the probes at which their
+    membership is tested (``_snap_to_axis``).  Both kernels build it once
+    per chunk."""
     steps = eps * xis.T[:, :, None]
-    return [(p := axis + step, _snap_to_axis(axis, grid.h, p, step)) for axis, step in zip(grid.axes, steps)]
+    return [(step, p := axis + step, _snap_to_axis(axis, grid.h, p, step)) for axis, step in zip(grid.axes, steps)]
+
+
+def _shift_rows(grid: Grid, steps) -> list:
+    """The partners' interpolation rows of a chunk of directions, from the
+    shift rather than from the partner coordinates: per grid axis, from
+    that axis's ``steps`` (``_partners``), ``(m, f, base, top, frac)``.
+
+    Every partner lies ``t = eps xi_d / h`` cells from its center, so with
+    ``m = floor(t)`` and ``f = t - m`` a cell j reads cells ``j + m`` and
+    ``j + m + 1`` with weights ``(1 - f, f)``: ``m`` and ``f``, one per
+    direction, and ``base``, ``top`` and ``frac``, one per direction and
+    cell.  Only the cells whose base ``_interp_row`` clips to the edge pair,
+    partners in the half-cell margin next to a face or beyond the grid,
+    keep their own fraction ``((j + m) + f) - base``; an axis of one cell
+    reads its cell with fraction 0, as ``_interp_row`` does."""
+    rows = []
+    for n, step in zip(grid.shape, steps):
+        t = step / grid.h
+        m = np.floor(t)
+        f = t - m
+        cell = m.astype(np.int64) + np.arange(n)
+        base = np.clip(cell, 0, max(n - 2, 0))
+        frac = np.where((cell >= 0) & (cell <= n - 2), f, (cell + f) - base) if n > 1 else np.zeros(cell.shape)
+        rows.append((m[:, 0].astype(np.int64), f[:, 0], base, np.minimum(base + 1, n - 1), frac))
+    return rows
 
 
 def _pair_axis(region: Region, d: int, axis: np.ndarray, probe: np.ndarray):
@@ -374,53 +405,66 @@ def _kept_pairs(cols: _Columns) -> tuple[np.ndarray, np.ndarray, list]:
     """The kept pairs of a chunk's columns (``_chunks``) in the table's
     order, run by run: each pair's direction (its row in the chunk), its
     center's flat grid index, and its partner's ``(base, top, frac)``
-    interpolation row per axis."""
+    interpolation row per axis (``_shift_rows``)."""
     owner, offset = _runs((cols.hi - cols.lo).reshape(-1))
     column = owner // cols.lo.shape[1]
     dirs = cols.dirs[column]
     at = [i[column] for i in cols.index] + [cols.lo.reshape(-1)[owner] + offset]
-    rows = (_interp_row(axis, cols.grid.h, partner) for axis, partner in zip(cols.grid.axes, cols.partners))
-    return dirs, np.ravel_multi_index(at, cols.grid.shape), [tuple(a[dirs, i] for a in row) for row, i in zip(rows, at)]
+    rows = [tuple(a[dirs, i] for a in row[2:]) for row, i in zip(_shift_rows(cols.grid, cols.steps), at)]
+    return dirs, np.ravel_multi_index(at, cols.grid.shape), rows
 
 
 def _slopes(comps, grid: Grid, xi: np.ndarray, line, box: tuple, buffers: list) -> np.ndarray:
     """``(u(x + eps xi) - u(x)).xi`` over the range box ``box``, flat in C
     order, from the field's components ``comps`` (``_components``) and the
-    partners' ``(base, top, frac)`` interpolation rows ``line``, one per
-    axis along the whole axis.
+    partners' ``(m, f, base, top, frac)`` interpolation rows ``line``
+    (``_shift_rows``), one per axis along the whole axis.
 
     Only ``(u(x + eps xi) - u(x)).xi`` enters an energy, and interpolation
     is linear, so the field is projected first, ``U = u.xi`` with the
     components' terms added left to right cell by cell as ``_dot_rows``
     adds them, so that a cell's value does not depend on the box.  ``U`` is
     then interpolated at the shifted endpoint one pass per axis, and ``U``
-    at the centers subtracted.  The passes run in the four arrays
-    ``buffers`` (``_buffer``), so that the process reuses memory it holds
-    rather than mapping fresh pages for each pass.
+    at the centers subtracted.  Along axis d a pass reads, for the cells
+    whose rows are not clipped, the slices of ``U`` at ``j + m`` and ``j +
+    m + 1`` times the scalars ``1 - f`` and ``f``; only the few clipped
+    cells at either end of the box gather their own rows.  The passes run
+    in the four arrays ``buffers`` (``_buffer``), so that the process
+    reuses memory it holds rather than mapping fresh pages for each pass.
     """
-    rows = []
-    for d, ((base, top, frac), sl) in enumerate(zip(line, box)):
-        # the partners over the box, weights broadcast along it
-        col = (-1,) + (1,) * (grid.dim - 1 - d)
-        frac = frac[sl]
-        rows.append((base[sl], top[sl], (1.0 - frac).reshape(col), frac.reshape(col)))
-    # each axis pass reads only the partner columns of the later axes;
-    # the rows' cells are nondecreasing, so those span base[0]..top[-1]
-    span = tuple(slice(min(sl.start, base[0]), max(sl.stop, top[-1] + 1)) for sl, (base, top, _, _) in zip(box, rows))
+    # each axis pass reads only the partner cells of the later axes; the
+    # rows' cells are nondecreasing, so those span base[start]..top[stop - 1].
+    # U takes whole grid lines along the last axis: numpy forms an array of
+    # contiguous lines in one loop, and one of cut lines a loop per line
+    span = tuple(
+        slice(min(sl.start, int(base[sl.start])), max(sl.stop, int(top[sl.stop - 1]) + 1))
+        for sl, (_, _, base, top, _) in zip(box[:-1], line)
+    ) + (slice(0, grid.shape[-1]),)
     shape = tuple(sl.stop - sl.start for sl in span)
     U = np.multiply(comps[0][span], xi[0], out=_buffer(buffers, 3, shape))
     for c, x in zip(comps[1:], xi[1:]):
         U += np.multiply(c[span], x, out=_buffer(buffers, 2, shape))
     end = U
-    for d, ((base, top, lo_w, hi_w), sl) in enumerate(zip(rows, span)):
-        # lo_w * end[base] + hi_w * end[top], in buffers other than end's and U's
-        shape = end.shape[:d] + base.shape + end.shape[d + 1 :]
-        lo = np.take(end, base - sl.start, axis=d, mode="clip", out=_buffer(buffers, d % 2, shape))
-        hi = np.take(end, top - sl.start, axis=d, mode="clip", out=_buffer(buffers, 2, shape))
-        lo *= lo_w
-        hi *= hi_w
-        end = np.add(lo, hi, out=lo)
-    end -= U[tuple(slice(b.start - s.start, b.stop - s.start) for b, s in zip(box, span))]
+    for d, ((m, f, base, top, frac), sl, sp) in enumerate(zip(line, box, span)):
+        m, f, lead = int(m), float(f), (slice(None),) * d
+        # in buffers other than end's and U's: (1 - f) end[j + m] + f end[j + m + 1]
+        # on the cells [a, b) of the box whose rows are not clipped (``_shift_rows``)
+        out = _buffer(buffers, d % 2, end.shape[:d] + (sl.stop - sl.start,) + end.shape[d + 1 :])
+        a = min(max(sl.start, -m), sl.stop)
+        b = max(min(sl.stop, grid.shape[d] - 1 - m), a)
+        inner = out[lead + (slice(a - sl.start, b - sl.start),)]
+        at = a + m - sp.start
+        np.multiply(end[lead + (slice(at, at + b - a),)], 1.0 - f, out=inner)
+        inner += np.multiply(end[lead + (slice(at + 1, at + 1 + b - a),)], f, out=_buffer(buffers, 2, inner.shape))
+        # and each clipped row, at either end of the box, with its own weights
+        col = (-1,) + (1,) * (grid.dim - 1 - d)
+        for first, stop in ((sl.start, a), (b, sl.stop)):
+            if stop > first:
+                part = np.take(end, base[first:stop] - sp.start, axis=d) * (1.0 - frac[first:stop]).reshape(col)
+                part += np.take(end, top[first:stop] - sp.start, axis=d) * frac[first:stop].reshape(col)
+                out[lead + (slice(first - sl.start, stop - sl.start),)] = part
+        end = out
+    end -= U[tuple(slice(sl.start - sp.start, sl.stop - sp.start) for sl, sp in zip(box, span))]
     return end.reshape(-1)
 
 
@@ -429,8 +473,9 @@ def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.
     row per region and one column per row of ``xis``, where ``kept`` (the
     same shape) holds; 0.0 elsewhere.
 
-    Per direction, one slope pass runs over the union of the regions'
-    range boxes and the terms ``arctan(s^2/eps)`` are formed once over it;
+    Per direction, one slope pass (``_slopes``, with the chunk's rows from
+    ``_shift_rows``) runs over the union of the regions' range boxes and
+    the terms ``arctan(s^2/eps)`` are formed once over it;
     one ``np.add.reduceat`` then sums every run of the chunk's table.  A
     region's value adds its runs' sums column by column, left to right,
     with 0.0 for an empty run, and then its columns in C order as one
@@ -442,7 +487,7 @@ def _sampled_sums(u, grid: Grid, regions, eps: float, xis: np.ndarray, kept: np.
     sums = np.zeros(kept.shape)
     buffers, n = [np.empty(0)] * 4, len(regions)
     for chunk, cols in _chunks(grid, regions, xis, eps, kept):
-        rows = [_interp_row(axis, grid.h, partner) for axis, partner in zip(grid.axes, cols.partners)]
+        rows = _shift_rows(grid, cols.steps)
         # per direction, the union of the range boxes
         low, high = cols.first.min(axis=0), cols.stop.max(axis=0)
         ends = np.stack([cols.lo, cols.hi], axis=2)
@@ -493,14 +538,16 @@ def _first_true(test, lo: np.ndarray, hi: np.ndarray, guess: np.ndarray) -> np.n
     The guess is confirmed where the test fails just below it and holds at
     it; the other rows are searched by halving their bracket.
     """
-    at = np.clip(guess, lo, hi)
+    at = np.minimum(np.maximum(guess, lo), hi)
     every = slice(None)
     # indices kept inside the grid where a row is empty; those tests are masked
     high = (at > lo) & test(every, np.minimum(np.maximum(at - 1, lo), hi - 1))
     low = (at < hi) & ~test(every, np.minimum(at, hi - 1))
     rows = np.flatnonzero(high | low)
-    left = np.where(high[rows], lo[rows], at[rows] + 1)
-    right = np.where(high[rows], at[rows] - 1, hi[rows])
+    # a row whose guess is too high searches below it, one too low above it
+    down = high[rows]
+    left, right = at[rows] + 1, hi[rows]
+    left[down], right[down] = lo[rows[down]], at[rows[down]] - 1
     while True:
         at[rows] = left
         open_ = left < right
@@ -509,8 +556,9 @@ def _first_true(test, lo: np.ndarray, hi: np.ndarray, guess: np.ndarray) -> np.n
         rows, left, right = rows[open_], left[open_], right[open_]
         mid = (left + right) // 2
         yes = test(rows, mid)
-        right = np.where(yes, mid, right)
-        left = np.where(yes, left, mid + 1)
+        right[yes] = mid[yes]
+        no = ~yes
+        left[no] = mid[no] + 1
 
 
 def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -526,7 +574,8 @@ def _guess(target: np.ndarray, start: np.ndarray, h: float, lo: np.ndarray, hi: 
     finite target guess ``lo``."""
     with np.errstate(invalid="ignore", over="ignore"):
         j = np.floor((target - start) / h) + 1.0
-    return np.clip(np.where(np.isnan(j), lo, j), lo, hi).astype(np.int64)
+    # fmax takes lo where j is NaN
+    return np.minimum(np.fmax(j, lo), hi).astype(np.int64)
 
 
 class _Columns:
@@ -544,7 +593,7 @@ class _Columns:
 
     def __init__(self, grid: Grid, regions, moved, kept: np.ndarray):
         self.grid, self.dim = grid, grid.dim
-        self.partners, self.probes = [m[0] for m in moved], [m[1] for m in moved]
+        self.steps, self.partners, self.probes = ([m[i] for m in moved] for i in range(3))
         axes = list(enumerate(zip(grid.axes, self.probes)))
         ranges = [_pair_axis(r, d, axis, probe) for r in regions for d, (axis, probe) in axes]
         # one row per (direction, region) pair, direction-major
@@ -566,7 +615,8 @@ class _Columns:
         if kind == "center":
             return [self.grid.axes[d][i] for d, i in enumerate(self.index)]
         table = self.partners if kind == "moved" else self.probes
-        return [table[d][self.dirs, i] for d, i in enumerate(self.index)]
+        # gathered from the flat table: one index per column, not two
+        return [table[d].reshape(-1)[self.dirs * table[d].shape[1] + i] for d, i in enumerate(self.index)]
 
     def last(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """The last-axis coordinates of ``kind`` as a table and each
@@ -605,15 +655,17 @@ def _plane_intervals(cols: _Columns, plane, kind: str):
         return (np.where(side > 0, lo, hi), True), (lo, np.where(side == 0, hi, lo))
     sgn = -1.0 if nu_l < 0 else 1.0
     table, row = cols.last(kind)
+    # each column's coordinates as a stretch of the flat table
+    flat, start = table.reshape(-1), row * table.shape[1]
 
     def s(sel, j):
         # sgn side, which rises along the column
-        return sgn * ((rest[sel] + table[row[sel], j] * nu_l) - off)
+        return sgn * ((rest[sel] + flat[start[sel] + j] * nu_l) - off)
 
     with np.errstate(over="ignore"):
         # a tiny |nu_l| sends the guess off the column; the search then corrects it
         target = (off - rest) / nu_l
-    guess = _guess(target, table[row, 0], cols.grid.h, lo, hi)
+    guess = _guess(target, flat[start], cols.grid.h, lo, hi)
     # the first cell with s >= 0, and past the cells on the plane the first with s > 0
     ge = _first_true(lambda sel, j: s(sel, j) >= 0, lo, hi, guess)
     on = np.flatnonzero((ge < hi) & (s(slice(None), np.minimum(ge, table.shape[1] - 1)) == 0))
@@ -637,21 +689,26 @@ def _ball_interval(cols: _Columns, center: np.ndarray, r2: np.ndarray, kind: str
     for c, x in zip(cols.coords(kind), center.T):
         rest = rest + (c - x) ** 2
     table, row = cols.last(kind)
+    # each column's coordinates as a stretch of the flat table
+    flat, start = table.reshape(-1), row * table.shape[1]
+    first = flat[start]
     # the last-axis term falls up to the first coordinate at or past the center
-    guess = _guess(ctr, table[row, 0], cols.grid.h, cols.lo, cols.hi)
-    bottom = _first_true(lambda sel, j: table[row[sel], j] >= ctr[sel], cols.lo, cols.hi, guess)
+    guess = _guess(ctr, first, cols.grid.h, cols.lo, cols.hi)
+    bottom = _first_true(lambda sel, j: flat[start[sel] + j] >= ctr[sel], cols.lo, cols.hi, guess)
     with np.errstate(invalid="ignore"):
         half = np.sqrt(r2 - rest)
+    miss = np.isnan(half)
     ends = []
     # the first cell in the ball, before the center, and the first past it
     for lo, hi, sign in ((cols.lo, bottom, -1.0), (bottom, cols.hi, 1.0)):
 
         def test(sel, j, leaving=sign > 0):
-            return ((rest[sel] + (table[row[sel], j] - ctr[sel]) ** 2) < r2[sel]) != leaving
+            return ((rest[sel] + (flat[start[sel] + j] - ctr[sel]) ** 2) < r2[sel]) != leaving
 
-        guess = _guess(ctr + sign * half, table[row, 0], cols.grid.h, lo, hi)
+        guess = _guess(ctr + sign * half, first, cols.grid.h, lo, hi)
         # a column that misses the ball settles at its first try
-        ends.append(_first_true(test, lo, hi, np.where(np.isnan(half), hi if sign < 0 else lo, guess)))
+        guess[miss] = (hi if sign < 0 else lo)[miss]
+        ends.append(_first_true(test, lo, hi, guess))
     return tuple(ends)
 
 
@@ -971,8 +1028,7 @@ def _ball_families(families, p: float, tables) -> tuple[list[tuple[float, dict[i
     largest total.  ``tables`` yields one ``(weights, values)`` per ball of
     the families in order, a ball's values at direction nodes and their
     weights; it is read in full once ``p`` is checked."""
-    if not (np.isfinite(p) and p >= 1):
-        raise InputError(f"p must be finite and at least 1, got {p}")
+    _require_p(p)
     norms = iter([_lp_norm(weights, values, p) for weights, values in tables])
     # zip takes the next len(family) norms: it stops at the range first
     per_ball = [dict(zip(range(len(family)), norms)) for family in families]

@@ -32,6 +32,7 @@ from .domain import (
     PlaneJump,
     SumField,
     _dot_rows,
+    _require_p,
     _require_seed,
     eval_nudged,
     load_problem,
@@ -98,8 +99,7 @@ class SweepSpec:
             raise InputError(f"every eps must be finite and positive, got {eps}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise InputError("eps_list must be strictly decreasing")
-        if not np.isfinite(self.p):
-            raise InputError(f"p must be finite, got {self.p}")
+        _require_p(self.p)
         if not (np.isfinite(self.h_over) and self.h_over >= 4):
             raise InputError(f"the grid must resolve eps: need a finite h_over >= 4, got {self.h_over}")
 

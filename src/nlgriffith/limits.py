@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AnalyticField, BoxDomain, InputError
+from .domain import AnalyticField, BoxDomain, InputError, _require_p
 from .quad import DirectionRule, integrate
 
 __all__ = [
@@ -75,8 +75,7 @@ def bulk_density(
     the symmetric part of ``A`` enters, so skew gradients cost nothing.
     """
     _check_convention(convention)
-    if not (np.isfinite(p) and p >= 1):
-        raise InputError(f"p must be finite and at least 1, got {p}")
+    _require_p(p)
     A = np.asarray(A, dtype=float)
     S = 0.5 * (A + A.T)
     weighted = convention == "xi-weighted"
@@ -104,8 +103,7 @@ def surface_constant(
     of the unit normal by rotation invariance of the Gaussian weight.
     """
     _check_convention(convention)
-    if not (np.isfinite(p) and p >= 1):
-        raise InputError(f"p must be finite and at least 1, got {p}")
+    _require_p(p)
     if rule.dimension != dimension:
         raise InputError("rule dimension mismatch")
     if normal is None:

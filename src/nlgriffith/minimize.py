@@ -184,7 +184,8 @@ class DescentKernel:
     so the energies' pair rule decides which pairs interact.  A row holds
     ``-xi`` at the center cell and ``xi`` times the multilinear
     interpolation weights of the shifted endpoint at its 2^n corner cells,
-    from the partner's per-axis interpolation rows, so the slopes
+    from the partner's per-axis interpolation rows (``energy._shift_rows``,
+    the rows the sampled slope pass reads), so the slopes
     ``(v(x + eps xi) - v(x)).xi`` of nodal values ``v`` (flat, C order) are
     ``s = D @ v``.  ``W`` holds each row's ``w_i h^n / eps`` for its rule
     weight ``w_i``.  Then ``E = W . arctan(s^2/eps)`` and the gradient is

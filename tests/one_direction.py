@@ -4,16 +4,15 @@ tests compare with their oracles."""
 
 import numpy as np
 
-from nlgriffith.domain import _interp_row
-from nlgriffith.energy import _chunks, _slopes
+from nlgriffith.energy import _chunks, _shift_rows, _slopes
 
 
 class OneDirection:
     """The pairs ``(x, x + eps xi)`` of ``region`` for the direction ``xi``:
     the range box ``box`` of shape ``shape``, its columns' grid indices on
     the earlier axes (``index``) and their runs ``[lo, hi)`` of last-axis
-    indices, and the partners' ``(base, top, frac)`` interpolation row per
-    axis (``line``)."""
+    indices, and the partners' ``(m, f, base, top, frac)`` interpolation row
+    per axis (``line``, from the shift: ``_shift_rows``)."""
 
     def __init__(self, grid, region, xi, eps):
         self.grid, self.xi = grid, np.asarray(xi, dtype=float)
@@ -22,13 +21,13 @@ class OneDirection:
         self.box = tuple(map(slice, cols.first[0, 0].tolist(), cols.stop[0, 0].tolist()))
         self.shape = tuple(max(sl.stop - sl.start, 0) for sl in self.box)
         self.index, self.lo, self.hi = cols.index, cols.lo, cols.hi
-        self.line = [tuple(a[0] for a in _interp_row(axis, grid.h, p)) for axis, p in zip(grid.axes, cols.partners)]
+        self.line = [tuple(a[0] for a in row) for row in _shift_rows(grid, cols.steps)]
 
     @property
     def rows(self) -> list:
         """Per axis, the partners' ``(base, top, 1 - frac, frac)`` over the box, the weights broadcast along it."""
         rows = []
-        for d, ((base, top, frac), sl) in enumerate(zip(self.line, self.box)):
+        for d, ((_, _, base, top, frac), sl) in enumerate(zip(self.line, self.box)):
             col = (-1,) + (1,) * (self.grid.dim - 1 - d)
             rows.append((base[sl], top[sl], (1.0 - frac[sl]).reshape(col), frac[sl].reshape(col)))
         return rows

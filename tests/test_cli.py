@@ -404,6 +404,15 @@ def test_a_space_separated_value_with_an_exponent_reaches_its_check(tmp_path, fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p", ["nan", "inf", "0", "-1", "0.5"])
+def test_energy_subcommand_refuses_a_p_below_1_without_a_strategy(tmp_path, field2d_json, capsys, p):
+    # the averaged energy takes no p, but its CSV row records the value
+    out = tmp_path / "report.csv"
+    argv = ["energy", "--field", field2d_json, "--eps", "0.1", "--h", "0.025", "--p", p, "--out", str(out)]
+    _usage_error(capsys, argv, "p must be finite and at least 1, got")
+    assert not out.exists()
+
+
 def test_energy_subcommand_reports_a_malformed_strategy_as_a_usage_error(tmp_path, field2d_json, capsys):
     out = tmp_path / "report.csv"
     argv = ["energy", "--field", field2d_json, "--eps", "0.1", "--h", "0.025", "--strategy", "dyadic:x"]

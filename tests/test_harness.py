@@ -131,6 +131,7 @@ def test_sweep_spec_validation():
         ({"eps_list": [0.04, 0.02], "p": np.inf}, "p must be finite"),
         ({"eps_list": [0.04, 0.02], "h_over": np.nan}, "h_over >= 4, got nan"),
         ({"eps_list": [0.04, 0.02], "h_over": np.inf}, "h_over >= 4, got inf"),
+        ({"eps_list": [0.04, 0.02], "p": 0.5}, "p must be finite and at least 1, got 0.5"),
     ],
 )
 def test_sweep_spec_rejects_bad_values(kwargs, match):

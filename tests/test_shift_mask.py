@@ -2,8 +2,9 @@
 point-mesh membership, each direction of a chunk against a one-row call,
 the descent operator built from the tables against per-point assembly, the
 sampled slopes and cell sums against a full-width pass of the projected
-field summed run by run, and those cell sums against the two-component
-form."""
+field summed run by run, those cell sums against the two-component form,
+the interpolation rows from the shift against interpolation at the
+partners, and the sampled sums under a move by whole cells."""
 
 from unittest import mock
 
@@ -14,7 +15,19 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from nlgriffith import energy
-from nlgriffith.domain import Affine, Ball, BoxDomain, Grid, PlaneJump, PlaneSegment, SumField, _dot_rows, _mesh
+from nlgriffith.domain import (
+    Affine,
+    Ball,
+    BoxDomain,
+    Grid,
+    PlaneJump,
+    PlaneSegment,
+    SumField,
+    _corner_product,
+    _dot_rows,
+    _interp_row,
+    _mesh,
+)
 from nlgriffith.energy import (
     BallStrategy,
     _chunks,
@@ -22,6 +35,7 @@ from nlgriffith.energy import (
     _components,
     _kept_pairs,
     _sampled_sums,
+    _shift_rows,
     _snap_to_axis,
     _support_box,
     ball_candidates,
@@ -250,8 +264,9 @@ def test_keep_drops_partners_landing_on_a_slit_through_centers():
 def _assembled(grid, region, eps, rule):
     """``D`` and ``W`` of the descent operator assembled point by point:
     ``region.contains`` at the full-mesh centers and at their partners
-    snapped onto grid coordinates within roundoff, and
-    ``Grid.interp_weights`` at the unsnapped partners."""
+    snapped onto grid coordinates within roundoff, and the corner weights
+    of each pair's node and cell in the interpolation rows of the shift
+    (``_shift_rows``)."""
     dim = grid.dim
     moved = grid.centers + eps * rule.nodes[:, None, :]
     probe = moved.copy()
@@ -260,7 +275,9 @@ def _assembled(grid, region, eps, rule):
             probe[n, :, d] = _snap_to_axis(axis, grid.h, moved[n, :, d], float(eps * xi[d]))
     inside = region.contains(probe.reshape(-1, dim)).reshape(moved.shape[:2])
     node, cell = np.nonzero(region.contains(grid.centers) & inside)
-    corners, weights = grid.interp_weights(moved[node, cell])
+    rows = _shift_rows(grid, eps * rule.nodes.T[:, :, None])
+    at = np.unravel_index(cell, grid.shape)
+    corners, weights = _corner_product(grid.shape, [tuple(a[node, i] for a in row[2:]) for row, i in zip(rows, at)])
     cells = np.column_stack([cell, corners])
     weights = np.column_stack([np.full(node.size, -1.0), weights])
     cols = (cells[:, :, None] * dim + np.arange(dim)).reshape(-1)
@@ -401,6 +418,120 @@ def test_cell_sum_equals_the_mesh_masked_sum(dim, kind):
         assert float(actual).hex() == expected.hex()
         flat = float(grid.cell_volume / eps * np.sum(np.arctan(s[mask] ** 2 / eps)))
         assert abs(actual - flat) <= 1e-13 * flat
+
+
+def _row_cases():
+    """Grids of 1, 2 and 3 dimensions, one with an axis of two cells and one
+    with an axis of one cell, each with the region that is the grid's box
+    (partners in the half-cell margin at both faces) and a box reaching
+    past it (partners beyond the grid)."""
+    for dim, cells in ((1, 40), (2, 20), (3, 10), (2, (20, 2)), (2, (1, 16))):
+        shape = np.broadcast_to(cells, (dim,))
+        h = 1 / 16 if 1 in shape else 1 / max(shape)
+        domain = BoxDomain(np.zeros(dim), shape * h)
+        for name, region in (("domain", domain), ("past", BoxDomain(-0.3 * domain.upper, 1.3 * domain.upper))):
+            yield pytest.param(Grid(domain, h), region, id=f"{dim}d-{'x'.join(map(str, shape))}-{name}")
+
+
+@pytest.mark.parametrize("grid, region", _row_cases())
+def test_shift_rows_match_interpolation_at_the_partners(grid, region):
+    # the rows from the shift against ``_interp_row`` at the float partners
+    # ``axis + eps xi_d``: the same base, except where the fraction is within
+    # roundoff of 0 or 1, and so the base one apart, and the same point of
+    # the axis to roundoff; a row's unclipped cells share one fraction
+    rng = np.random.default_rng(grid.dim)
+    eps = 4 * grid.h
+    # lattice steps, half-cell steps and quarter-cell steps into the margins
+    lattice = np.array([1.0, -2.5, 0.5, 0.25, -0.25, 1.25, -1.25])[:, None] * np.ones(grid.dim) * grid.h / eps
+    xis = np.concatenate([rng.uniform(-1.5, 1.5, size=(20, grid.dim)), lattice])
+    clipped = np.zeros((grid.dim, 2), dtype=bool)
+    for _, cols in _chunks(grid, (region,), xis, eps, np.ones((1, len(xis)), dtype=bool)):
+        for d, ((m, f, base, top, frac), n, axis, partner) in enumerate(
+            zip(_shift_rows(grid, cols.steps), grid.shape, grid.axes, cols.partners)
+        ):
+            old_base, old_top, old_frac = _interp_row(axis, grid.h, partner)
+            scale = 1.0 + np.max(np.abs(partner), axis=1, keepdims=True)
+            tol = np.broadcast_to(16 * np.finfo(float).eps * scale / grid.h, frac.shape)
+            np.testing.assert_array_less(np.abs((base + frac) - (old_base + old_frac)), tol)
+            moved = base != old_base
+            assert np.all(np.abs(base - old_base)[moved] == 1)
+            assert np.all(np.minimum(np.abs(old_frac), np.abs(1.0 - old_frac))[moved] <= tol[moved])
+            np.testing.assert_array_equal(top[~moved], old_top[~moved])
+            cell = m[:, None] + np.arange(n)
+            inside = (cell >= 0) & (cell <= n - 2)
+            np.testing.assert_array_equal(np.where(inside, frac, f[:, None]), np.broadcast_to(f[:, None], frac.shape))
+            if n == 1:
+                assert np.all(frac == 0.0) and np.all(base == 0) and np.all(top == 0)
+            # clipped cells in the range boxes, below the first base and past the last
+            for k in range(len(m)):
+                if np.all(cols.stop[0, k] > cols.first[0, k]):
+                    kept = cell[k, cols.first[0, k, d] : cols.stop[0, k, d]]
+                    clipped[d] |= [np.any(kept < 0), np.any(kept > n - 2)]
+    assert np.all(clipped[np.array(grid.shape) > 1])
+
+
+def _moved_by(region, shift):
+    if isinstance(region, Ball):
+        return Ball(region.center + shift, region.radius)
+    slits = tuple(PlaneSegment(s.lower + shift, s.upper + shift) for s in region.precrack)
+    return BoxDomain(region.lower + shift, region.upper + shift, slits)
+
+
+@st.composite
+def translations(draw):
+    """A grid of the unit cube with 2^k cells per axis, so that a move by
+    whole cells is exact; a box, ball or slit box in the middle half; a
+    move of whole cells that keeps it more than half a cell from every
+    face, so that no partner it keeps has a clipped row; and directions
+    whose partners lie at least an eighth of a cell off the half-cell
+    lattice, the first within a cell, so that some pairs interact.  The
+    region's faces are cell faces and its slits lie on centers or faces,
+    so no partner comes near them; the ball's center is on the half-cell
+    lattice.  The steps are not multiples of a power of two, so a partner
+    coordinate rounds differently in each binade, as at every real eps."""
+    dim = draw(st.integers(1, 3))
+    m = 16 if dim < 3 else 8
+    h = 1.0 / m
+    grid = Grid(BoxDomain(np.zeros(dim), np.ones(dim)), h)
+    kind = draw(st.sampled_from(["box", "ball", "slit"]))
+    lower = h * np.array(draw(st.lists(st.integers(m // 4, m // 4 + 1), min_size=dim, max_size=dim)))
+    upper = h * np.array(draw(st.lists(st.integers(3 * m // 4 - 1, 3 * m // 4), min_size=dim, max_size=dim)))
+    if kind == "ball":
+        center = 0.5 + h / 2 * np.array(draw(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)))
+        region = Ball(center, h * draw(st.floats(1.2, 1.7 if m == 8 else 3.5)))
+    else:
+        slits = ()
+        if kind == "slit":
+            axis = draw(st.integers(0, dim - 1))
+            a, b = lower.copy(), upper.copy()
+            a[axis] = b[axis] = draw(st.integers(2 * (m // 4 + 1), 2 * (3 * m // 4 - 1))) * h / 2
+            slits = (PlaneSegment(a, b),)
+        region = BoxDomain(lower, upper, slits)
+    cells = np.array(draw(st.lists(st.integers(-m // 8, m // 8), min_size=dim, max_size=dim)))
+    # steps of a quarter cell off the lattice, then up to an eighth of a cell off that
+    quarter = st.sampled_from([0.25, 0.75])
+    off = st.floats(-0.125, 0.125)
+    near = [draw(st.integers(-1, 0)) + draw(quarter) + draw(off) for _ in range(dim)]
+    step = st.integers(-3, 2)
+    rows = [[draw(step) + draw(quarter) + draw(off) for _ in range(dim)] for _ in range(draw(st.integers(0, 3)))]
+    eps = draw(st.sampled_from([4, 5, 6])) * h
+    return grid, region, cells, np.array([near] + rows) * h / eps, eps, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(translations())
+def test_moving_region_and_field_by_whole_cells_keeps_every_sampled_sum(case):
+    # the rows come from the shift alone, so a cell and the cell it is moved
+    # to read their partners with the same weights; the runs move with the
+    # region, and a run's sum depends on its own terms alone
+    grid, region, cells, xis, eps, seed = case
+    values = np.random.default_rng(seed).normal(size=grid.shape + (grid.dim,))
+    moved = np.roll(values, tuple(cells), axis=tuple(range(grid.dim))).reshape(grid.n_cells, grid.dim)
+    kept = np.ones((1, len(xis)), dtype=bool)
+    here = _sampled_sums(values.reshape(grid.n_cells, grid.dim), grid, (region,), eps, xis, kept)
+    there = _sampled_sums(moved, grid, (_moved_by(region, cells * grid.h),), eps, xis, kept)
+    assert here[0, 0] > 0.0
+    assert [v.hex() for v in there.reshape(-1)] == [v.hex() for v in here.reshape(-1)]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
