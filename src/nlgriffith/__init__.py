@@ -39,7 +39,6 @@ from .energy import (
 )
 from .slicing import (
     Section1D,
-    SliceMeasureValue,
     averaged_jump_measure,
     ball_sup_slice_measure,
     directional_slice_measure,
@@ -49,7 +48,6 @@ from .slicing import (
     nonlocal_energy_1d,
     piecewise_project,
     section,
-    slice_measure,
 )
 from .limits import (
     CONVENTIONS,

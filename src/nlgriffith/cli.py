@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .domain import Grid, InputError, _require_p, _require_seed, load_problem, sample
+from .domain import Grid, InputError, _require_keys, _require_p, _require_seed, load_problem, sample
 from .energy import (
     BallStrategy,
     averaged_energy,
@@ -34,7 +34,7 @@ from .energy import (
 from .harness import SweepSpec, audit_inequalities, run_sweep, write_csv
 from .limits import CONVENTIONS, bulk_density, surface_constant
 from .minimize import DirichletProblem, MinimizeOptions, minimize_dirichlet
-from .quad import _SPHERE_LEAST_ORDER, build_direction_rule, build_sphere_rule
+from .quad import _SPHERE_LEAST_ORDER, _rule_from_blocks, build_direction_rule, build_sphere_rule
 from .slicing import _slice_search
 
 __all__ = ["main"]
@@ -49,7 +49,7 @@ def _cmd_energy(args) -> int:
     # the averaged energy takes no p, but the CSV row records it
     _require_p(args.p)
     domain, field_, quad_cfg = load_problem(args.field)
-    rule = build_direction_rule(domain.dim, **quad_cfg)
+    rule = _rule_from_blocks(domain.dim, quad_cfg)
     grid = Grid(domain, args.h)
     u = sample(field_, grid) if args.sampled else field_
     t0 = time.perf_counter()
@@ -158,6 +158,8 @@ def _cmd_minimize(args) -> int:
 
 def _pop_out_path(doc: dict):
     """Pop the spec's output path, keyed ``out`` (the CLI name) or ``out_path``."""
+    if not isinstance(doc, dict):
+        raise InputError(f"the spec must be a JSON object, got {doc!r}")
     if "out" in doc and "out_path" in doc:
         raise InputError("the spec gives both 'out' and 'out_path'; give one")
     return doc.pop("out", doc.pop("out_path", None))
@@ -166,8 +168,8 @@ def _pop_out_path(doc: dict):
 def _cmd_gamma_study(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    # spec keys are SweepSpec fields, so an unknown key raises a TypeError naming it
-    strategy, out_path = doc.pop("strategy", None), _pop_out_path(doc)
+    out_path, strategy = _pop_out_path(doc), doc.pop("strategy", None)
+    _require_keys("spec", doc, SweepSpec, given=("strategy", "out_path"))
     spec = SweepSpec(
         **doc,
         strategy=BallStrategy.parse(strategy) if strategy else None,
@@ -186,6 +188,7 @@ def _cmd_audit(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     out_path = _pop_out_path(doc)
+    _require_keys("spec", doc, audit_inequalities, given=("out_path",))
     report = audit_inequalities(**doc, out_path=out_path)
     by_name: dict[str, list] = {}
     for c in report.checks:

@@ -10,6 +10,7 @@ the ground-truth side of every numerical check.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 
@@ -48,10 +49,15 @@ def _require_finite(name: str, value) -> None:
         raise InputError(f"{name} must be finite, got {np.asarray(value).tolist()}")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer other than a bool, which Python counts as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_seed(seed) -> None:
     """Refuse a random seed that is not a non-negative integer, which numpy's
     generator would refuse or read otherwise."""
-    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
+    if not (_is_integer(seed) and seed >= 0):
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -61,6 +67,22 @@ def _require_p(p) -> None:
     densities are not defined."""
     if not (np.isfinite(p) and p >= 1):
         raise InputError(f"p must be finite and at least 1, got {p}")
+
+
+def _require_keys(what: str, doc, target, given=()) -> None:
+    """Refuse a JSON object that does not fill the parameters of ``target``:
+    a key that names none of them, or one that ``given`` names (those are
+    passed otherwise), and a missing key of a parameter without a default."""
+    if not isinstance(doc, dict):
+        raise InputError(f"the {what} must be a JSON object, got {doc!r}")
+    params = inspect.signature(target).parameters
+    names = [name for name in params if name not in given]
+    for key in doc:
+        if key not in names:
+            raise InputError(f"unknown {what} key {key!r}; expected one of {names}")
+    for name in names:
+        if params[name].default is params[name].empty and name not in doc:
+            raise InputError(f"the {what} lacks the key {name!r}")
 
 
 class HyperplaneEvalError(ValueError):
@@ -314,11 +336,8 @@ class AnalyticField:
     the combined affine part, and the list of jump planes.
     """
 
-    def eval(self, x: np.ndarray) -> np.ndarray:
-        """Pointwise value at a single point (raises on a jump hyperplane)."""
-        return self.eval_many(np.asarray(x, dtype=float)[None, :])[0]
-
     def eval_many(self, points: np.ndarray) -> np.ndarray:
+        """Values at the rows of ``points`` (raises on a jump hyperplane)."""
         raise NotImplementedError
 
     def affine_part(self) -> tuple[np.ndarray, np.ndarray]:

@@ -81,6 +81,7 @@ from .domain import (
     InputError,
     SampledField,
     _dot_rows,
+    _is_integer,
     _require_p,
     difference_body,
     eval_nudged,
@@ -117,6 +118,8 @@ def check_resolution(h: float, eps: float) -> None:
         raise InputError(f"h={h} and eps={eps} must be finite")
     if eps <= 0:
         raise InputError("eps must be positive")
+    if h <= 0:
+        raise InputError(f"grid spacing h must be positive, got {h}")
     if h > eps / 4.0 * (1.0 + 1e-9):
         raise GridCapabilityError(
             f"grid spacing h={h} cannot resolve eps={eps}; need h <= eps/4"
@@ -177,7 +180,7 @@ class BallStrategy:
             raise InputError("strategy kind must be 'dyadic' or 'greedy'")
         for name, least in (("levels", 0), ("count", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= least):
+            if not (_is_integer(value) and value >= least):
                 raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
 
     @classmethod
@@ -258,8 +261,6 @@ class EnergyReport:
     """
 
     total: float
-    eps: float
-    p: float
     per_direction: dict[int, float] | None = None
     per_ball: dict[int, float] | None = None
     family: BallFamily | None = None
@@ -345,10 +346,15 @@ def _pair_axis(region: Region, d: int, axis: np.ndarray, probe: np.ndarray):
     (``_partners``), the first and stop index of the cells whose center
     and probe both pass the region's axis-d factor (``0, 0`` when none
     does), for a chunk of rows."""
-    hits = _axis_inside(region, d, axis) & _axis_inside(region, d, probe)
+    return _row_span(_axis_inside(region, d, axis) & _axis_inside(region, d, probe))
+
+
+def _row_span(hits: np.ndarray):
+    """Per row of a boolean table, the index of its first true entry and
+    one past its last (``0, 0`` for a row with none)."""
     # a row without hits has argmax 0 both ways
     first = hits.argmax(axis=1)
-    stop = (axis.size - hits[:, ::-1].argmax(axis=1)) * hits.any(axis=1)
+    stop = (hits.shape[1] - hits[:, ::-1].argmax(axis=1)) * hits.any(axis=1)
     return first, stop
 
 
@@ -723,8 +729,7 @@ def _slit_interval(cols: _Columns, seg, kind: str):
         rest = rest + (np.maximum(seg.lower[d] - c, 0.0) + np.maximum(c - seg.upper[d], 0.0)) ** 2
     table, row = cols.last(kind)
     on = (np.maximum(seg.lower[-1] - table, 0.0) + np.maximum(table - seg.upper[-1], 0.0)) ** 2 == 0.0
-    first = on.argmax(axis=1)
-    stop = (on.shape[1] - on[:, ::-1].argmax(axis=1)) * on.any(axis=1)
+    first, stop = _row_span(on)
     hit = rest == 0.0
     return tuple(np.clip(np.where(hit, end[row], 0), cols.lo, cols.hi) for end in (first, stop))
 
@@ -1057,8 +1062,6 @@ def averaged_energy(
     ((nodes, values),) = _direction_values(u, (region,), eps, rule.nodes, g, support.contains(rule.nodes)[None, :])
     return EnergyReport(
         total=_lp_norm(rule.weights[nodes], values, 1.0),
-        eps=eps,
-        p=1.0,
         per_direction=dict(zip(nodes.tolist(), values)),
     )
 
@@ -1155,4 +1158,4 @@ def ball_supremum_energy(
     families = ball_candidates(domain, strategy)
     results, best = _ball_families(families, p, _energy_tables(u, domain, families, eps, rule, grid, False))
     total, per_ball = results[best]
-    return EnergyReport(total=total, eps=eps, p=p, per_ball=per_ball, family=families[best])
+    return EnergyReport(total=total, per_ball=per_ball, family=families[best])

@@ -32,6 +32,7 @@ from .domain import (
     PlaneJump,
     SumField,
     _dot_rows,
+    _is_integer,
     _require_p,
     _require_seed,
     eval_nudged,
@@ -45,12 +46,12 @@ from .energy import (
     ball_supremum_energy,
 )
 from .limits import (
+    _jump_area,
     closed_form_bulk_p1,
     closed_form_surface_p1,
     griffith_energy,
-    plane_area_in_box,
 )
-from .quad import DirectionRule, build_direction_rule
+from .quad import DirectionRule, _rule_from_blocks, build_direction_rule
 from .slicing import (
     Section1D,
     endpoint_lower_bound,
@@ -146,12 +147,7 @@ def griffith_target(
     if p == 1.0:
         A, _ = u.affine_part()
         bulk = closed_form_bulk_p1(A) * domain.volume
-        area = sum(
-            plane_area_in_box(pl.normal, pl.offset, domain)
-            for pl in u.jump_planes()
-            if np.linalg.norm(pl.jump) > 0
-        )
-        return bulk + closed_form_surface_p1(domain.dim) * area
+        return bulk + closed_form_surface_p1(domain.dim) * _jump_area(u, domain)
     return griffith_energy(u, domain, p, rule).total
 
 
@@ -162,7 +158,7 @@ def run_sweep(spec: SweepSpec) -> ExtrapolationResult:
     cannot be tiled at the requested spacing.
     """
     domain, field_, quad_cfg = load_problem(spec.field_config)
-    rule = build_direction_rule(domain.dim, **{**quad_cfg, **spec.quad})
+    rule = _rule_from_blocks(domain.dim, quad_cfg, spec.quad)
     values = []
     for eps in spec.eps_list:
         h = eps / spec.h_over
@@ -326,7 +322,7 @@ def audit_inequalities(
     ``_translation_discrepancy`` call evaluates the field at E's centers.
     """
     _require_seed(seed)
-    if not (isinstance(n_fields, (int, np.integer)) and n_fields >= 2):
+    if not (_is_integer(n_fields) and n_fields >= 2):
         raise InputError(
             f"n_fields must be at least 2 (the last two fields are 2D) and an integer, got {n_fields!r}"
         )

@@ -59,7 +59,6 @@ class GriffithValue:
 
     bulk: float
     surface: float
-    convention: str
 
     @property
     def total(self) -> float:
@@ -200,6 +199,16 @@ def plane_area_in_box(normal: np.ndarray, offset: float, box: BoxDomain) -> floa
     return float(area)
 
 
+def _jump_area(u: AnalyticField, domain: BoxDomain) -> float:
+    """Area inside the domain of the jump planes that carry a nonzero
+    jump, summed in the field's plane order."""
+    area = 0.0
+    for plane in u.jump_planes():
+        if np.linalg.norm(plane.jump) > 0.0:
+            area += plane_area_in_box(plane.normal, plane.offset, domain)
+    return area
+
+
 def griffith_energy(
     u: AnalyticField,
     domain: BoxDomain,
@@ -218,12 +227,7 @@ def griffith_energy(
     A, _ = u.affine_part()
     bulk = bulk_density(A, p, rule, convention) * domain.volume
     beta = surface_constant(p, domain.dim, rule, convention)
-    area = 0.0
-    for plane in u.jump_planes():
-        if np.linalg.norm(plane.jump) == 0.0:
-            continue
-        area += plane_area_in_box(plane.normal, plane.offset, domain)
-    return GriffithValue(bulk=float(bulk), surface=float(beta * area), convention=convention)
+    return GriffithValue(bulk=float(bulk), surface=float(beta * _jump_area(u, domain)))
 
 
 def bar_load_threshold(rule: DirectionRule, convention: str = "calibrated") -> float:

@@ -38,7 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .domain import (
-    Affine, AnalyticField, BoxDomain, Grid, InputError, SampledField, _corner_product, _require_seed, sample
+    Affine, AnalyticField, BoxDomain, Grid, InputError, SampledField, _corner_product, _is_integer, _require_seed,
+    sample,
 )
 from .energy import _chunks, _kept_pairs, _resolve_grid, check_resolution
 from .quad import DirectionRule, build_direction_rule
@@ -139,7 +140,7 @@ class MinimizeOptions:
     def __post_init__(self):
         if not (np.isfinite(self.gtol) and self.gtol >= 0):
             raise InputError(f"gtol must be finite and non-negative, got {self.gtol}")
-        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 0):
+        if not (_is_integer(self.max_iter) and self.max_iter >= 0):
             raise InputError(f"max_iter must be a non-negative integer, got {self.max_iter}")
         if not (np.isfinite(self.nucleation_amplitude) and self.nucleation_amplitude >= 0):
             raise InputError(

@@ -14,6 +14,7 @@ requested radial order must agree with the closed-form oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .domain import InputError
+from .domain import InputError, _is_integer, _require_keys
 
 __all__ = [
     "DirectionRule",
@@ -257,12 +258,20 @@ def build_direction_rule(
         If the total weight misses ``pi^(n/2)`` by more than relative
         1e-6, or a verified moment misses the oracle.
     """
-    if dimension not in (1, 2, 3):
+    if not (_is_integer(dimension) and dimension in (1, 2, 3)):
         raise InputError("dimension must be 1, 2, or 3")
+    for name, order in (("radial_order", radial_order), ("angular_order", angular_order)):
+        if not _is_integer(order):
+            raise InputError(f"{name} must be an integer, got {order!r}")
     if radial_order < 2 or angular_order < 2:
         raise InputError("orders must be at least 2")
+    if isinstance(r_max, bool) or not isinstance(r_max, numbers.Real):
+        raise InputError(f"r_max must be a real number, got {r_max!r}")
     if not (np.isfinite(r_max) and r_max >= 3):
         raise InputError(f"truncation radius must be finite and at least 3, got {r_max}")
+    # the weight outside r_max alone would fail the rule's normalization check
+    if (tail := 1.0 - _gammainc(dimension / 2.0, r_max**2)) > _NORMALIZATION_RTOL:
+        raise InputError(f"truncation radius {r_max} leaves {tail:.1e} > {_NORMALIZATION_RTOL} of the weight outside")
 
     n_radial = max(radial_order + 12, 20)
     if dimension == 1:
@@ -288,6 +297,15 @@ def build_direction_rule(
     rule = DirectionRule(dimension, nodes, weights, float(r_max), radial_order, angular_order)
     _verify_rule(rule)
     return rule
+
+
+def _rule_from_blocks(dimension: int, *blocks: dict) -> DirectionRule:
+    """``build_direction_rule`` from ``quad`` blocks of JSON documents, a
+    later block's keys over an earlier one's; each block's keys must name
+    its parameters."""
+    for block in blocks:
+        _require_keys("quad block", block, build_direction_rule, given=("dimension",))
+    return build_direction_rule(dimension, **{key: v for block in blocks for key, v in block.items()})
 
 
 def _verify_rule(rule: DirectionRule) -> None:

@@ -37,10 +37,8 @@ from .quad import _gamma
 
 __all__ = [
     "Section1D",
-    "SliceMeasureValue",
     "section",
     "slice_interval",
-    "slice_measure",
     "nonlocal_energy_1d",
     "mumford_shah_1d",
     "piecewise_project",
@@ -96,17 +94,15 @@ class Section1D:
     def domain(self) -> tuple[float, float]:
         return float(self.knots[0]), float(self.knots[-1])
 
+    def _step(self, i: int) -> float:
+        """Signed jump at interior knot i: the value there minus the left limit."""
+        left, slope = self.left_values[i - 1], self.slopes[i - 1]
+        return self.left_values[i] - (left + slope * (self.knots[i] - self.knots[i - 1]))
+
     def jumps(self) -> list[tuple[float, float]]:
         """Interior (position, signed amplitude) pairs with nonzero amplitude."""
-        out = []
-        for i in range(1, self.knots.size - 1):
-            left_limit = self.left_values[i - 1] + self.slopes[i - 1] * (
-                self.knots[i] - self.knots[i - 1]
-            )
-            amp = self.left_values[i] - left_limit
-            if amp != 0.0:
-                out.append((float(self.knots[i]), float(amp)))
-        return out
+        steps = [(float(self.knots[i]), float(self._step(i))) for i in range(1, self.knots.size - 1)]
+        return [(t, amp) for t, amp in steps if amp != 0.0]
 
     def value(self, t: float) -> float:
         """Pointwise value; exact jump locations must be perturbed by the caller."""
@@ -115,25 +111,9 @@ class Section1D:
             raise InputError(f"t={t} outside the section domain [{lo}, {hi}]")
         i = int(np.searchsorted(self.knots, t, side="right") - 1)
         i = min(max(i, 0), self.left_values.size - 1)
-        if self.knots[i] == t and 0 < i:
-            left_limit = self.left_values[i - 1] + self.slopes[i - 1] * (
-                self.knots[i] - self.knots[i - 1]
-            )
-            if left_limit != self.left_values[i]:
-                raise InputError(f"t={t} sits exactly on a jump; perturb the query")
+        if self.knots[i] == t and 0 < i and self._step(i) != 0.0:
+            raise InputError(f"t={t} sits exactly on a jump; perturb the query")
         return float(self.left_values[i] + self.slopes[i] * (t - self.knots[i]))
-
-
-@dataclass(frozen=True)
-class SliceMeasureValue:
-    """Per-slice measure split: small-jump/gradient mass plus a big-jump count."""
-
-    ac_part: float
-    jump_count: int
-
-    @property
-    def total(self) -> float:
-        return self.ac_part + self.jump_count
 
 
 def slice_interval(region: Region, xi: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
@@ -375,26 +355,6 @@ def endpoint_lower_bound(v: Section1D, a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def slice_measure(sec: Section1D, span: tuple[float, float] | None = None) -> SliceMeasureValue:
-    """Small-jump/gradient mass and big-jump count of one section."""
-    if sec.degenerate:
-        return SliceMeasureValue(0.0, 0)
-    a, b = sec.domain if span is None else span
-    _check_interval(float(a), float(b))
-    ac = 0.0
-    count = 0
-    for i in range(sec.slopes.size):
-        seg = max(0.0, min(b, sec.knots[i + 1]) - max(a, sec.knots[i]))
-        ac += abs(sec.slopes[i]) * seg
-    for t, amp in sec.jumps():
-        if a < t < b:
-            if abs(amp) > 1.0:
-                count += 1
-            else:
-                ac += abs(amp)
-    return SliceMeasureValue(ac, count)
-
-
 def _unit_ball_volume(k: int) -> float:
     """Lebesgue measure of the unit ball of R^k (1 for k = 0)."""
     return float(np.pi ** (k / 2.0) / _gamma(k / 2.0 + 1.0))
@@ -456,11 +416,7 @@ def directional_slice_measure(u: AnalyticField, xi: np.ndarray, region: Region) 
     the hyperplane orthogonal to xi in closed form (Cauchy-Crofton):
     ``|(A xi) . xi| |R| + sum_planes |nu . xi| H^(n-1)(plane ∩ R) min(|J . xi|, 1)``.
     """
-    xi = np.asarray(xi, dtype=float)
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
-        raise InputError("direction must be a unit vector")
-    A, _ = u.affine_part()
-    return abs(float((A @ xi) @ xi)) * _volume(region) + float(_jump_term(u, xi, region)[0])
+    return float(_slice_table(u, np.asarray(xi, dtype=float)[None, :], region)[0][0])
 
 
 def averaged_jump_measure(
@@ -479,9 +435,10 @@ def averaged_jump_measure(
 
 
 def _slice_table(u: AnalyticField, nodes: np.ndarray, region: Region) -> tuple[np.ndarray, np.ndarray]:
-    """``directional_slice_measure`` of the region along each row of
-    ``nodes``, bit for bit, and its jump part: one ``_jump_term`` call
-    takes every node, and the bulk term is formed per node as there."""
+    """The slice measure of the region along each unit row of ``nodes``
+    (``directional_slice_measure``), and its jump part: one ``_jump_term``
+    call takes every node, and the bulk term is formed per node, so a
+    node's value does not depend on the other nodes."""
     if np.any(np.abs(np.linalg.norm(nodes, axis=1) - 1.0) > 1e-9):
         raise InputError("direction must be a unit vector")
     A, _ = u.affine_part()

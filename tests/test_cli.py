@@ -1,10 +1,16 @@
+import contextlib
 import csv
 import filecmp
+import io
 import json
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlgriffith import cli, slicing
 from nlgriffith.cli import main
@@ -86,7 +92,7 @@ def test_energy_subcommand(tmp_path, field_json, capsys):
     }
 
 
-def test_energy_subcommand_refuses_misspelled_quad_key(tmp_path):
+def test_energy_subcommand_refuses_misspelled_quad_key(tmp_path, capsys):
     cfg = {
         "domain": {"lower": [0.0], "upper": [1.0]},
         "field": {"kind": "affine", "matrix": [[1.0]], "offset": [0.0]},
@@ -95,8 +101,32 @@ def test_energy_subcommand_refuses_misspelled_quad_key(tmp_path):
     path = tmp_path / "field.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "report.csv"
-    with pytest.raises(TypeError, match="radial_ordr"):
-        main(["energy", "--field", str(path), "--eps", "0.04", "--h", "0.005", "--out", str(out)])
+    argv = ["energy", "--field", str(path), "--eps", "0.04", "--h", "0.005", "--out", str(out)]
+    _usage_error(capsys, argv, "unknown quad block key 'radial_ordr'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "quad, match",
+    [
+        ({"radial_order": 2.5}, "radial_order must be an integer, got 2.5"),
+        ({"angular_order": True}, "angular_order must be an integer, got True"),
+        ({"r_max": "7"}, "r_max must be a real number, got '7'"),
+        ({"radial": 6}, "unknown quad block key 'radial'"),
+        ([8], r"the quad block must be a JSON object, got \[8\]"),
+    ],
+    ids=["radial_order=2.5", "angular_order=True", "r_max='7'", "unknown-key", "not-an-object"],
+)
+def test_energy_subcommand_refuses_a_malformed_quad_block(tmp_path, capsys, quad, match):
+    # each of these once ended in a TypeError traceback with exit status 1
+    cfg = {
+        "domain": {"lower": [0.0], "upper": [1.0]},
+        "field": {"kind": "affine", "matrix": [[1.0]], "offset": [0.0]},
+        "quad": quad,
+    }
+    path, out = tmp_path / "field.json", tmp_path / "report.csv"
+    path.write_text(json.dumps(cfg))
+    _usage_error(capsys, ["energy", "--field", str(path), "--eps", "0.04", "--h", "0.005", "--out", str(out)], match)
     assert not out.exists()
 
 
@@ -181,12 +211,11 @@ def test_audit_subcommand_exit_code(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_audit_subcommand_refuses_unknown_key(tmp_path):
+def test_audit_subcommand_refuses_unknown_key(tmp_path, capsys):
     spec = tmp_path / "audit.json"
     out = tmp_path / "audit.csv"
     spec.write_text(json.dumps({"seed": 1, "nfields": 3, "out": str(out)}))
-    with pytest.raises(TypeError, match="nfields"):
-        main(["audit", "--spec", str(spec)])
+    _usage_error(capsys, ["audit", "--spec", str(spec)], "unknown spec key 'nfields'")
     assert not out.exists()
 
 
@@ -199,7 +228,7 @@ def test_audit_subcommand_refuses_a_bad_seed_as_a_usage_error(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_gamma_study_refuses_unknown_key(tmp_path, field_json):
+def test_gamma_study_refuses_unknown_key(tmp_path, field_json, capsys):
     out = tmp_path / "sweep.csv"
     with open(field_json) as fh:
         field_config = json.load(fh)
@@ -211,8 +240,17 @@ def test_gamma_study_refuses_unknown_key(tmp_path, field_json):
     }
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
-    with pytest.raises(TypeError, match="h_ovr"):
-        main(["gamma-study", "--spec", str(spec)])
+    _usage_error(capsys, ["gamma-study", "--spec", str(spec)], "unknown spec key 'h_ovr'")
+    assert not out.exists()
+
+
+def test_gamma_study_refuses_a_spec_without_its_ladder(tmp_path, field_json, capsys):
+    out = tmp_path / "sweep.csv"
+    with open(field_json) as fh:
+        doc = {"field_config": json.load(fh), "out": str(out)}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    _usage_error(capsys, ["gamma-study", "--spec", str(spec)], "the spec lacks the key 'eps_list'")
     assert not out.exists()
 
 
@@ -232,6 +270,14 @@ def test_spec_accepts_library_out_path(tmp_path, field_json, command):
     spec.write_text(json.dumps({**doc, "out_path": str(out)}))
     assert main([command, "--spec", str(spec)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["gamma-study", "audit"])
+def test_spec_refuses_a_document_that_is_not_an_object(tmp_path, command, capsys):
+    # a JSON list once ended in a TypeError from list.pop
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([1, 2]))
+    _usage_error(capsys, [command, "--spec", str(spec)], r"the spec must be a JSON object, got \[1, 2\]")
 
 
 @pytest.mark.parametrize("command", ["gamma-study", "audit"])
@@ -373,6 +419,16 @@ def test_p1_explore_refuses_an_angular_order_the_sphere_rule_does_not_honour(tmp
     assert main(argv + [f"--angular={least}"]) == 0
 
 
+@pytest.mark.parametrize("h", ["0", "-0.025"])
+def test_minimize_refuses_a_grid_spacing_that_is_not_positive(tmp_path, capsys, h):
+    # h = 0 once passed the resolution check and ended in a ZeroDivisionError;
+    # a negative h was refused only later, by the grid
+    trace, field = tmp_path / "trace.csv", tmp_path / "field.csv"
+    argv = ["minimize", "--load", "1", "--eps", "0.1", "--h", h, "--out", str(trace), "--field-out", str(field)]
+    _usage_error(capsys, argv, f"grid spacing h must be positive, got {float(h)}")
+    assert not trace.exists() and not field.exists()
+
+
 def test_minimize_refuses_infinite_eps(tmp_path, capsys):
     trace, field = tmp_path / "trace.csv", tmp_path / "field.csv"
     argv = ["minimize", "--load", "1", "--eps", "inf", "--out", str(trace), "--field-out", str(field)]
@@ -427,3 +483,166 @@ def test_a_value_error_from_inside_a_subcommand_keeps_its_traceback(tmp_path, fi
     with pytest.raises(ValueError, match="broadcast") as caught:
         main(argv)
     assert not isinstance(caught.value, InputError)
+
+
+# ---------------------------------------------------------------------------
+# every argv runs or ends as a usage error
+# ---------------------------------------------------------------------------
+
+BAD_REALS = ["nan", "inf", "-inf", "0", "-1"]
+BAD_COUNTS = ["-1", "0", "2.5", "nan", "two"]
+BAD_STRATEGIES = ["dyadic:-1", "greedy:0", "dyadic:x", "greedy:1.5", "ball"]
+
+# per subcommand and option: (valid values, bad values), all cheap to run;
+# an option may also be left out, which for a required one is a usage error
+ARGV = {
+    "energy": {
+        "--eps": (["0.2", "0.1"], BAD_REALS),
+        "--h": (["0.05", "0.025"], BAD_REALS + ["0.3"]),
+        "--p": (["1", "2"], BAD_REALS + ["0.5"]),
+        "--strategy": (["", "dyadic:1", "greedy:2"], BAD_STRATEGIES),
+    },
+    "p1-explore": {
+        "--p": (["1", "2"], BAD_REALS + ["0.5"]),
+        "--strategy": (["dyadic:0", "dyadic:1", "greedy:2"], BAD_STRATEGIES),
+        "--angular": (["1", "8"], BAD_COUNTS),
+        "--resolution": (["0.05"], BAD_REALS),
+    },
+    "density-table": {
+        "--dim": (["1", "2"], BAD_COUNTS + ["4"]),
+        "--p-list": (["1", "2"], BAD_REALS + ["0.5"]),
+        "--n-matrices": (["1", "2"], BAD_COUNTS),
+        "--seed": (["0", "7"], BAD_COUNTS),
+    },
+    "minimize": {
+        "--load": (["0.5", "2"], ["nan", "inf", "-inf"]),
+        "--eps": (["0.1"], BAD_REALS),
+        "--h": (["0.025"], BAD_REALS + ["0.05"]),
+        "--continuation": (["0", "1"], BAD_COUNTS),
+        "--seed": (["0", "3"], BAD_COUNTS),
+        "--nucleation": (["0", "0.1"], ["nan", "inf", "-1"]),
+        "--max-iter": (["0", "5"], BAD_COUNTS),
+    },
+}
+
+NAN, INF = float("nan"), float("inf")
+BAD_JSON_REALS = [NAN, INF, -INF, 0, -1]
+BAD_JSON_COUNTS = [-1, 0, 2.5, NAN, INF, True, "8"]
+
+# per JSON block and key, the same; an unknown key is drawn as well
+DOCS = {
+    "quad": {
+        "radial_order": ([2, 6], BAD_JSON_COUNTS + [1]),
+        "angular_order": ([2, 8], BAD_JSON_COUNTS + [1]),
+        "r_max": ([4.0, 6], BAD_JSON_REALS + [3.0, 2.5, True, "7"]),
+    },
+    "gamma-study": {
+        "eps_list": ([[0.2, 0.1], [0.2]], [[], [0.1, 0.2], [0.2, NAN], [0.2, -0.1], [INF, 0.1]]),
+        "h_over": ([4, 8], BAD_JSON_REALS + [2, 3.5]),
+        "p": ([1.0, 2], BAD_JSON_REALS + [0.5]),
+        "strategy": (["dyadic:1", "greedy:2"], BAD_STRATEGIES),
+        "sampled": ([False, True], []),
+        "quad": ([{}, {"radial_order": 4}], [[4], {"radial": 6}, {"r_max": "7"}]),
+    },
+    "audit": {
+        "seed": ([0, 3], [-1, 1.5, True, "0"]),
+        "n_fields": ([2, 3], BAD_JSON_COUNTS + [1]),
+    },
+}
+
+
+REQUIRED = {"--eps", "--h", "--load", "eps_list"}
+
+
+def _draw(draw, spoil, key, valid, bad):
+    """A key's value, or None to leave it out.  In a spoilt run a key is
+    valid, bad or left out, a third of the time each; otherwise it is
+    valid, and left out half of the time unless it is required."""
+    if spoil:
+        how = draw(st.sampled_from(["valid", "bad", "out"]))
+    else:
+        how = "valid" if key in REQUIRED or draw(st.booleans()) else "out"
+    if how == "bad" and bad:
+        return draw(st.sampled_from(bad))
+    return None if how == "out" else draw(st.sampled_from(valid))
+
+
+@st.composite
+def json_blocks(draw, kind, spoil):
+    """A JSON block of ``kind``, its keys drawn by ``_draw``; a spoilt one
+    may hold an unknown key, or be an array of its keys."""
+    block = {}
+    for key, values in DOCS[kind].items():
+        value = _draw(draw, spoil, key, *values)
+        if value is not None:
+            block[key] = value
+    if spoil and draw(st.booleans()):
+        block["unknown_key"] = 1
+    return sorted(block) if spoil and draw(st.integers(0, 5)) == 0 else block
+
+
+@st.composite
+def invocations(draw, command):
+    """``(argv, files)`` for ``command`` in directory ``{dir}``: the argv with
+    its options drawn by ``_draw``, and the JSON files it reads."""
+    spoil = draw(st.booleans())
+    field = {
+        "domain": {"lower": [0.0], "upper": [1.0]},
+        "field": {"kind": "plane_jump", "normal": [1.0], "offset": 0.5, "value_minus": [0.0], "value_plus": [10.0]},
+        "quad": draw(json_blocks("quad", spoil)),
+    }
+    if command in ("gamma-study", "audit"):
+        doc = draw(json_blocks(command, spoil))
+        if isinstance(doc, dict):
+            doc["out"] = "{dir}/out.csv"
+            if command == "gamma-study":
+                doc["field_config"] = field
+        return [command, "--spec", "{dir}/spec.json"], {"spec.json": doc}
+    argv = [command]
+    for option, values in ARGV[command].items():
+        value = _draw(draw, spoil, option, *values)
+        if value is not None:
+            argv += [option, value]
+    if command == "energy":
+        argv += ["--sampled"] * draw(st.booleans()) + ["--field", "{dir}/field.json"]
+    if command == "p1-explore":
+        field["domain"] = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+        field["field"] = {"kind": "affine", "matrix": [[1.0, 0.0], [0.0, 2.0]], "offset": [0.0, 0.0]}
+        argv += ["--field", "{dir}/field.json"]
+    if command == "minimize":
+        argv += ["--field-out", "{dir}/field.csv"]
+    return argv + ["--out", "{dir}/out.csv"], {"field.json": field}
+
+
+@pytest.mark.parametrize("command", ["energy", "p1-explore", "density-table", "minimize", "gamma-study", "audit"])
+def test_every_drawn_invocation_runs_or_is_a_usage_error(command):
+    # drawn from each option's domain or from a table of bad values, a run
+    # exits 0 and writes its CSVs, or exits 2 with one error line and no CSV;
+    # none ends in a traceback, and only the audit's failed margins exit 1
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(invocations(command))
+    def check(invocation):
+        argv, files = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [a.replace("{dir}", tmp) for a in argv]
+            for name, doc in files.items():
+                with open(os.path.join(tmp, name), "w") as fh:
+                    fh.write(json.dumps(doc).replace("{dir}", tmp))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as stop:
+                    code = stop.code
+            written = sorted(name for name in os.listdir(tmp) if name.endswith(".csv"))
+        lines = err.getvalue().splitlines()
+        if code == 2:
+            assert [line for line in lines if "error:" in line] == lines[-1:], lines
+            assert lines[-1].startswith(f"nlgriffith {command}: error: ")
+            assert written == []
+        else:
+            assert code == 0 or (code == 1 and command == "audit"), (code, lines)
+            assert written == (["field.csv", "out.csv"] if command == "minimize" else ["out.csv"])
+
+    check()

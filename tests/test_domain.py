@@ -70,14 +70,14 @@ def test_difference_body_rejects_bad_eps():
 
 def test_affine_identity_eval():
     f = Affine(np.eye(2), np.zeros(2))
-    assert np.allclose(f.eval(np.array([1.0, 2.0])), [1.0, 2.0])
+    assert np.allclose(f.eval_many(np.array([[1.0, 2.0]]))[0], [1.0, 2.0])
 
 
 def test_plane_jump_sides():
     s = 3.0
     f = PlaneJump(np.array([1.0, 0.0]), 0.5, np.zeros(2), np.array([s, 0.0]))
-    assert np.allclose(f.eval(np.array([0.7, 0.1])), [s, 0.0])
-    assert np.allclose(f.eval(np.array([0.2, 0.9])), [0.0, 0.0])
+    assert np.allclose(f.eval_many(np.array([[0.7, 0.1]]))[0], [s, 0.0])
+    assert np.allclose(f.eval_many(np.array([[0.2, 0.9]]))[0], [0.0, 0.0])
 
 
 def test_sum_field_adds_parts():
@@ -87,19 +87,19 @@ def test_sum_field_adds_parts():
             PlaneJump(np.array([1.0, 0.0]), 0.5, np.zeros(2), np.array([1.0, 0.0])),
         )
     )
-    assert np.allclose(f.eval(np.array([0.7, 0.1])), [1.7, 0.1])
+    assert np.allclose(f.eval_many(np.array([[0.7, 0.1]]))[0], [1.7, 0.1])
 
 
 def test_on_hyperplane_eval_raises():
     f = PlaneJump(np.array([1.0]), 0.5, np.array([0.0]), np.array([1.0]))
     with pytest.raises(HyperplaneEvalError):
-        f.eval(np.array([0.5]))
+        f.eval_many(np.array([[0.5]]))[0]
 
 
 def test_hyperplane_error_text_and_attributes():
     f = PlaneJump(np.array([0.6, 0.8]), 0.55, np.zeros(2), np.ones(2))
     with pytest.raises(HyperplaneEvalError) as info:
-        f.eval(np.array([0.25, 0.5]))
+        f.eval_many(np.array([[0.25, 0.5]]))[0]
     err = info.value
     assert str(err) == "evaluation point lies on the jump hyperplane x·[0.6 0.8] = 0.55"
     np.testing.assert_array_equal(err.normal, [0.6, 0.8])
@@ -345,7 +345,7 @@ def test_config_round_trip():
     dom = domain_from_config(cfg["domain"])
     fld = field_from_config(cfg["field"])
     assert dom.dim == 2 and fld.dim == 2
-    assert np.allclose(fld.eval(np.array([0.7, 0.2])), [10.7, 0.2])
+    assert np.allclose(fld.eval_many(np.array([[0.7, 0.2]]))[0], [10.7, 0.2])
 
 
 def test_sampled_field_shape_validation():

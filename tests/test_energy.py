@@ -483,8 +483,10 @@ def test_ball_family_names_first_overlapping_pair():
         (lambda: BallStrategy.parse("greedy:-2"), "count"),
         (lambda: BallStrategy("dyadic", levels=1.5), "levels"),
         (lambda: BallStrategy("greedy", count=np.nan), "count"),
+        (lambda: BallStrategy("greedy", count=True), "count"),
+        (lambda: BallStrategy("dyadic", levels=False), "levels"),
     ],
-    ids=["dyadic:-1", "greedy:0", "greedy:-2", "levels=1.5", "count=nan"],
+    ids=["dyadic:-1", "greedy:0", "greedy:-2", "levels=1.5", "count=nan", "count=True", "levels=False"],
 )
 def test_ball_strategy_refuses_bad_counts(build, name):
     with pytest.raises(ValueError, match=name):

@@ -293,7 +293,7 @@ def test_audit_refuses_non_integer_n_fields(tmp_path, n_fields):
 
 def test_run_sweep_refuses_misspelled_quad_key():
     spec = SweepSpec(field_config=affine_config(1.0), eps_list=[0.04], quad={"radial_ordr": 8})
-    with pytest.raises(TypeError, match="radial_ordr"):
+    with pytest.raises(InputError, match="unknown quad block key 'radial_ordr'"):
         run_sweep(spec)
 
 

@@ -507,6 +507,8 @@ def test_problem_rejects_non_finite_datum(load):
         {"seed": 1.5},
         {"seed": "0"},
         {"seed": True},
+        {"max_iter": True},
+        {"max_iter": False},
     ],
 )
 def test_options_reject_bad_values(kwargs):

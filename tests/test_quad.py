@@ -279,6 +279,30 @@ def test_rule_refuses_non_finite_truncation_radius(r_max):
         build_direction_rule(1, r_max=r_max)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"dimension": True}, "dimension must be 1, 2, or 3"),
+        ({"dimension": 2.0}, "dimension must be 1, 2, or 3"),
+        ({"radial_order": 2.5}, "radial_order must be an integer, got 2.5"),
+        ({"radial_order": 8.0}, "radial_order must be an integer, got 8.0"),
+        ({"angular_order": np.nan}, "angular_order must be an integer, got nan"),
+        ({"angular_order": True}, "angular_order must be an integer, got True"),
+        ({"r_max": "7"}, "r_max must be a real number, got '7'"),
+        ({"r_max": True}, "r_max must be a real number, got True"),
+        ({"r_max": 3.4}, r"truncation radius 3.4 leaves 1.5e-06 > 1e-06 of the weight outside"),
+        ({"dimension": 2, "r_max": 3.0}, r"truncation radius 3.0 leaves 1.2e-04 > 1e-06 of the weight outside"),
+        ({"dimension": 3, "r_max": 3.9}, r"truncation radius 3.9 leaves 1.1e-06 > 1e-06 of the weight outside"),
+    ],
+)
+def test_rule_refuses_orders_and_radii_outside_their_domain(kwargs, match):
+    # each once passed its range check, and then failed the rule's quality
+    # check (a radius from 3 up to its dimension's floor) or ended in a
+    # TypeError inside the build
+    with pytest.raises(ValueError, match=match):
+        build_direction_rule(**{"dimension": 1, **kwargs})
+
+
 # ---------------------------------------------------------------------------
 # integrate
 # ---------------------------------------------------------------------------
